@@ -7,7 +7,8 @@ nonnegative controls and closed-form analysis of the time-optimal transfer
 between constant equilibria.
 """
 
-from .characteristics import CharacteristicCurve, SolverError, apply_F, solve_xi
+from .characteristics import (CharacteristicCurve, Inflow, SolverError, apply_F,
+                              solve_xi)
 from .fv import CflError, FvState, fv_solve, fv_step
 from .laws import SpeedLaw, reciprocal, tabulated
 from .signals import ControlSignal, DensityProfile, PiecewiseConstant
@@ -24,7 +25,7 @@ __version__ = "0.1.0"
 __all__ = [
     "PiecewiseConstant", "DensityProfile", "ControlSignal",
     "SpeedLaw", "reciprocal", "tabulated",
-    "CharacteristicCurve", "SolverError", "solve_xi", "apply_F",
+    "CharacteristicCurve", "Inflow", "SolverError", "solve_xi", "apply_F",
     "Trajectory", "simulate",
     "FvState", "CflError", "fv_step", "fv_solve",
     "TrackingProblem", "OptimizationReport", "cost", "minimize",

@@ -11,14 +11,15 @@ the curve, and the instant the curve reaches x = 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .laws import SpeedLaw
-from .signals import ControlSignal, DensityProfile
+from .signals import ControlSignal, DensityProfile, PiecewiseConstant
 
-__all__ = ["CharacteristicCurve", "SolverError", "apply_F", "solve_xi"]
+__all__ = ["CharacteristicCurve", "DensityInflow", "FluxInflow", "Inflow", "SolverError",
+           "apply_F", "solve_xi"]
 
 # nodes/weights of 3-point Gauss-Legendre on [0, 1]
 _G3_NODES = np.array([0.5 - np.sqrt(15.0) / 10.0, 0.5, 0.5 + np.sqrt(15.0) / 10.0])
@@ -166,144 +167,153 @@ class CharacteristicCurve:
 
 
 # ---------------------------------------------------------------------------
-# mass models: total mass W(s) as a functional of the candidate curve
+# boundary inflow: total mass W(s) as a functional of the curve
 # ---------------------------------------------------------------------------
 
-def _step_cumulative(breaks, values, x):
-    """Cumulative integral of a step function given by (breaks, values)."""
-    cum = np.concatenate(([0.0], np.cumsum(values * np.diff(breaks))))
-    xc = np.clip(x, breaks[0], breaks[-1])
-    idx = np.clip(np.searchsorted(breaks, xc, side="right") - 1, 0, values.size - 1)
-    return cum[idx] + (xc - breaks[idx]) * values[idx]
+class Inflow:
+    """Boundary control at x = 0: a prescribed influx or boundary density.
 
+    Both modes give the total mass as one functional of a characteristic
+    curve xi through (0, 0). With E(s) the mass that entered by time s, B(z)
+    the mass that entered while xi was below z, and R0 the cumulative initial
+    density,
 
-class _FluxSource:
-    """Prescribed influx u(t): the classical boundary condition."""
+        W(s) = E(s) + R0(1 - xi(s))    until xi reaches x = 1,
+        W(s) = E(s) - B(xi(s) - 1)     after.
 
-    def __init__(self, u: ControlSignal, rho0: DensityProfile):
-        self.u = u
-        self.rho0 = rho0
-        self.mass_bound = u.lp_norm(1) + rho0.lp_norm(1)
+    The two subclasses supply E (``entered``), B (``boundary_mass``, built
+    once per curve: entry times are found on the frozen ``prefix``, and
+    ``xi_of`` maps times to positions on the whole candidate curve), the
+    boundary density and influx, and the a-priori ``mass_bound`` and
+    ``window_cap`` the solver needs; the solver and ``Trajectory`` share the
+    rest.
+    """
 
-    def mass(self, s, xi_s, prefix: CharacteristicCurve, xi_of=None):
-        """W at times s where the candidate curve takes values xi_s.
+    def __init__(self, signal: ControlSignal):
+        self.signal = signal
 
-        Post-exit (xi > 1) the entry time of the particle now at x = 1 is
-        found by inverting the frozen prefix; window lengths below 1/sup-speed
-        guarantee that entry time lies in the prefix.
-        """
-        s = np.asarray(s, dtype=float)
+    @staticmethod
+    def of(u: ControlSignal | None = None,
+           boundary_density: ControlSignal | None = None) -> "Inflow":
+        """The inflow of exactly one of an influx ``u`` and a ``boundary_density``."""
+        if (u is None) == (boundary_density is None):
+            raise ValueError("provide exactly one of u and boundary_density")
+        return DensityInflow(boundary_density) if u is None else FluxInflow(u)
+
+    def mass(self, rho0: DensityProfile, s, xi_s, B):
+        """W at times s where the curve takes values xi_s; B is its boundary_mass."""
         xi_s = np.asarray(xi_s, dtype=float)
-        U = self.u.cumulative(s)
-        W = U + self.rho0.cumulative(1.0 - xi_s)
+        entered = self.entered(s, xi_s, B)
+        W = entered + rho0.cumulative(1.0 - xi_s)
         post = xi_s > 1.0
         if np.any(post):
-            sigma = _invert_monotone(
-                prefix.times, prefix.values, prefix.slopes, xi_s[post] - 1.0
-            )
-            W[post] = U[post] - self.u.cumulative(sigma)
+            W[post] = entered[post] - B(xi_s[post] - 1.0)
         return W
 
     # kink levels of the integrand in xi-space (see _window_knots)
-    def xi_levels(self, prefix: CharacteristicCurve):
-        levels = [1.0 - self.rho0.breakpoints[1:-1], np.array([1.0])]
-        inside = self.u.breakpoints[self.u.breakpoints <= prefix.t_end]
+    def xi_levels(self, rho0: DensityProfile, prefix: CharacteristicCurve):
+        levels = [1.0 - rho0.breakpoints[1:-1], np.array([1.0])]
+        bp = self.signal.breakpoints
+        inside = bp[bp <= prefix.t_end]
         if inside.size:
             levels.append(1.0 + prefix(inside))
         return np.concatenate(levels)
 
     def time_knots(self, t_a, t_b):
-        bp = self.u.breakpoints
+        bp = self.signal.breakpoints
         return bp[(bp > t_a) & (bp < t_b)]
 
-    def slice_tail_mass(self, prefix: CharacteristicCurve, width: float) -> float:
+    def slice_tail_mass(self, rho0: DensityProfile, prefix: CharacteristicCurve,
+                        width: float) -> float:
+        """Mass in [1 - width, 1] when the curve is at the end of ``prefix``."""
         xa = prefix.x_end
-        total = self.rho0.integrate(
+        total = rho0.integrate(
             min(max(1.0 - xa - width, 0.0), 1.0), min(max(1.0 - xa, 0.0), 1.0)
         )
         z_lo = max(xa - 1.0, 0.0)
         z_hi = min(max(xa - 1.0 + width, 0.0), xa)
         if z_hi > z_lo:
-            s_lo = _invert_monotone(prefix.times, prefix.values, prefix.slopes, z_lo)
-            s_hi = _invert_monotone(prefix.times, prefix.values, prefix.slopes, z_hi)
-            total += self.u.integrate(float(s_lo), float(s_hi))
+            B = self.boundary_mass(prefix)
+            total += float(B(z_hi) - B(z_lo))
         return total
 
-    def extra_window_cap(self, d: float) -> float:
+
+class FluxInflow(Inflow):
+    """Prescribed influx u(t): the classical boundary condition."""
+
+    what = "control"  # the signal's name in messages
+
+    def boundary_mass(self, prefix, xi_of=None):
+        # the particle now at z entered at prefix^-1(z); window lengths below
+        # 1/sup-speed guarantee that entry time lies in the frozen prefix
+        return lambda z: self.signal.cumulative(prefix.inverse(z))
+
+    def entered(self, s, xi_s, B):
+        return self.signal.cumulative(s)
+
+    def boundary_density(self, t, speed):
+        """rho(t, 0) = u(t) / speed(t)."""
+        return self.signal(t) / speed(t)
+
+    def influx(self, t, speed):
+        return self.signal(t)
+
+    def mass_bound(self, rho0: DensityProfile, law: SpeedLaw) -> float:
+        return self.signal.lp_norm(1) + rho0.lp_norm(1)
+
+    def window_cap(self, d: float) -> float:
         return np.inf
 
 
-class _BoundaryDensitySource:
+class DensityInflow(Inflow):
     """Prescribed boundary density b(t); the influx u = b * speed is derived.
 
-    Material entering at time tau carries density b(tau), so the cumulative
-    influx up to s equals the integral of b over the curve measure, which is
-    exactly the cumulative of the step function b composed with the inverse
-    curve, expressed in position space.
+    Material entering at time tau carries density b(tau), so the mass that
+    entered while the curve was below z is the cumulative of the step function
+    b composed with the inverse curve, expressed in position space.
     """
 
-    def __init__(self, b: ControlSignal, rho0: DensityProfile, mass_bound: float):
-        self.b = b
-        self.rho0 = rho0
-        self.mass_bound = mass_bound
-        bv = b.values
-        self._tv = float(np.max(bv) + np.sum(np.abs(np.diff(bv))))
+    what = "boundary-density"
 
-    def _z_breaks(self, xi_of):
-        """Breakpoints of b mapped to positions via the candidate curve."""
-        z = xi_of(self.b.breakpoints)
-        return np.maximum.accumulate(z)
+    def boundary_mass(self, prefix, xi_of=None):
+        # breakpoints of b mapped to positions; cells the curve has not
+        # crossed yet have zero width and are dropped
+        z = np.maximum.accumulate((prefix if xi_of is None else xi_of)(self.signal.breakpoints))
+        keep = np.diff(z) > 0
+        steps = PiecewiseConstant(np.concatenate((z[:1], z[1:][keep])),
+                                  self.signal.values[keep])
+        return steps.cumulative
 
-    def mass(self, s, xi_s, prefix, xi_of=None):
-        xi_s = np.asarray(xi_s, dtype=float)
-        if xi_of is None:
-            xi_of = prefix
-        z = self._z_breaks(xi_of)
-        ok = np.diff(z) > 0
-        zb = np.concatenate((z[:1], z[1:][ok]))
-        vb = self.b.values[ok] if zb.size > 1 else self.b.values[:1]
-        if zb.size < 2:  # curve has not advanced: no boundary mass yet
-            boundary_in = np.zeros_like(xi_s)
-            boundary_out = np.zeros_like(xi_s)
-        else:
-            boundary_in = _step_cumulative(zb, vb, xi_s)
-            boundary_out = _step_cumulative(zb, vb, xi_s - 1.0)
-        W = boundary_in + self.rho0.cumulative(1.0 - xi_s)
-        post = xi_s > 1.0
-        return np.where(post, boundary_in - boundary_out, W)
+    def entered(self, s, xi_s, B):
+        return B(xi_s)
 
-    def xi_levels(self, prefix: CharacteristicCurve):
-        levels = [1.0 - self.rho0.breakpoints[1:-1], np.array([1.0])]
-        inside = self.b.breakpoints[self.b.breakpoints <= prefix.t_end]
-        if inside.size:
-            levels.append(1.0 + prefix(inside))
-        return np.concatenate(levels)
+    def boundary_density(self, t, speed):
+        return self.signal(t)
 
-    def time_knots(self, t_a, t_b):
-        bp = self.b.breakpoints
-        return bp[(bp > t_a) & (bp < t_b)]
+    def influx(self, t, speed):
+        """u(t) = b(t) * speed(t)."""
+        return self.signal(t) * speed(t)
 
-    def slice_tail_mass(self, prefix: CharacteristicCurve, width: float) -> float:
-        xa = prefix.x_end
-        total = self.rho0.integrate(
-            min(max(1.0 - xa - width, 0.0), 1.0), min(max(1.0 - xa, 0.0), 1.0)
-        )
-        z_lo = max(xa - 1.0, 0.0)
-        z_hi = min(max(xa - 1.0 + width, 0.0), xa)
-        if z_hi > z_lo:
-            z = self._z_breaks(prefix)
-            total += float(
-                _step_cumulative(z, self.b.values, z_hi)
-                - _step_cumulative(z, self.b.values, z_lo)
-            )
-        return total
+    def mass_bound(self, rho0: DensityProfile, law: SpeedLaw) -> float:
+        """A priori bound on the total input mass, the influx being b * speed."""
+        base = rho0.lp_norm(1)
+        M = base
+        for _ in range(200):
+            lam_bar = law.bounds(M)[1]
+            M_new = base + lam_bar * self.signal.lp_norm(1)
+            if abs(M_new - M) <= 1e-12 * (1.0 + M):
+                return M_new
+            M = M_new
+        return M
 
-    def extra_window_cap(self, d: float) -> float:
+    def window_cap(self, d: float) -> float:
         # the derived influx depends on the candidate curve itself; keep the
         # extra Lipschitz term of the window map below 1/4
-        if d <= 0 or self._tv <= 0:
+        bv = self.signal.values
+        tv = float(np.max(bv) + np.sum(np.abs(np.diff(bv))))
+        if d <= 0 or tv <= 0:
             return np.inf
-        return 0.25 / (d * self._tv)
+        return 0.25 / (d * tv)
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +328,11 @@ def _merge_knots(base, extra, t_a, t_b):
     return knots[keep]
 
 
-def _window_knots(source, prefix, cand, t_a, t_b, n_uniform, max_events=512):
+def _window_knots(inflow, rho0, prefix, cand, t_a, t_b, n_uniform, max_events=512):
     """Knot grid: uniform refinement + time breakpoints + curve-crossing events."""
     base = np.linspace(t_a, t_b, n_uniform + 1)
-    extra = [source.time_knots(t_a, t_b)]
-    levels = source.xi_levels(prefix)
+    extra = [inflow.time_knots(t_a, t_b)]
+    levels = inflow.xi_levels(rho0, prefix)
     x_a = cand[1][0]
     x_b = cand[1][-1]
     levels = levels[(levels > x_a) & (levels < x_b)]
@@ -332,7 +342,7 @@ def _window_knots(source, prefix, cand, t_a, t_b, n_uniform, max_events=512):
     return _merge_knots(base, np.concatenate(extra), t_a, t_b)
 
 
-def _integrate_window(source, law, prefix, cand, knots):
+def _integrate_window(inflow, rho0, law, prefix, cand, knots):
     """One application of the window map on the given knot grid.
 
     Returns (values, slopes, W at knots) of the mapped curve.
@@ -351,15 +361,16 @@ def _integrate_window(source, law, prefix, cand, knots):
         out[~below] = _hermite_value(ts, xs, ss, np.minimum(t[~below], ts[-1]))
         return out
 
-    W_nodes = source.mass(nodes, xi_nodes, prefix, xi_of=xi_of)
+    B = inflow.boundary_mass(prefix, xi_of)
+    W_nodes = inflow.mass(rho0, nodes, xi_nodes, B)
     g = law(W_nodes).reshape(-1, 3)
     increments = h * (g @ _G3_WEIGHTS)
     values = x_a + np.concatenate(([0.0], np.cumsum(increments)))
-    W_knots = source.mass(knots, values, prefix, xi_of=xi_of)
+    W_knots = inflow.mass(rho0, knots, values, B)
     return values, law(W_knots), W_knots
 
 
-def _solve_window(source, law, prefix, t_a, t_b, tol, n_uniform, max_iter):
+def _solve_window(inflow, rho0, law, prefix, t_a, t_b, tol, n_uniform, max_iter):
     """Fixed-point iteration of the window map starting from the linear guess."""
     x_a = prefix.x_end
     s_a = prefix.slopes[-1]
@@ -370,9 +381,9 @@ def _solve_window(source, law, prefix, t_a, t_b, tol, n_uniform, max_iter):
     )
     resid = np.inf
     for _ in range(max_iter):
-        knots = _window_knots(source, prefix, cand, t_a, t_b, n_uniform)
+        knots = _window_knots(inflow, rho0, prefix, cand, t_a, t_b, n_uniform)
         old = _hermite_value(cand[0], cand[1], cand[2], knots)
-        values, slopes, _ = _integrate_window(source, law, prefix, cand, knots)
+        values, slopes, _ = _integrate_window(inflow, rho0, law, prefix, cand, knots)
         resid = float(np.max(np.abs(values - old)))
         cand = (knots, values, slopes)
         if resid <= 0.5 * tol:
@@ -383,16 +394,16 @@ def _solve_window(source, law, prefix, t_a, t_b, tol, n_uniform, max_iter):
     )
 
 
-def _choose_window(source, law, prefix, M, T):
+def _choose_window(inflow, rho0, law, prefix, M, T):
     """Largest admissible window length at the current front time."""
     lam_tilde, lam_bar, d = law.bounds(M)
     t_a = prefix.t_end
-    delta = min(0.9 / lam_bar, T - t_a, source.extra_window_cap(d))
+    delta = min(0.9 / lam_bar, T - t_a, inflow.window_cap(d))
     if d == 0:
         return delta, True
     threshold = 0.5 * lam_tilde / d
     for _ in range(200):
-        if source.slice_tail_mass(prefix, lam_bar * delta) < 0.99 * threshold:
+        if inflow.slice_tail_mass(rho0, prefix, lam_bar * delta) < 0.99 * threshold:
             return delta, False
         delta *= 0.5
     raise SolverError("could not find an admissible window length")
@@ -416,24 +427,15 @@ def solve_xi(
     built by window-by-window fixed-point continuation; each window satisfies
     the tail-mass contraction criterion evaluated on the current state.
     """
-    if (u is None) == (boundary_density is None):
-        raise ValueError("provide exactly one of u and boundary_density")
-    if T <= 0:
+    inflow = Inflow.of(u, boundary_density)
+    if not T > 0:  # also rejects NaN
         raise ValueError(f"horizon must be positive, got T={T}")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if inflow.signal.horizon < T - 1e-12:
+        raise ValueError(f"{inflow.what} horizon {inflow.signal.horizon} shorter than T={T}")
 
-    if u is not None:
-        if u.horizon < T - 1e-12:
-            raise ValueError(f"control horizon {u.horizon} shorter than T={T}")
-        source = _FluxSource(u, rho0)
-    else:
-        b = boundary_density
-        if b.horizon < T - 1e-12:
-            raise ValueError(f"boundary-density horizon {b.horizon} shorter than T={T}")
-        source = _BoundaryDensitySource(b, rho0, _boundary_mass_bound(b, rho0, law, T))
-
-    M = source.mass_bound
+    M = inflow.mass_bound(rho0, law)
     W0 = rho0.total_mass
     ts = np.array([0.0])
     xs = np.array([0.0])
@@ -442,7 +444,7 @@ def solve_xi(
     eps = 1e-12 * max(1.0, T)
     while ts[-1] < T - eps:
         prefix = _Prefix(ts, xs, ss)
-        delta, constant_law = _choose_window(source, law, prefix, M, T)
+        delta, constant_law = _choose_window(inflow, rho0, law, prefix, M, T)
         t_b = min(ts[-1] + delta, T)
         if constant_law:
             # speed constant on [0, M]: the curve is exactly linear
@@ -452,7 +454,7 @@ def solve_xi(
             ss = np.append(ss, ss[-1])
             break
         knots, values, slopes = _solve_window(
-            source, law, prefix, ts[-1], t_b, tol, knots_per_window, max_iter
+            inflow, rho0, law, prefix, ts[-1], t_b, tol, knots_per_window, max_iter
         )
         if knots.size < 2 or knots[-1] <= ts[-1]:
             break  # remainder below knot resolution; closed by the snap below
@@ -469,25 +471,19 @@ def solve_xi(
 
 
 class _Prefix(CharacteristicCurve):
-    """Already-computed part of the curve (skips revalidation for speed)."""
+    """Already-computed part of the curve (skips revalidation for speed).
+
+    Its inverse skips the range check too: the mass model only asks it for
+    positions the prefix has already passed.
+    """
 
     def __init__(self, ts, xs, ss):  # noqa: D107 - thin wrapper
         object.__setattr__(self, "times", ts)
         object.__setattr__(self, "values", xs)
         object.__setattr__(self, "slopes", ss)
 
-
-def _boundary_mass_bound(b, rho0, law, T) -> float:
-    """A priori bound on total input mass when the influx is derived from b."""
-    base = rho0.lp_norm(1)
-    M = base
-    for _ in range(200):
-        lam_bar = law.bounds(M)[1]
-        M_new = base + lam_bar * b.lp_norm(1)
-        if abs(M_new - M) <= 1e-12 * (1.0 + M):
-            return M_new
-        M = M_new
-    return M
+    def inverse(self, x):
+        return _invert_monotone(self.times, self.values, self.slopes, x)
 
 
 def apply_F(
@@ -511,8 +507,9 @@ def apply_F(
         raise ValueError(f"window end {t_b} exceeds control horizon {u.horizon}")
     if t_b > xi.t_end + 1e-12:
         raise ValueError(f"window end {t_b} exceeds curve domain {xi.t_end}")
-    source = _FluxSource(u, rho0)
+    inflow = FluxInflow(u)
+    prefix = _Prefix(xi.times, xi.values, xi.slopes)
     cand = (xi.times, xi.values, xi.slopes)
-    knots = _window_knots(source, xi, cand, t_a, t_b, knots_per_window)
-    values, slopes, _ = _integrate_window(source, law, xi, cand, knots)
+    knots = _window_knots(inflow, rho0, prefix, cand, t_a, t_b, knots_per_window)
+    values, slopes, _ = _integrate_window(inflow, rho0, law, prefix, cand, knots)
     return CharacteristicCurve(knots, values, slopes)

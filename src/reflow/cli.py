@@ -45,8 +45,7 @@ def _law_from(cfg: dict) -> SpeedLaw:
     if kind == "tabulated":
         try:
             return tabulated(np.asarray(_require(cfg, "grid", "law"), dtype=float),
-                             np.asarray(_require(cfg, "values", "law"), dtype=float),
-                             np.asarray(_require(cfg, "derivatives", "law"), dtype=float))
+                             np.asarray(_require(cfg, "values", "law"), dtype=float))
         except ValueError as e:
             raise ConfigError("law", str(e)) from e
     raise ConfigError("law.kind", f"unknown speed law {kind!r}")
@@ -78,6 +77,20 @@ def _signal_from(cfg, where: str, horizon: float | None = None) -> ControlSignal
         raise
     except (ValueError, TypeError) as e:
         raise ConfigError(where, str(e)) from e
+
+
+# config key of each inflow mode -> its keyword in simulate/check_lower_bound
+_INFLOW_KEYS = {"control": "u", "boundary_density": "boundary_density"}
+
+
+def _inflow_from(cfg: dict, where: str, T: float) -> dict:
+    """The one inflow keyword argument given by exactly one of the config keys."""
+    keys = [k for k in _INFLOW_KEYS if k in cfg]
+    if len(keys) != 1:
+        raise ConfigError(where, "provide exactly one of control, boundary_density")
+    key = keys[0]
+    path = key if where == "<root>" else f"{where}.{key}"
+    return {_INFLOW_KEYS[key]: _signal_from(cfg[key], path, T)}
 
 
 def _load(config_path: str) -> dict:
@@ -120,19 +133,9 @@ def _build_trajectory(cfg: dict, tol: float | None):
     law = _law_from(cfg.get("law", {}))
     rho0 = _density_from(_require(cfg, "rho0", "<root>"))
     T = float(_require(cfg, "horizon", "<root>"))
-    has_u = "control" in cfg
-    has_b = "boundary_density" in cfg
-    if has_u == has_b:
-        raise ConfigError("<root>", "provide exactly one of control, boundary_density")
-    kw = dict(
-        tol=tol if tol is not None else float(cfg.get("tol", 1e-10)),
-        knots_per_window=int(cfg.get("knots_per_window", 256)),
-    )
-    if has_u:
-        return run_simulation(rho0, law, T, u=_signal_from(cfg["control"], "control", T), **kw)
-    return run_simulation(rho0, law, T,
-                          boundary_density=_signal_from(cfg["boundary_density"],
-                                                        "boundary_density", T), **kw)
+    return run_simulation(rho0, law, T, **_inflow_from(cfg, "<root>", T),
+                          tol=tol if tol is not None else float(cfg.get("tol", 1e-10)),
+                          knots_per_window=int(cfg.get("knots_per_window", 256)))
 
 
 @click.group()
@@ -148,13 +151,19 @@ def simulate(config_path, out_dir, seed, cells, tol):
     out.mkdir(parents=True, exist_ok=True)
     try:
         cfg = _load(config_path)
+        y_d = None
+        if "demand" in cfg:
+            T = float(_require(cfg, "horizon", "<root>"))
+            y_d = _signal_from(cfg["demand"], "demand", T)
+            if y_d.horizon < T - 1e-12:
+                raise ConfigError("demand", f"demand ends at {y_d.horizon:g}, "
+                                            f"before the horizon {T:g}")
         traj = _build_trajectory(cfg, tol)
     except (ConfigError, ValueError) as e:
         _fail("validation", e, 2)
     except SolverError as e:
         _fail("solver", e, 3)
     n = int(cfg.get("trace_samples", 4096))
-    y_d = _signal_from(cfg["demand"], "demand", traj.horizon) if "demand" in cfg else None
     traj.write_timeseries(out / "timeseries.csv", n=n, y_d=y_d)
     traj.write_slice(out / "slice_final.csv", traj.horizon,
                      n=int(cfg.get("slice_samples", 1024)))
@@ -250,16 +259,7 @@ def verify(config_path, out_dir, seed, cells, tol):
         rho_lo = float(_require(vcfg, "rho_lo", "verify"))
         rho_hi = float(_require(vcfg, "rho_hi", "verify"))
         T = float(_require(vcfg, "horizon", "verify"))
-        has_u = "control" in vcfg
-        has_b = "boundary_density" in vcfg
-        if has_u == has_b:
-            raise ConfigError("verify", "provide exactly one of control, boundary_density")
-        kw = {}
-        if has_u:
-            kw["u"] = _signal_from(vcfg["control"], "verify.control", T)
-        else:
-            kw["boundary_density"] = _signal_from(vcfg["boundary_density"],
-                                                  "verify.boundary_density", T)
+        kw = _inflow_from(vcfg, "verify", T)
         cert = check_lower_bound(kw.get("u"), rho_lo, rho_hi, T,
                                  boundary_density=kw.get("boundary_density"),
                                  tol=tol if tol is not None else 1e-6)
@@ -287,9 +287,9 @@ def crosscheck(config_path, out_dir, seed, cells, tol):
     out.mkdir(parents=True, exist_ok=True)
     try:
         cfg = _load(config_path)
-        traj = _build_trajectory(cfg, tol)
-        if traj.u is None:
+        if "control" not in cfg:
             raise ConfigError("<root>", "crosscheck requires flux-mode control")
+        traj = _build_trajectory(cfg, tol)
     except (ConfigError, ValueError) as e:
         _fail("validation", e, 2)
     except SolverError as e:
@@ -298,7 +298,7 @@ def crosscheck(config_path, out_dir, seed, cells, tol):
             else [int(n) for n in cfg.get("cells", [250, 1000, 4000])])
     rows = []
     for n in grid:
-        state, _, _ = fv_solve(traj.rho0, traj.law, traj.u, traj.horizon, n)
+        state, _, _ = fv_solve(traj.rho0, traj.law, traj.inflow.signal, traj.horizon, n)
         sub = 8
         fine = traj.slice_values(
             traj.horizon, (np.arange(n * sub) + 0.5) / (n * sub))

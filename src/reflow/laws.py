@@ -1,10 +1,11 @@
 """Transport speed as a function of the total mass in the system.
 
-A speed law is a positive C^1 function of the total mass W, together with
-envelope bounds over mass intervals [0, M]: the infimum and supremum of the
-speed and the supremum of |slope|. The built-in reciprocal law is
-lambda(W) = 1/(1+W); tabulated laws interpolate user samples linearly and
-extend constantly beyond the last knot (and below W = 0).
+A speed law is a positive, non-increasing, Lipschitz function of the total
+mass W, together with envelope bounds over mass intervals [0, M]: the infimum
+and supremum of the speed and the supremum of |slope|. The built-in
+reciprocal law is lambda(W) = 1/(1+W); tabulated laws interpolate user
+samples linearly and extend constantly beyond the last knot (and below
+W = 0), and take all three bounds from their own table.
 """
 
 from __future__ import annotations
@@ -22,10 +23,8 @@ TABULATED = "tabulated"
 @dataclass(frozen=True)
 class SpeedLaw:
     kind: str
-    domain_cap: float = 64.0
     grid: np.ndarray | None = field(default=None, repr=False)
     grid_values: np.ndarray | None = field(default=None, repr=False)
-    grid_derivs: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in (RECIPROCAL, TABULATED):
@@ -33,18 +32,18 @@ class SpeedLaw:
         if self.kind == TABULATED:
             g = np.asarray(self.grid, dtype=float)
             v = np.asarray(self.grid_values, dtype=float)
-            d = np.asarray(self.grid_derivs, dtype=float)
             if g.ndim != 1 or g.size < 2 or np.any(np.diff(g) <= 0):
                 raise ValueError("tabulated grid must be increasing, length >= 2")
-            if v.shape != g.shape or d.shape != g.shape:
-                raise ValueError("values/derivatives must match the grid shape")
+            if v.shape != g.shape:
+                raise ValueError("values must match the grid shape")
             if g[0] != 0.0:
                 raise ValueError("tabulated grid must start at W = 0")
             if np.any(v <= 0):
                 raise ValueError("speed values must be strictly positive")
+            if np.any(np.diff(v) > 0):
+                raise ValueError("tabulated speed values must be non-increasing in W")
             object.__setattr__(self, "grid", g)
             object.__setattr__(self, "grid_values", v)
-            object.__setattr__(self, "grid_derivs", d)
 
     def __call__(self, W):
         """Speed at total mass ``W``; constant extension for W < 0."""
@@ -62,27 +61,21 @@ class SpeedLaw:
             raise ValueError(f"mass bound M must be nonnegative, got {M}")
         if self.kind == RECIPROCAL:
             return 1.0 / (1.0 + M), 1.0, 1.0
-        g, v, d = self.grid, self.grid_values, self.grid_derivs
-        # knots inside [0, M] plus one padding knot past M; the padding makes
-        # the slope bound conservative between the last interior knot and M
+        g, v = self.grid, self.grid_values
+        # knots inside [0, M] plus one padding knot past M, so the segments
+        # scanned cover [0, M]; the law is linear on each, so the largest
+        # segment slope is the exact sup |slope|
         hi = min(int(np.searchsorted(g, M, side="right")) + 1, g.size)
         vals = np.concatenate((v[:hi], [float(np.interp(M, g, v))]))
-        return float(np.min(vals)), float(np.max(vals)), float(np.max(np.abs(d[:hi])))
+        slopes = np.diff(v[:hi]) / np.diff(g[:hi])
+        return float(np.min(vals)), float(np.max(vals)), float(np.max(np.abs(slopes)))
 
 
-def reciprocal(domain_cap: float = 64.0) -> SpeedLaw:
+def reciprocal() -> SpeedLaw:
     """The reciprocal law lambda(W) = 1/(1+W)."""
-    return SpeedLaw(kind=RECIPROCAL, domain_cap=domain_cap)
+    return SpeedLaw(kind=RECIPROCAL)
 
 
-def tabulated(grid, values, derivatives, domain_cap: float | None = None) -> SpeedLaw:
-    """Sampled C^1 law, linear interpolation, constant beyond the last knot."""
-    g = np.asarray(grid, dtype=float)
-    cap = float(g[-1]) if domain_cap is None else float(domain_cap)
-    return SpeedLaw(
-        kind=TABULATED,
-        domain_cap=cap,
-        grid=g,
-        grid_values=np.asarray(values, dtype=float),
-        grid_derivs=np.asarray(derivatives, dtype=float),
-    )
+def tabulated(grid, values) -> SpeedLaw:
+    """Piecewise-linear law through the samples, constant beyond the last knot."""
+    return SpeedLaw(kind=TABULATED, grid=grid, grid_values=values)

@@ -10,7 +10,7 @@ restarted from a few structured initial guesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

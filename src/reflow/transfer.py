@@ -166,7 +166,7 @@ def certify_trajectory(traj: Trajectory, rho_lo: float, rho_hi: float,
         raise ValueError("certificate requires rho_hi > rho_lo; "
                          "equal equilibria need no transfer")
     T = traj.horizon
-    edges = traj._x_panels(traj._slice_breaks(T), 1e-3)
+    edges = traj.slice_panels(T)
     mids = 0.5 * (edges[:-1] + edges[1:])
     dist = float(np.sum(np.diff(edges)
                         * np.abs(traj.slice_values(T, mids) - rho_hi)))
@@ -179,10 +179,7 @@ def certify_trajectory(traj: Trajectory, rho_lo: float, rho_hi: float,
     # Boundary density rho(t, 0); in flux mode it is u(t) / lam(W(t)).
     grid = traj.time_panels(max_width=T / 4096.0)
     nodes = 0.5 * (grid[:-1] + grid[1:])
-    if traj.boundary_density is not None:
-        bdens = traj.boundary_density(nodes)
-    else:
-        bdens = traj.influx(nodes) / traj.law(traj.total_mass(nodes))
+    bdens = traj.inflow.boundary_density(nodes, traj.speed)
     bad = np.abs(bdens - rho_hi) > detection_tol
     t0 = float(grid[1 + np.max(np.nonzero(bad)[0])]) if np.any(bad) else 0.0
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characteristics import CharacteristicCurve, solve_xi
+from .characteristics import CharacteristicCurve, Inflow, solve_xi
 from .laws import SpeedLaw
 from .signals import ControlSignal, DensityProfile
 
@@ -24,6 +24,24 @@ _N5 = np.array([0.04691007703066800, 0.23076534494715845, 0.5,
                 0.76923465505284155, 0.95308992296933200])
 _W5 = np.array([0.11846344252809454, 0.23931433524968324, 0.28444444444444444,
                 0.23931433524968324, 0.11846344252809454])
+
+
+def _panels(end: float, breaks, max_width: float) -> np.ndarray:
+    """Edges in [0, end] at every break inside, refined to at most max_width."""
+    breaks = breaks[(breaks > 0.0) & (breaks < end)]
+    edges = np.unique(np.concatenate(([0.0, end], breaks)))
+    pieces = [
+        np.linspace(a, b, max(2, int(np.ceil((b - a) / max_width)) + 1))
+        for a, b in zip(edges[:-1], edges[1:])
+    ]
+    return np.unique(np.concatenate(pieces))
+
+
+def _gauss5(edges: np.ndarray, f) -> float:
+    """Composite 5-point Gauss-Legendre integral of f over the panels ``edges``."""
+    h = np.diff(edges)
+    nodes = (edges[:-1, None] + h[:, None] * _N5[None, :]).ravel()
+    return float(np.sum(h * (f(nodes).reshape(-1, 5) @ _W5)))
 
 
 def simulate(
@@ -44,7 +62,7 @@ def simulate(
         knots_per_window=knots_per_window,
     )
     return Trajectory(law=law, rho0=rho0, xi=xi, horizon=float(T),
-                      u=u, boundary_density=boundary_density)
+                      inflow=Inflow.of(u, boundary_density))
 
 
 @dataclass(frozen=True)
@@ -53,49 +71,26 @@ class Trajectory:
     rho0: DensityProfile
     xi: CharacteristicCurve
     horizon: float
-    u: ControlSignal | None = None
-    boundary_density: ControlSignal | None = None
+    inflow: Inflow
     M: float = field(init=False)
 
     def __post_init__(self):
-        if (self.u is None) == (self.boundary_density is None):
-            raise ValueError("trajectory needs exactly one influx description")
-        if self.boundary_density is not None:
-            b = self.boundary_density
-            z = np.maximum.accumulate(self.xi(b.breakpoints))
-            keep = np.diff(z) > 0
-            zb = np.concatenate((z[:1], z[1:][keep]))
-            vb = b.values[keep]
-            if zb.size < 2:
-                zb, vb = np.array([0.0, np.inf]), np.array([0.0])
-            object.__setattr__(self, "_zb", zb)
-            object.__setattr__(self, "_vb", vb)
-            object.__setattr__(self, "_zcum",
-                               np.concatenate(([0.0], np.cumsum(vb * np.diff(zb)))))
-            influx_total = float(self._boundary_cum(self.xi(self.horizon)))
-        else:
-            influx_total = self.u.integrate(0.0, self.horizon)
-        object.__setattr__(self, "M", influx_total + self.rho0.total_mass)
+        object.__setattr__(self, "M", float(self.cumulative_influx(self.horizon))
+                           + self.rho0.total_mass)
 
     # -- influx bookkeeping ----------------------------------------------
 
-    def _boundary_cum(self, z):
-        """Boundary material (mass) that entered while the curve was below z."""
-        zb, vb = self._zb, self._vb
-        zc = np.clip(z, 0.0, zb[-1])
-        idx = np.clip(np.searchsorted(zb, zc, side="right") - 1, 0, vb.size - 1)
-        return self._zcum[idx] + (zc - zb[idx]) * vb[idx]
+    def speed(self, t):
+        """Transport speed lambda(W(t))."""
+        return self.law(self.total_mass(t))
 
     def influx(self, t):
         """The influx u(t); derived from the boundary density when prescribed."""
-        if self.u is not None:
-            return self.u(t)
-        return self.boundary_density(t) * self.law(self.total_mass(t))
+        return self.inflow.influx(t, self.speed)
 
     def cumulative_influx(self, t):
-        if self.u is not None:
-            return self.u.cumulative(t)
-        return self._boundary_cum(self.xi(t))
+        """Mass that entered through x = 0 by time t."""
+        return self.inflow.entered(t, self.xi(t), self.inflow.boundary_mass(self.xi))
 
     @property
     def exit_time(self) -> float | None:
@@ -110,17 +105,7 @@ class Trajectory:
         """W(t), the mass currently inside [0, 1]."""
         scalar = np.ndim(t) == 0
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        xi_t = np.asarray(self.xi(t), dtype=float)
-        if self.u is not None:
-            U = np.atleast_1d(np.asarray(self.u.cumulative(t), dtype=float))
-            W = U + np.atleast_1d(self.rho0.cumulative(1.0 - xi_t))
-            post = xi_t > 1.0
-            if np.any(post):
-                sigma = self.xi.inverse(xi_t[post] - 1.0)
-                W[post] = U[post] - self.u.cumulative(sigma)
-        else:
-            W = (self._boundary_cum(xi_t) - self._boundary_cum(xi_t - 1.0)
-                 + self.rho0.cumulative(1.0 - xi_t))
+        W = self.inflow.mass(self.rho0, t, self.xi(t), self.inflow.boundary_mass(self.xi))
         return float(W[0]) if scalar else np.asarray(W)
 
     def rho_at(self, t: float, x: float) -> float:
@@ -137,10 +122,7 @@ class Trajectory:
         out[init] = self.rho0(ahead[init])
         if np.any(~init):
             sigma = self.xi.inverse(xi_t - x[~init])
-            if self.u is not None:
-                out[~init] = self.u(sigma) / self.law(self.total_mass(sigma))
-            else:
-                out[~init] = self.boundary_density(sigma)
+            out[~init] = self.inflow.boundary_density(sigma, self.speed)
         return out
 
     def outflux(self, t):
@@ -153,11 +135,8 @@ class Trajectory:
         rho1[pre] = self.rho0(1.0 - xi_t[pre])
         if np.any(~pre):
             sigma = self.xi.inverse(xi_t[~pre] - 1.0)
-            if self.u is not None:
-                rho1[~pre] = self.u(sigma) / self.law(self.total_mass(sigma))
-            else:
-                rho1[~pre] = self.boundary_density(sigma)
-        y = self.law(self.total_mass(t)) * rho1
+            rho1[~pre] = self.inflow.boundary_density(sigma, self.speed)
+        y = self.speed(t) * rho1
         return float(y[0]) if scalar else y
 
     def cumulative_outflux(self, t):
@@ -166,14 +145,10 @@ class Trajectory:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         xi_t = np.asarray(self.xi(t), dtype=float)
         from_init = self.rho0.total_mass - np.atleast_1d(self.rho0.cumulative(1.0 - xi_t))
-        if self.u is not None:
-            from_boundary = np.zeros_like(xi_t)
-            post = xi_t > 1.0
-            if np.any(post):
-                sigma = self.xi.inverse(xi_t[post] - 1.0)
-                from_boundary[post] = self.u.cumulative(sigma)
-        else:
-            from_boundary = np.atleast_1d(self._boundary_cum(xi_t - 1.0))
+        from_boundary = np.zeros_like(xi_t)
+        post = xi_t > 1.0
+        if np.any(post):
+            from_boundary[post] = self.inflow.boundary_mass(self.xi)(xi_t[post] - 1.0)
         out = from_init + from_boundary
         return float(out[0]) if scalar else np.asarray(out)
 
@@ -189,53 +164,33 @@ class Trajectory:
 
     # -- regularity diagnostics -------------------------------------------
 
-    def _slice_breaks(self, t: float) -> np.ndarray:
-        """Discontinuity positions of the density profile at time t."""
-        xi_t = self.xi(t)
-        breaks = [np.array([xi_t]), xi_t + self.rho0.breakpoints]
-        taus = (self.u or self.boundary_density).breakpoints
-        reachable = taus <= t
-        breaks.append(xi_t - np.asarray(self.xi(taus[reachable]), dtype=float))
-        xs = np.concatenate(breaks)
-        return np.unique(xs[(xs > 0.0) & (xs < 1.0)])
-
-    def _x_panels(self, breaks, max_width: float) -> np.ndarray:
-        edges = np.unique(np.concatenate(([0.0, 1.0], breaks)))
-        pieces = [
-            np.linspace(a, b, max(2, int(np.ceil((b - a) / max_width)) + 1))
-            for a, b in zip(edges[:-1], edges[1:])
-        ]
-        return np.unique(np.concatenate(pieces))
+    def slice_panels(self, *times: float, max_width: float = 1e-3) -> np.ndarray:
+        """Quadrature edges in [0, 1] aligned with the density jumps at the given times."""
+        taus = self.inflow.signal.breakpoints
+        breaks = []
+        for t in times:
+            xi_t = self.xi(t)
+            breaks += [[xi_t], xi_t + self.rho0.breakpoints,
+                       xi_t - np.asarray(self.xi(taus[taus <= t]), dtype=float)]
+        return _panels(1.0, np.concatenate(breaks), max_width)
 
     def l1_slice_distance(self, s: float, t: float, *, max_width: float = 1e-3) -> float:
         """Integral over [0, 1] of |rho(s, x) - rho(t, x)|."""
-        edges = self._x_panels(
-            np.concatenate((self._slice_breaks(s), self._slice_breaks(t))), max_width
-        )
-        h = np.diff(edges)
-        nodes = (edges[:-1, None] + h[:, None] * _N5[None, :]).ravel()
-        diff = np.abs(self.slice_values(s, nodes) - self.slice_values(t, nodes))
-        return float(np.sum(h * (diff.reshape(-1, 5) @ _W5)))
+        return _gauss5(self.slice_panels(s, t, max_width=max_width),
+                       lambda x: np.abs(self.slice_values(s, x) - self.slice_values(t, x)))
 
     def slice_lp_norm(self, t: float, p: int, *, max_width: float = 1e-3) -> float:
         """L^p norm of the density profile at time t (p in {1, 2})."""
         if p not in (1, 2):
             raise ValueError(f"unsupported exponent p={p}")
-        edges = self._x_panels(self._slice_breaks(t), max_width)
-        h = np.diff(edges)
-        nodes = (edges[:-1, None] + h[:, None] * _N5[None, :]).ravel()
-        vals = self.slice_values(t, nodes) ** p
-        return float(np.sum(h * (vals.reshape(-1, 5) @ _W5)) ** (1.0 / p))
+        return _gauss5(self.slice_panels(t, max_width=max_width),
+                       lambda x: self.slice_values(t, x) ** p) ** (1.0 / p)
 
     def l1_time_distance(self, x1: float, x2: float, *, max_width: float = 1e-3) -> float:
         """Hidden-regularity dual: integral over [0, T] of |rho(t,x1) - rho(t,x2)|."""
-        edges = self.time_panels(max_width=max_width * self.horizon)
-        h = np.diff(edges)
-        nodes = (edges[:-1, None] + h[:, None] * _N5[None, :]).ravel()
-        v1 = np.array([self.rho_at(tt, x1) for tt in nodes])
-        v2 = np.array([self.rho_at(tt, x2) for tt in nodes])
-        diff = np.abs(v1 - v2)
-        return float(np.sum(h * (diff.reshape(-1, 5) @ _W5)))
+        return _gauss5(self.time_panels(max_width=max_width * self.horizon),
+                       lambda ts: np.abs(np.array([self.rho_at(tt, x1) for tt in ts])
+                                         - np.array([self.rho_at(tt, x2) for tt in ts])))
 
     # -- time quadrature ----------------------------------------------------
 
@@ -249,8 +204,7 @@ class Trajectory:
             events.append(np.asarray(self.xi.inverse(levels), dtype=float))
         if xiT > 1.0:
             events.append(np.array([self.xi.inverse(1.0)]))
-        sig = self.u or self.boundary_density
-        taus = sig.breakpoints[1:-1]
+        taus = self.inflow.signal.breakpoints[1:-1]
         events.append(taus)
         z = np.asarray(self.xi(taus), dtype=float) + 1.0
         z = z[z < xiT]
@@ -264,31 +218,16 @@ class Trajectory:
         if max_width is None:
             max_width = self.horizon / 512.0
         breaks = np.concatenate((self.outflux_breaks(), np.asarray(extra, dtype=float)))
-        breaks = breaks[(breaks > 0.0) & (breaks < self.horizon)]
-        edges = np.unique(np.concatenate(([0.0, self.horizon], breaks)))
-        pieces = [
-            np.linspace(a, b, max(2, int(np.ceil((b - a) / max_width)) + 1))
-            for a, b in zip(edges[:-1], edges[1:])
-        ]
-        return np.unique(np.concatenate(pieces))
+        return _panels(self.horizon, breaks, max_width)
 
     def tracking_error_sq(self, y_d: ControlSignal) -> float:
         """Integral over [0, T] of (y - y_d)^2, panel-exact Gauss quadrature."""
-        edges = self.time_panels(extra=y_d.breakpoints)
-        h = np.diff(edges)
-        nodes = (edges[:-1, None] + h[:, None] * _N5[None, :]).ravel()
-        r = (self.outflux(nodes) - y_d(nodes)) ** 2
-        return float(np.sum(h * (r.reshape(-1, 5) @ _W5)))
+        return _gauss5(self.time_panels(extra=y_d.breakpoints),
+                       lambda t: (self.outflux(t) - y_d(t)) ** 2)
 
     def influx_l2_sq(self) -> float:
-        """Integral over [0, T] of u^2 (exact in flux mode)."""
-        if self.u is not None:
-            return self.u.lp_norm(2) ** 2
-        edges = self.time_panels()
-        h = np.diff(edges)
-        nodes = (edges[:-1, None] + h[:, None] * _N5[None, :]).ravel()
-        vals = (self.boundary_density(nodes) * self.law(self.total_mass(nodes))) ** 2
-        return float(np.sum(h * (vals.reshape(-1, 5) @ _W5)))
+        """Integral over [0, T] of u^2, panel-exact Gauss quadrature."""
+        return _gauss5(self.time_panels(), lambda t: self.influx(t) ** 2)
 
     # -- export -------------------------------------------------------------
 

@@ -63,7 +63,7 @@ class TestAgainstClosedForms:
         assert xi(2.0) == pytest.approx(1.0, abs=1e-9)
 
     def test_constant_speed_law_gives_exactly_linear_curve(self):
-        law = tabulated([0.0, 10.0], [0.7, 0.7], [0.0, 0.0])
+        law = tabulated([0.0, 10.0], [0.7, 0.7])
         u = ControlSignal(np.array([0.0, 0.4, 1.0]), np.array([1.0, 0.2]))
         xi = solve_xi(u, DensityProfile.constant(1.0), law, 1.0)
         t = np.linspace(0.0, 1.0, 100)

@@ -78,6 +78,30 @@ class TestSimulate:
         assert diag["error"] == "validation"
         assert "rho0" in diag["field"]
 
+    @pytest.mark.parametrize("demand, field", [
+        ({"values": [0.2]}, "demand.breakpoints"),       # no breakpoints
+        ({"breakpoints": [0.0, 1.0], "values": [0.2]}, "demand"),  # ends before T
+    ])
+    def test_invalid_demand_exits_2_with_field_path(self, runner, tmp_path, demand, field):
+        cfg = write_config(tmp_path / "c.yaml", dict(SIM_CFG, demand=demand))
+        res = runner.invoke(main, ["simulate", "--config", cfg,
+                                   "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        diag = json.loads(res.output)
+        assert diag["error"] == "validation"
+        assert diag["field"] == field
+
+    def test_nan_horizon_exits_2(self, runner, tmp_path):
+        cfg = write_config(tmp_path / "c.yaml", {
+            "rho0": {"constant": 1.0},
+            "control": {"breakpoints": [0.0, 1.0, 2.0], "values": [0.5, 0.2]},
+            "horizon": float("nan"),
+        })
+        res = runner.invoke(main, ["simulate", "--config", cfg,
+                                   "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        assert "horizon must be positive" in json.loads(res.output)["message"]
+
     def test_both_influx_modes_rejected(self, runner, tmp_path):
         bad = dict(SIM_CFG)
         bad["control"] = {"constant": 0.1}

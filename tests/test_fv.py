@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from reflow.fv import CflError, FvState, fv_solve, fv_step
-from reflow.laws import reciprocal
+from reflow.laws import reciprocal, tabulated
 from reflow.signals import ControlSignal, DensityProfile
 from reflow.transport import simulate
 
@@ -66,3 +66,15 @@ class TestTimeLoop:
             errs.append(abs(state.total_mass - target))
         assert errs[1] < errs[0]
         assert errs[1] <= 5e-3
+
+    def test_tabulated_law_agrees_with_fv(self):
+        # a table of 1/(1+W) must not pass for a constant law: with a zero
+        # slope bound the solver takes the exact-linear shortcut and ends at
+        # W(2) = 0.8, far from the oracle's 1.0389
+        g = np.linspace(0.0, 8.0, 33)
+        law = tabulated(g, 1.0 / (1.0 + g))
+        u = ControlSignal(np.array([0.0, 1.0, 2.0]), np.array([0.8, 0.2]))
+        rho0 = DensityProfile(np.array([0.0, 0.5, 1.0]), np.array([1.0, 0.5]))
+        traj = simulate(rho0, law, 2.0, u=u)
+        state, _, _ = fv_solve(rho0, law, u, 2.0, n_cells=4000)
+        assert abs(traj.total_mass(2.0) - state.total_mass) <= 1e-3

@@ -57,7 +57,7 @@ class TestDensityBranches:
         # with a constant tabulated speed the problem is linear advection:
         # rho(t, x) = rho0(x - ct) ahead of the curve, u(t - x/c)/c behind
         c = 0.8
-        law = tabulated([0.0, 8.0], [c, c], [0.0, 0.0])
+        law = tabulated([0.0, 8.0], [c, c])
         u = ControlSignal(np.array([0.0, 0.5, 1.1, 2.0]), np.array([0.7, 0.1, 1.2]))
         rho0 = DensityProfile(np.array([0.0, 0.4, 1.0]), np.array([0.5, 1.5]))
         traj = simulate(rho0, law, 2.0, u=u)
@@ -105,6 +105,11 @@ class TestFluxes:
         assert step_fill.backlog(y_d, t) == pytest.approx(expected, abs=1e-12)
         with pytest.raises(ValueError, match="horizon"):
             step_fill.backlog(y_d, 3.0)
+
+    def test_nan_horizon_rejected(self):
+        u = ControlSignal.constant(0.5, 2.0)
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            simulate(DensityProfile.constant(1.0), reciprocal(), float("nan"), u=u)
 
 
 class TestRegularityDiagnostics:
