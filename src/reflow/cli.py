@@ -38,6 +38,19 @@ def _require(cfg: dict, key: str, where: str):
     return cfg[key]
 
 
+def _int_from(cfg: dict, key: str, default: int, where: str | None = None,
+              minimum: int = 0) -> int:
+    """The count ``cfg[key]``; ``where`` is the path of ``cfg`` in the config."""
+    path = key if where is None else f"{where}.{key}"
+    try:
+        n = int(cfg.get(key, default))
+    except (ValueError, TypeError) as e:
+        raise ConfigError(path, str(e)) from e
+    if n < minimum:
+        raise ConfigError(path, f"must be at least {minimum}, got {n}")
+    return n
+
+
 def _law_from(cfg: dict) -> SpeedLaw:
     kind = cfg.get("kind", "reciprocal")
     if kind == "reciprocal":
@@ -135,7 +148,7 @@ def _build_trajectory(cfg: dict, tol: float | None):
     T = float(_require(cfg, "horizon", "<root>"))
     return run_simulation(rho0, law, T, **_inflow_from(cfg, "<root>", T),
                           tol=tol if tol is not None else float(cfg.get("tol", 1e-10)),
-                          knots_per_window=int(cfg.get("knots_per_window", 256)))
+                          knots_per_window=_int_from(cfg, "knots_per_window", 256))
 
 
 @click.group()
@@ -158,15 +171,15 @@ def simulate(config_path, out_dir, seed, cells, tol):
             if y_d.horizon < T - 1e-12:
                 raise ConfigError("demand", f"demand ends at {y_d.horizon:g}, "
                                             f"before the horizon {T:g}")
+        n_trace = _int_from(cfg, "trace_samples", 4096)
+        n_slice = _int_from(cfg, "slice_samples", 1024)
         traj = _build_trajectory(cfg, tol)
     except (ConfigError, ValueError) as e:
         _fail("validation", e, 2)
     except SolverError as e:
         _fail("solver", e, 3)
-    n = int(cfg.get("trace_samples", 4096))
-    traj.write_timeseries(out / "timeseries.csv", n=n, y_d=y_d)
-    traj.write_slice(out / "slice_final.csv", traj.horizon,
-                     n=int(cfg.get("slice_samples", 1024)))
+    traj.write_timeseries(out / "timeseries.csv", n=n_trace, y_d=y_d)
+    traj.write_slice(out / "slice_final.csv", traj.horizon, n=n_slice)
     _echo_config(cfg, out, {"seed": seed, "tol": tol, "cells": cells})
     click.echo(f"wrote {out / 'timeseries.csv'} and {out / 'slice_final.csv'}")
 
@@ -184,22 +197,21 @@ def optimize(config_path, out_dir, seed, cells, tol):
         T = float(_require(cfg, "horizon", "<root>"))
         y_d = _signal_from(_require(cfg, "demand", "<root>"), "demand", T)
         opt = cfg.get("optimize", {})
-        n_cells = cells if cells is not None else int(opt.get("control_cells", 16))
+        n_cells = (cells if cells is not None
+                   else _int_from(opt, "control_cells", 16, "optimize", minimum=1))
         problem = TrackingProblem(
             rho0, y_d, law, T, np.linspace(0.0, T, n_cells + 1),
             tracking_weight=float(opt.get("tracking_weight", 1.0)),
             solver_tol=tol if tol is not None else float(cfg.get("tol", 1e-9)),
         )
+        max_iters = _int_from(opt, "max_iters", 100, "optimize")
+        grad_tol = float(opt.get("grad_tol", 1e-6))
+        restarts = _int_from(opt, "random_restarts", 0, "optimize")
     except (ConfigError, ValueError) as e:
         _fail("validation", e, 2)
     try:
-        report = minimize(
-            problem,
-            max_iters=int(opt.get("max_iters", 100)),
-            grad_tol=float(opt.get("grad_tol", 1e-6)),
-            seed=seed,
-            extra_random_restarts=int(opt.get("random_restarts", 0)),
-        )
+        report = minimize(problem, max_iters=max_iters, grad_tol=grad_tol, seed=seed,
+                          extra_random_restarts=restarts)
     except SolverError as e:
         _fail("solver", e, 3)
     with open(out / "report.json", "w") as f:
@@ -230,6 +242,7 @@ def transfer(config_path, out_dir, seed, cells, tol):
         tcfg = _require(cfg, "transfer", "<root>")
         sc = TransferScenario(float(_require(tcfg, "rho_lo", "transfer")),
                               float(_require(tcfg, "rho_hi", "transfer")))
+        n_trace = _int_from(cfg, "trace_samples", 2048)
     except (ConfigError, ValueError) as e:
         _fail("validation", e, 2)
     T = minimal_time(sc)
@@ -240,7 +253,7 @@ def transfer(config_path, out_dir, seed, cells, tol):
         result["u_jump_at_0"] = float(cf.u(0.0)) - sc.rho_lo / (1.0 + sc.rho_lo)
         result["y_jump_at_T"] = sc.rho_hi / (1.0 + sc.rho_hi) - float(cf.y(T))
     write_figure_csv(sc, out / "transfer_mass.csv", out / "transfer_flux.csv",
-                     n=int(cfg.get("trace_samples", 2048)))
+                     n=n_trace)
     with open(out / "diagnostics.json", "w") as f:
         json.dump(result, f, indent=2)
     _echo_config(cfg, out, {"seed": seed, "tol": tol, "cells": cells})
@@ -289,13 +302,18 @@ def crosscheck(config_path, out_dir, seed, cells, tol):
         cfg = _load(config_path)
         if "control" not in cfg:
             raise ConfigError("<root>", "crosscheck requires flux-mode control")
+        try:
+            grid = ([cells] if cells is not None
+                    else [int(n) for n in cfg.get("cells", [250, 1000, 4000])])
+        except (ValueError, TypeError) as e:
+            raise ConfigError("cells", str(e)) from e
+        if any(n < 1 for n in grid):
+            raise ConfigError("cells", f"cell counts must be at least 1, got {grid}")
         traj = _build_trajectory(cfg, tol)
     except (ConfigError, ValueError) as e:
         _fail("validation", e, 2)
     except SolverError as e:
         _fail("solver", e, 3)
-    grid = ([cells] if cells is not None
-            else [int(n) for n in cfg.get("cells", [250, 1000, 4000])])
     rows = []
     for n in grid:
         state, _, _ = fv_solve(traj.rho0, traj.law, traj.inflow.signal, traj.horizon, n)

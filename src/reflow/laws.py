@@ -55,6 +55,11 @@ class SpeedLaw:
             out = np.interp(Wc, self.grid, self.grid_values)
         return float(out) if W.ndim == 0 else out
 
+    @property
+    def kinks(self) -> np.ndarray:
+        """Masses where the slope of the speed jumps: every table knot past W = 0."""
+        return self.grid[1:] if self.kind == TABULATED else np.empty(0)
+
     def bounds(self, M: float) -> tuple[float, float, float]:
         """(inf speed, sup speed, sup |slope|) over masses in [0, M]."""
         if M < 0:

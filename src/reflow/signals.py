@@ -51,21 +51,21 @@ class PiecewiseConstant:
 
     def _cell_index(self, x: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self.breakpoints, x, side="right") - 1
-        return np.clip(idx, 0, self.values.size - 1)
+        return np.minimum(np.maximum(idx, 0), self.values.size - 1)
 
     # -- evaluation and quadrature --------------------------------------
 
     def __call__(self, x):
         """Pointwise value; arguments outside the domain are clamped."""
         x = np.asarray(x, dtype=float)
-        xc = np.clip(x, self.breakpoints[0], self.breakpoints[-1])
+        xc = np.minimum(np.maximum(x, self.breakpoints[0]), self.breakpoints[-1])
         out = self.values[self._cell_index(xc)]
         return float(out) if np.isscalar(x) or x.ndim == 0 else out
 
     def cumulative(self, x):
         """Exact integral from the left end of the domain to ``x`` (clamped)."""
         x = np.asarray(x, dtype=float)
-        xc = np.clip(x, self.breakpoints[0], self.breakpoints[-1])
+        xc = np.minimum(np.maximum(x, self.breakpoints[0]), self.breakpoints[-1])
         idx = self._cell_index(xc)
         out = self._cum[idx] + (xc - self.breakpoints[idx]) * self.values[idx]
         return float(out) if np.isscalar(x) or x.ndim == 0 else out

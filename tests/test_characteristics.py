@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from reflow.characteristics import CharacteristicCurve, apply_F, solve_xi
+from reflow import characteristics
+from reflow.characteristics import (CharacteristicCurve, DensityInflow, FluxInflow,
+                                    _choose_window, _Prefix, apply_F, solve_xi)
 from reflow.laws import reciprocal, tabulated
 from reflow.signals import ControlSignal, DensityProfile
 
@@ -43,6 +45,17 @@ class TestCurveType:
         with pytest.raises(ValueError):
             xi.inverse(np.sinh(2.0) + 1.0)
 
+    def test_inverse_bisects_where_newton_is_cut_short(self, monkeypatch):
+        # the first segment's cubic is not monotone; with a single Newton step
+        # most targets are left unresolved and must come from the bisection
+        curve = CharacteristicCurve(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.01, 1.0]),
+                                    np.array([1.0, 1.0, 1.0]))
+        x = np.concatenate((np.linspace(0.0, 0.01, 201), np.linspace(0.01, 1.0, 50)))
+        monkeypatch.setattr(characteristics, "_NEWTON_STEPS", 1)
+        assert np.max(np.abs(curve(curve.inverse(x)) - x)) <= 1e-11
+        monkeypatch.undo()
+        assert np.max(np.abs(curve(curve.inverse(x)) - x)) <= 1e-11
+
 
 class TestAgainstClosedForms:
     def test_equilibrium_curve_is_linear(self):
@@ -70,6 +83,17 @@ class TestAgainstClosedForms:
         assert np.max(np.abs(xi(t) - 0.7 * t)) <= 1e-14
 
 
+def ode_oracle(u, rho0, law, T, t_eval):
+    """Pre-exit curve from solve_ivp on xi' = speed(U(t) + R0(1 - xi))."""
+    def rhs(t, x):
+        W = u.cumulative(t) + rho0.cumulative(1.0 - x[0])
+        return [float(law(W))]
+
+    sol = solve_ivp(rhs, (0.0, T), [0.0], t_eval=t_eval,
+                    rtol=1e-12, atol=1e-13, max_step=1e-2)
+    return sol.y[0]
+
+
 class TestOdeOracle:
     def test_pre_exit_curve_matches_stiff_ode_solver(self):
         rng = np.random.default_rng(3)
@@ -81,14 +105,9 @@ class TestOdeOracle:
             if xi.x_end >= 1.0:  # keep the oracle ODE self-contained
                 continue
 
-            def rhs(t, x):
-                W = u.cumulative(t) + rho0.cumulative(1.0 - x[0])
-                return [1.0 / (1.0 + W)]
-
             t_eval = np.linspace(0.0, 0.9, 200)
-            sol = solve_ivp(rhs, (0.0, 0.9), [0.0], t_eval=t_eval,
-                            rtol=1e-12, atol=1e-13, max_step=1e-2)
-            assert np.max(np.abs(xi(t_eval) - sol.y[0])) <= 100 * tol
+            oracle = ode_oracle(u, rho0, law, 0.9, t_eval)
+            assert np.max(np.abs(xi(t_eval) - oracle)) <= 100 * tol
 
 
 def curve_in_slope_envelope(rng, delta, lam_lo, lam_hi, n_knots=7):
@@ -102,6 +121,86 @@ def curve_in_slope_envelope(rng, delta, lam_lo, lam_hi, n_knots=7):
     xs = np.concatenate(([0.0],
                          np.cumsum(0.5 * (ss[:-1] + ss[1:]) * np.diff(ts))))
     return CharacteristicCurve(ts, xs, ss)
+
+
+class TestWindows:
+    def test_a_priori_length_meets_tail_mass_criterion(self):
+        rng = np.random.default_rng(7)
+        law = reciprocal()
+        T = 1.5
+        for _ in range(6):
+            u, rho0 = random_scenario(rng, horizon=T)
+            for inflow, kw in ((FluxInflow(u), {"u": u}),
+                               (DensityInflow(u), {"u": None, "boundary_density": u})):
+                bounds = lam_tilde, lam_bar, d = law.bounds(inflow.mass_bound(rho0, law))
+                xi = solve_xi(rho0=rho0, law=law, T=T, **kw)
+                start = np.array([law(rho0.total_mass)])
+                prefixes = [_Prefix(np.zeros(1), np.zeros(1), start)]
+                for t in (0.4, 0.8, 1.2):
+                    c = xi.restricted(t)
+                    prefixes.append(_Prefix(c.times, c.values, c.slopes))
+                for prefix in prefixes:
+                    delta = _choose_window(inflow, rho0, bounds, prefix, T)
+                    assert 0.0 < delta <= T - prefix.t_end
+                    tail = inflow.slice_tail_mass(rho0, prefix, lam_bar * delta)
+                    assert tail < 0.5 * lam_tilde / d
+
+    def test_rejected_trial_falls_back_and_matches_ode(self, monkeypatch):
+        # a steep law with dense mass near x = 1: some doubled windows do not
+        # halve the residual and are solved again at the a-priori length
+        law = tabulated([0.0, 1.0, 1.1, 10.0], [1.0, 0.9, 0.1, 0.05])
+        rho0 = DensityProfile(np.array([0.0, 0.7, 1.0]), np.array([0.3, 3.1]))
+        u = ControlSignal.constant(0.05, 0.9)
+        rejected = []
+        solve_window = characteristics._solve_window
+
+        def recording(*args, **kwargs):
+            out = solve_window(*args, **kwargs)
+            if out is None:
+                rejected.append((args[4], args[5]))
+            return out
+
+        monkeypatch.setattr(characteristics, "_solve_window", recording)
+        tol = 1e-11
+        xi = solve_xi(u, rho0, law, 0.9, tol=tol)
+        assert rejected
+        assert xi.x_end < 1.0
+        t_eval = np.linspace(0.0, 0.9, 200)
+        oracle = ode_oracle(u, rho0, law, 0.9, t_eval)
+        assert np.max(np.abs(xi(t_eval) - oracle)) <= 100 * tol
+
+    def test_tabulated_law_kinks_are_knots(self):
+        # the load crosses table knots inside long windows; without a knot there
+        # the Gauss quadrature loses its order and the curve drifts beyond tol
+        grid = np.linspace(0.0, 8.0, 33)
+        law = tabulated(grid, 1.0 / (1.0 + grid))
+        u = ControlSignal(np.linspace(0.0, 3.0, 9),
+                          np.array([0.9, 1.4, 0.3, 1.1, 0.6, 1.5, 0.4, 1.0]))
+        rho0 = DensityProfile(np.array([0.0, 0.3, 0.7, 1.0]), np.array([1.2, 0.4, 1.8]))
+        tol = 1e-10
+        xi = solve_xi(u, rho0, law, 3.0, tol=tol)
+        ref = solve_xi(u, rho0, law, 3.0, tol=1e-12, knots_per_window=4096)
+        t = np.linspace(0.0, 3.0, 3001)
+        assert np.max(np.abs(xi(t) - ref(t))) <= tol
+
+    def test_many_cell_density_keeps_every_event_knot(self):
+        # 16384 cells put thousands of kink levels in one window
+        n = 16384
+        rng = np.random.default_rng(4)
+        rho0 = DensityProfile(np.linspace(0.0, 1.0, n + 1), rng.uniform(0.2, 1.5, n))
+        u = ControlSignal(np.linspace(0.0, 1.5, 4), np.array([0.8, 0.3, 1.0]))
+        tol = 1e-10
+        xi = solve_xi(u, rho0, reciprocal(), 1.5, tol=tol)
+        ref = solve_xi(u, rho0, reciprocal(), 1.5, tol=1e-12, knots_per_window=1024)
+        t = np.linspace(0.0, 1.5, 4001)
+        assert np.max(np.abs(xi(t) - ref(t))) <= tol
+        # every time the curve meets a breakpoint of rho0 is a knot
+        levels = 1.0 - rho0.breakpoints[1:-1]
+        crossings = xi.inverse(levels[levels < xi.x_end])
+        assert crossings.size > 10_000
+        k = np.clip(np.searchsorted(xi.times, crossings), 1, xi.times.size - 1)
+        gap = np.minimum(np.abs(xi.times[k] - crossings), np.abs(xi.times[k - 1] - crossings))
+        assert np.max(gap) <= 1e-8
 
 
 class TestContraction:
@@ -156,3 +255,8 @@ class TestValidation:
         u = ControlSignal.constant(1.0, 1.0)
         with pytest.raises(ValueError, match="positive"):
             solve_xi(u, DensityProfile.constant(1.0), reciprocal(), 0.0)
+
+    def test_rejects_nan_tol(self):
+        u = ControlSignal.constant(1.0, 1.0)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            solve_xi(u, DensityProfile.constant(1.0), reciprocal(), 1.0, tol=float("nan"))

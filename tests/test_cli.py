@@ -169,3 +169,53 @@ class TestOptimize:
         assert all(v >= 0.0 for v in report["control_values"])
         history = (out / "history.csv").read_text().splitlines()
         assert history[0] == "# columns: restart,iteration,cost"
+
+
+CROSS_CFG = {
+    "rho0": {"constant": 1.0},
+    "control": {"breakpoints": [0.0, 0.5, 1.5], "values": [0.6, 0.3]},
+    "horizon": 1.5,
+}
+OPT_CFG = {
+    "rho0": {"constant": 0.5},
+    "demand": {"constant": 0.3},
+    "horizon": 1.0,
+    "optimize": {"control_cells": 3},
+}
+
+
+@pytest.mark.parametrize("command, cfg, field", [
+    ("simulate", dict(SIM_CFG, trace_samples="abc"), "trace_samples"),
+    ("simulate", dict(SIM_CFG, slice_samples="abc"), "slice_samples"),
+    ("optimize", dict(OPT_CFG, optimize={"max_iters": "abc"}), "optimize.max_iters"),
+    ("optimize", dict(OPT_CFG, optimize={"random_restarts": "abc"}),
+     "optimize.random_restarts"),
+    ("transfer", {"transfer": {"rho_lo": 0.0, "rho_hi": 2.0}, "trace_samples": "abc"},
+     "trace_samples"),
+    ("crosscheck", dict(CROSS_CFG, cells=["abc"]), "cells"),
+    ("simulate", dict(SIM_CFG, trace_samples=-5), "trace_samples"),
+    ("optimize", dict(OPT_CFG, optimize={"control_cells": 0}), "optimize.control_cells"),
+    ("crosscheck", dict(CROSS_CFG, cells=[100, 0]), "cells"),
+])
+def test_invalid_count_exits_2_with_field_path(runner, tmp_path, command, cfg, field):
+    path = write_config(tmp_path / "c.yaml", cfg)
+    res = runner.invoke(main, [command, "--config", path, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    diag = json.loads(res.output)
+    assert diag["error"] == "validation"
+    assert diag["field"] == field
+
+
+def test_zero_cells_option_exits_2(runner, tmp_path):
+    path = write_config(tmp_path / "c.yaml", CROSS_CFG)
+    res = runner.invoke(main, ["crosscheck", "--config", path, "--out", str(tmp_path / "o"),
+                               "--cells", "0"])
+    assert res.exit_code == 2, res.output
+    assert json.loads(res.output)["field"] == "cells"
+
+
+def test_nan_tol_exits_2(runner, tmp_path):
+    cfg = write_config(tmp_path / "c.yaml", dict(SIM_CFG, tol=float("nan")))
+    res = runner.invoke(main, ["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert "tol must be positive" in json.loads(res.output)["message"]
