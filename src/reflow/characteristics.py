@@ -319,23 +319,18 @@ class DensityInflow(Inflow):
         return self.signal(t) * speed(t)
 
     def mass_bound(self, rho0: DensityProfile, law: SpeedLaw) -> float:
-        """A priori bound on the total input mass, the influx being b * speed."""
-        base = rho0.lp_norm(1)
-        M = base
-        for _ in range(200):
-            lam_bar = law.bounds(M)[1]
-            M_new = base + lam_bar * self.signal.lp_norm(1)
-            if abs(M_new - M) <= 1e-12 * (1.0 + M):
-                return M_new
-            M = M_new
-        return M
+        """A priori bound on the total input mass, the influx being b * speed.
+
+        Laws are non-increasing, so the speed never exceeds law(0).
+        """
+        return rho0.lp_norm(1) + float(law(0.0)) * self.signal.lp_norm(1)
 
     def window_cap(self, d: float) -> float:
         # the derived influx depends on the candidate curve itself; keep the
         # extra Lipschitz term of the window map below 1/4
         bv = self.signal.values
         tv = float(np.max(bv) + np.sum(np.abs(np.diff(bv))))
-        if d <= 0 or tv <= 0:
+        if d * tv <= 0:  # also when a denormal tv underflows the product
             return np.inf
         return 0.25 / (d * tv)
 

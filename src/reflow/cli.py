@@ -1,8 +1,12 @@
 """Command-line front end: run scenarios from YAML configs, emit CSV/JSON.
 
-Subcommands: simulate, optimize, transfer, verify, crosscheck. Each run
-writes its artifacts plus a resolved_config.json echo into the output
-directory, and is deterministic for a fixed config and seed.
+Subcommands: simulate, optimize, transfer, verify, crosscheck. Each is a body
+``(cfg, out, seed, cells, tol) -> message`` registered by ``_command``, which
+keeps the exit-code contract in one place: 2 for a ValueError (a
+``ConfigError`` or malformed YAML among them), 3 for a ``SolverError``. Fields
+are read only through ``_get`` and ``_block``, so each error names its field:
+a root field by its bare key, a block field as ``block.key``, the file as
+``<root>``. Runs are deterministic for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -25,6 +29,9 @@ from .transfer import (TransferScenario, check_lower_bound,
                        transfer_diagnostics, write_figure_csv)
 from .transport import simulate as run_simulation
 
+ROOT = "<root>"  # the path of the whole config file
+REQUIRED = object()  # the default of a field that must be given
+
 
 class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
@@ -32,64 +39,76 @@ class ConfigError(ValueError):
         self.field_path = path
 
 
-def _require(cfg: dict, key: str, where: str):
+def _at(where: str, key: str) -> str:
+    """The path of ``key`` in the block at ``where``."""
+    return key if where == ROOT else f"{where}.{key}"
+
+
+def _get(cfg: dict, key: str, where: str = ROOT, parse=float, default=REQUIRED):
+    """``parse(cfg[key])``, or ``default`` if the key is absent."""
     if key not in cfg:
-        raise ConfigError(f"{where}.{key}", "missing required field")
-    return cfg[key]
-
-
-def _int_from(cfg: dict, key: str, default: int, where: str | None = None,
-              minimum: int = 0) -> int:
-    """The count ``cfg[key]``; ``where`` is the path of ``cfg`` in the config."""
-    path = key if where is None else f"{where}.{key}"
+        if default is REQUIRED:
+            raise ConfigError(_at(where, key), "missing required field")
+        return default
     try:
-        n = int(cfg.get(key, default))
-    except (ValueError, TypeError) as e:
+        return parse(cfg[key])
+    except (ValueError, TypeError, OverflowError) as e:
+        raise ConfigError(_at(where, key), str(e)) from e
+
+
+def _count(minimum: int = 0):
+    """A parser of integer counts of at least ``minimum``."""
+    def parse(value) -> int:
+        n = int(value)
+        if n < minimum:
+            raise ValueError(f"must be at least {minimum}, got {n}")
+        return n
+    return parse
+
+
+def _array(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _block(cfg: dict, key: str, where: str = ROOT, keys=(), default=REQUIRED) -> dict:
+    """The mapping ``cfg[key]``; any key of it not in ``keys`` is rejected."""
+    block = _get(cfg, key, where, lambda v: v, default)
+    path = _at(where, key)
+    if not isinstance(block, dict):
+        raise ConfigError(path, "must be a mapping")
+    unknown = [k for k in block if k not in keys]
+    if unknown:
+        raise ConfigError(f"{path}.{unknown[0]}", "unknown key")
+    return block
+
+
+def _built(path: str, build, *args):
+    """``build(*args)``, with a ValueError it raises reported at ``path``."""
+    try:
+        return build(*args)
+    except ValueError as e:
         raise ConfigError(path, str(e)) from e
-    if n < minimum:
-        raise ConfigError(path, f"must be at least {minimum}, got {n}")
-    return n
 
 
 def _law_from(cfg: dict) -> SpeedLaw:
-    kind = cfg.get("kind", "reciprocal")
+    law = _block(cfg, "law", keys=("kind", "grid", "values"), default={})
+    kind = _get(law, "kind", "law", str, "reciprocal")
     if kind == "reciprocal":
         return reciprocal()
-    if kind == "tabulated":
-        try:
-            return tabulated(np.asarray(_require(cfg, "grid", "law"), dtype=float),
-                             np.asarray(_require(cfg, "values", "law"), dtype=float))
-        except ValueError as e:
-            raise ConfigError("law", str(e)) from e
-    raise ConfigError("law.kind", f"unknown speed law {kind!r}")
+    if kind != "tabulated":
+        raise ConfigError("law.kind", f"unknown speed law {kind!r}")
+    return _built("law", tabulated, _get(law, "grid", "law", _array),
+                  _get(law, "values", "law", _array))
 
 
-def _density_from(cfg, where: str = "rho0") -> DensityProfile:
-    try:
-        if "constant" in cfg:
-            return DensityProfile.constant(float(cfg["constant"]))
-        return DensityProfile(
-            np.asarray(_require(cfg, "breakpoints", where), dtype=float),
-            np.asarray(_require(cfg, "values", where), dtype=float))
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as e:
-        raise ConfigError(where, str(e)) from e
-
-
-def _signal_from(cfg, where: str, horizon: float | None = None) -> ControlSignal:
-    try:
-        if "constant" in cfg:
-            if horizon is None:
-                horizon = float(_require(cfg, "horizon", where))
-            return ControlSignal.constant(float(cfg["constant"]), horizon)
-        return ControlSignal(
-            np.asarray(_require(cfg, "breakpoints", where), dtype=float),
-            np.asarray(_require(cfg, "values", where), dtype=float))
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as e:
-        raise ConfigError(where, str(e)) from e
+def _steps_from(cls, cfg: dict, key: str, where: str, end: float):
+    """The step function ``cfg[key]``: a constant on [0, end], or breakpoints and values."""
+    block = _block(cfg, key, where, keys=("constant", "breakpoints", "values"))
+    path = _at(where, key)
+    if "constant" in block:
+        return _built(path, cls, [0.0, end], [_get(block, "constant", path)])
+    return _built(path, cls, _get(block, "breakpoints", path, _array),
+                  _get(block, "values", path, _array))
 
 
 # config key of each inflow mode -> its keyword in simulate/check_lower_bound
@@ -101,54 +120,24 @@ def _inflow_from(cfg: dict, where: str, T: float) -> dict:
     keys = [k for k in _INFLOW_KEYS if k in cfg]
     if len(keys) != 1:
         raise ConfigError(where, "provide exactly one of control, boundary_density")
-    key = keys[0]
-    path = key if where == "<root>" else f"{where}.{key}"
-    return {_INFLOW_KEYS[key]: _signal_from(cfg[key], path, T)}
+    return {_INFLOW_KEYS[keys[0]]: _steps_from(ControlSignal, cfg, keys[0], where, T)}
 
 
-def _load(config_path: str) -> dict:
-    with open(config_path) as f:
-        cfg = yaml.safe_load(f)
-    if not isinstance(cfg, dict):
-        raise ConfigError("<root>", "config must be a mapping")
-    return cfg
-
-
-def _echo_config(cfg: dict, out: Path, overrides: dict):
-    resolved = dict(cfg)
-    resolved["_resolved"] = overrides
-    with open(out / "resolved_config.json", "w") as f:
-        json.dump(resolved, f, indent=2, sort_keys=True, default=str)
+def _build_trajectory(cfg: dict, tol: float | None):
+    law = _law_from(cfg)
+    rho0 = _steps_from(DensityProfile, cfg, "rho0", ROOT, 1.0)
+    T = _get(cfg, "horizon")
+    return run_simulation(rho0, law, T, **_inflow_from(cfg, ROOT, T),
+                          tol=tol if tol is not None else _get(cfg, "tol", default=1e-10),
+                          knots_per_window=_get(cfg, "knots_per_window", ROOT, _count(), 256))
 
 
 def _fail(kind: str, err: Exception, code: int):
     diag = {"error": kind, "message": str(err)}
-    if isinstance(err, ConfigError):
-        diag["field"] = err.field_path
+    if code == 2:
+        diag["field"] = getattr(err, "field_path", ROOT)
     click.echo(json.dumps(diag, indent=2), err=True)
     sys.exit(code)
-
-
-def _common(f):
-    f = click.option("--config", "config_path", required=True,
-                     type=click.Path(exists=True, dir_okay=False))(f)
-    f = click.option("--out", "out_dir", default=".",
-                     type=click.Path(file_okay=False))(f)
-    f = click.option("--seed", default=0, type=int, show_default=True)(f)
-    f = click.option("--cells", default=None, type=int,
-                     help="override grid/cell counts")(f)
-    f = click.option("--tol", default=None, type=float,
-                     help="override solver tolerance")(f)
-    return f
-
-
-def _build_trajectory(cfg: dict, tol: float | None):
-    law = _law_from(cfg.get("law", {}))
-    rho0 = _density_from(_require(cfg, "rho0", "<root>"))
-    T = float(_require(cfg, "horizon", "<root>"))
-    return run_simulation(rho0, law, T, **_inflow_from(cfg, "<root>", T),
-                          tol=tol if tol is not None else float(cfg.get("tol", 1e-10)),
-                          knots_per_window=_int_from(cfg, "knots_per_window", 256))
 
 
 @click.group()
@@ -156,64 +145,77 @@ def main():
     """Nonlocal-velocity transport: simulate, optimize, verify."""
 
 
-@main.command()
-@_common
-def simulate(config_path, out_dir, seed, cells, tol):
+def _command(body):
+    """Register ``body(cfg, out, seed, cells, tol) -> message`` as a subcommand.
+
+    Parsing, computing and writing artifacts share one ``try``; a run that
+    succeeds also writes resolved_config.json and echoes the message.
+    """
+    @main.command(name=body.__name__, help=body.__doc__)
+    @click.option("--config", "config_path", required=True,
+                  type=click.Path(exists=True, dir_okay=False))
+    @click.option("--out", "out_dir", default=".", type=click.Path(file_okay=False))
+    @click.option("--seed", default=0, type=int, show_default=True)
+    @click.option("--cells", default=None, type=int, help="override grid/cell counts")
+    @click.option("--tol", default=None, type=float, help="override solver tolerance")
+    def run(config_path, out_dir, seed, cells, tol):
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        try:
+            with open(config_path) as f:
+                cfg = yaml.safe_load(f)
+            if not isinstance(cfg, dict):
+                raise ConfigError(ROOT, "config must be a mapping")
+            message = body(cfg, out, seed, cells, tol)
+            # not sort_keys: YAML keys need not be mutually comparable
+            with open(out / "resolved_config.json", "w") as f:
+                json.dump(dict(cfg, _resolved={"seed": seed, "tol": tol, "cells": cells}),
+                          f, indent=2, default=str, skipkeys=True)
+        except (ValueError, yaml.YAMLError) as e:
+            _fail("validation", e, 2)
+        except SolverError as e:
+            _fail("solver", e, 3)
+        click.echo(message)
+    return run
+
+
+@_command
+def simulate(cfg, out, seed, cells, tol):
     """Run one trajectory and write time-series and final-slice CSVs."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        cfg = _load(config_path)
-        y_d = None
-        if "demand" in cfg:
-            T = float(_require(cfg, "horizon", "<root>"))
-            y_d = _signal_from(cfg["demand"], "demand", T)
-            if y_d.horizon < T - 1e-12:
-                raise ConfigError("demand", f"demand ends at {y_d.horizon:g}, "
-                                            f"before the horizon {T:g}")
-        n_trace = _int_from(cfg, "trace_samples", 4096)
-        n_slice = _int_from(cfg, "slice_samples", 1024)
-        traj = _build_trajectory(cfg, tol)
-    except (ConfigError, ValueError) as e:
-        _fail("validation", e, 2)
-    except SolverError as e:
-        _fail("solver", e, 3)
+    y_d = None
+    if "demand" in cfg:
+        T = _get(cfg, "horizon")
+        y_d = _steps_from(ControlSignal, cfg, "demand", ROOT, T)
+        if y_d.horizon < T - 1e-12:
+            raise ConfigError("demand", f"ends at {y_d.horizon:g}, before the horizon {T:g}")
+    n_trace = _get(cfg, "trace_samples", parse=_count(), default=4096)
+    n_slice = _get(cfg, "slice_samples", parse=_count(), default=1024)
+    traj = _build_trajectory(cfg, tol)
     traj.write_timeseries(out / "timeseries.csv", n=n_trace, y_d=y_d)
     traj.write_slice(out / "slice_final.csv", traj.horizon, n=n_slice)
-    _echo_config(cfg, out, {"seed": seed, "tol": tol, "cells": cells})
-    click.echo(f"wrote {out / 'timeseries.csv'} and {out / 'slice_final.csv'}")
+    return f"wrote {out / 'timeseries.csv'} and {out / 'slice_final.csv'}"
 
 
-@main.command()
-@_common
-def optimize(config_path, out_dir, seed, cells, tol):
+@_command
+def optimize(cfg, out, seed, cells, tol):
     """Minimize the demand-tracking cost; write report JSON + history CSV."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        cfg = _load(config_path)
-        law = _law_from(cfg.get("law", {}))
-        rho0 = _density_from(_require(cfg, "rho0", "<root>"))
-        T = float(_require(cfg, "horizon", "<root>"))
-        y_d = _signal_from(_require(cfg, "demand", "<root>"), "demand", T)
-        opt = cfg.get("optimize", {})
-        n_cells = (cells if cells is not None
-                   else _int_from(opt, "control_cells", 16, "optimize", minimum=1))
-        problem = TrackingProblem(
-            rho0, y_d, law, T, np.linspace(0.0, T, n_cells + 1),
-            tracking_weight=float(opt.get("tracking_weight", 1.0)),
-            solver_tol=tol if tol is not None else float(cfg.get("tol", 1e-9)),
-        )
-        max_iters = _int_from(opt, "max_iters", 100, "optimize")
-        grad_tol = float(opt.get("grad_tol", 1e-6))
-        restarts = _int_from(opt, "random_restarts", 0, "optimize")
-    except (ConfigError, ValueError) as e:
-        _fail("validation", e, 2)
-    try:
-        report = minimize(problem, max_iters=max_iters, grad_tol=grad_tol, seed=seed,
-                          extra_random_restarts=restarts)
-    except SolverError as e:
-        _fail("solver", e, 3)
+    law = _law_from(cfg)
+    rho0 = _steps_from(DensityProfile, cfg, "rho0", ROOT, 1.0)
+    T = _get(cfg, "horizon")
+    y_d = _steps_from(ControlSignal, cfg, "demand", ROOT, T)
+    opt = _block(cfg, "optimize", default={}, keys=(
+        "control_cells", "tracking_weight", "max_iters", "grad_tol", "random_restarts"))
+    n_cells = (cells if cells is not None
+               else _get(opt, "control_cells", "optimize", _count(1), 16))
+    problem = TrackingProblem(
+        rho0, y_d, law, T, np.linspace(0.0, T, n_cells + 1),
+        tracking_weight=_get(opt, "tracking_weight", "optimize", default=1.0),
+        solver_tol=tol if tol is not None else _get(cfg, "tol", default=1e-9),
+    )
+    report = minimize(problem, seed=seed,
+                      max_iters=_get(opt, "max_iters", "optimize", _count(), 100),
+                      grad_tol=_get(opt, "grad_tol", "optimize", default=1e-6),
+                      extra_random_restarts=_get(opt, "random_restarts", "optimize", _count(), 0))
     with open(out / "report.json", "w") as f:
         json.dump({
             "best_cost": report.best_cost,
@@ -227,24 +229,16 @@ def optimize(config_path, out_dir, seed, cells, tol):
         for r, hist in enumerate(report.cost_history):
             for i, j in enumerate(hist):
                 f.write(f"{r},{i},{j!r}\n")
-    _echo_config(cfg, out, {"seed": seed, "tol": tol, "cells": cells})
-    click.echo(f"best cost {report.best_cost:.8g} ({report.restarts} restarts)")
+    return f"best cost {report.best_cost:.8g} ({report.restarts} restarts)"
 
 
-@main.command()
-@_common
-def transfer(config_path, out_dir, seed, cells, tol):
+@_command
+def transfer(cfg, out, seed, cells, tol):
     """Closed-form equilibrium transfer: diagnostics JSON + trace CSVs."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        cfg = _load(config_path)
-        tcfg = _require(cfg, "transfer", "<root>")
-        sc = TransferScenario(float(_require(tcfg, "rho_lo", "transfer")),
-                              float(_require(tcfg, "rho_hi", "transfer")))
-        n_trace = _int_from(cfg, "trace_samples", 2048)
-    except (ConfigError, ValueError) as e:
-        _fail("validation", e, 2)
+    tcfg = _block(cfg, "transfer", keys=("rho_lo", "rho_hi"))
+    sc = _built("transfer", TransferScenario, _get(tcfg, "rho_lo", "transfer"),
+                _get(tcfg, "rho_hi", "transfer"))
+    n_trace = _get(cfg, "trace_samples", parse=_count(), default=2048)
     T = minimal_time(sc)
     result = {"rho_lo": sc.rho_lo, "rho_hi": sc.rho_hi, "T": T}
     if sc.rho_hi > sc.rho_lo:
@@ -252,74 +246,44 @@ def transfer(config_path, out_dir, seed, cells, tol):
         cf = closed_form_trajectory(sc)
         result["u_jump_at_0"] = float(cf.u(0.0)) - sc.rho_lo / (1.0 + sc.rho_lo)
         result["y_jump_at_T"] = sc.rho_hi / (1.0 + sc.rho_hi) - float(cf.y(T))
-    write_figure_csv(sc, out / "transfer_mass.csv", out / "transfer_flux.csv",
-                     n=n_trace)
+    write_figure_csv(sc, out / "transfer_mass.csv", out / "transfer_flux.csv", n=n_trace)
     with open(out / "diagnostics.json", "w") as f:
         json.dump(result, f, indent=2)
-    _echo_config(cfg, out, {"seed": seed, "tol": tol, "cells": cells})
-    click.echo(json.dumps(result))
+    return json.dumps(result)
 
 
-@main.command()
-@_common
-def verify(config_path, out_dir, seed, cells, tol):
+@_command
+def verify(cfg, out, seed, cells, tol):
     """Certify an admissible transfer against the minimal-time lower bound."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        cfg = _load(config_path)
-        vcfg = _require(cfg, "verify", "<root>")
-        rho_lo = float(_require(vcfg, "rho_lo", "verify"))
-        rho_hi = float(_require(vcfg, "rho_hi", "verify"))
-        T = float(_require(vcfg, "horizon", "verify"))
-        kw = _inflow_from(vcfg, "verify", T)
-        cert = check_lower_bound(kw.get("u"), rho_lo, rho_hi, T,
-                                 boundary_density=kw.get("boundary_density"),
-                                 tol=tol if tol is not None else 1e-6)
-    except ConfigError as e:
-        _fail("validation", e, 2)
-    except SolverError as e:
-        _fail("solver", e, 3)
-    except ValueError as e:
-        _fail("validation", e, 2)
-    payload = {
-        "t0": cert.t0, "t1": cert.t1, "bound_value": cert.bound_value,
-        "satisfied": cert.satisfied, "slack": cert.slack,
-    }
+    vcfg = _block(cfg, "verify", keys=("rho_lo", "rho_hi", "horizon", *_INFLOW_KEYS))
+    rho_lo = _get(vcfg, "rho_lo", "verify")
+    rho_hi = _get(vcfg, "rho_hi", "verify")
+    T = _get(vcfg, "horizon", "verify")
+    kw = _inflow_from(vcfg, "verify", T)
+    cert = check_lower_bound(kw.get("u"), rho_lo, rho_hi, T,
+                             boundary_density=kw.get("boundary_density"),
+                             tol=tol if tol is not None else 1e-6)
+    payload = {"t0": cert.t0, "t1": cert.t1, "bound_value": cert.bound_value,
+               "satisfied": cert.satisfied, "slack": cert.slack}
     with open(out / "certificate.json", "w") as f:
         json.dump(payload, f, indent=2)
-    _echo_config(cfg, out, {"seed": seed, "tol": tol, "cells": cells})
-    click.echo(json.dumps(payload))
+    return json.dumps(payload)
 
 
-@main.command()
-@_common
-def crosscheck(config_path, out_dir, seed, cells, tol):
+@_command
+def crosscheck(cfg, out, seed, cells, tol):
     """Characteristic-vs-finite-volume grid study; error table CSV."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        cfg = _load(config_path)
-        if "control" not in cfg:
-            raise ConfigError("<root>", "crosscheck requires flux-mode control")
-        try:
-            grid = ([cells] if cells is not None
-                    else [int(n) for n in cfg.get("cells", [250, 1000, 4000])])
-        except (ValueError, TypeError) as e:
-            raise ConfigError("cells", str(e)) from e
-        if any(n < 1 for n in grid):
-            raise ConfigError("cells", f"cell counts must be at least 1, got {grid}")
-        traj = _build_trajectory(cfg, tol)
-    except (ConfigError, ValueError) as e:
-        _fail("validation", e, 2)
-    except SolverError as e:
-        _fail("solver", e, 3)
+    if "control" not in cfg:
+        raise ConfigError(ROOT, "crosscheck requires flux-mode control")
+    # --cells replaces the config's list and is checked the same way
+    grid = _get(cfg if cells is None else {"cells": [cells]}, "cells",
+                parse=lambda ns: [_count(1)(n) for n in ns], default=[250, 1000, 4000])
+    traj = _build_trajectory(cfg, tol)
     rows = []
     for n in grid:
         state, _, _ = fv_solve(traj.rho0, traj.law, traj.inflow.signal, traj.horizon, n)
         sub = 8
-        fine = traj.slice_values(
-            traj.horizon, (np.arange(n * sub) + 0.5) / (n * sub))
+        fine = traj.slice_values(traj.horizon, (np.arange(n * sub) + 0.5) / (n * sub))
         ref = fine.reshape(n, sub).mean(axis=1)
         l1 = float(np.abs(state.cells - ref).mean())
         rows.append((n, l1, abs(state.total_mass - traj.total_mass(traj.horizon))))
@@ -327,9 +291,7 @@ def crosscheck(config_path, out_dir, seed, cells, tol):
         f.write("# columns: n_cells,l1_error,mass_error\n")
         for n, l1, dm in rows:
             f.write(f"{n},{l1!r},{dm!r}\n")
-    _echo_config(cfg, out, {"seed": seed, "tol": tol, "cells": cells})
-    for n, l1, dm in rows:
-        click.echo(f"n={n}: l1_error={l1:.3e} mass_error={dm:.3e}")
+    return "\n".join(f"n={n}: l1_error={l1:.3e} mass_error={dm:.3e}" for n, l1, dm in rows)
 
 
 if __name__ == "__main__":

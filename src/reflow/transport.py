@@ -196,21 +196,10 @@ class Trajectory:
 
     def outflux_breaks(self) -> np.ndarray:
         """Times in (0, T) where the outflux (or influx) can jump."""
-        events = []
-        xiT = self.xi.x_end
-        levels = 1.0 - self.rho0.breakpoints[1:-1]
-        levels = levels[(levels > 0.0) & (levels < xiT)]
-        if levels.size:
-            events.append(np.asarray(self.xi.inverse(levels), dtype=float))
-        if xiT > 1.0:
-            events.append(np.array([self.xi.inverse(1.0)]))
-        taus = self.inflow.signal.breakpoints[1:-1]
-        events.append(taus)
-        z = np.asarray(self.xi(taus), dtype=float) + 1.0
-        z = z[z < xiT]
-        if z.size:
-            events.append(np.asarray(self.xi.inverse(z), dtype=float))
-        ev = np.concatenate(events) if events else np.empty(0)
+        levels = self.inflow.xi_levels(self.rho0, self.xi)
+        levels = levels[(levels > 0.0) & (levels < self.xi.x_end)]
+        times = self.xi.inverse(levels) if levels.size else levels
+        ev = np.concatenate((times, self.inflow.signal.breakpoints))
         return np.unique(ev[(ev > 0.0) & (ev < self.horizon)])
 
     def time_panels(self, extra=(), *, max_width: float | None = None) -> np.ndarray:

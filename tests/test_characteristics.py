@@ -260,3 +260,10 @@ class TestValidation:
         u = ControlSignal.constant(1.0, 1.0)
         with pytest.raises(ValueError, match="tol must be positive"):
             solve_xi(u, DensityProfile.constant(1.0), reciprocal(), 1.0, tol=float("nan"))
+
+    def test_denormal_boundary_density_is_solved(self):
+        # the window cap 0.25 / (d * tv) must not divide by an underflowed product
+        b = ControlSignal.constant(5e-324, 1.0)
+        law = tabulated([0.0, 1.0, 2.0], [1.0, 0.5, 0.3])
+        curve = solve_xi(None, DensityProfile.constant(0.0), law, 1.0, boundary_density=b)
+        assert curve.x_end == pytest.approx(1.0, abs=1e-12)

@@ -1,11 +1,14 @@
 """CLI round trips: artifacts, determinism, validation failures."""
 
+import copy
 import json
 
 import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reflow.cli import main
 
@@ -16,7 +19,8 @@ def runner():
 
 
 def write_config(path, payload):
-    path.write_text(yaml.safe_dump(payload))
+    """Write ``payload`` as YAML; a string is written as it is."""
+    path.write_text(payload if isinstance(payload, str) else yaml.safe_dump(payload))
     return str(path)
 
 
@@ -196,6 +200,29 @@ OPT_CFG = {
     ("simulate", dict(SIM_CFG, trace_samples=-5), "trace_samples"),
     ("optimize", dict(OPT_CFG, optimize={"control_cells": 0}), "optimize.control_cells"),
     ("crosscheck", dict(CROSS_CFG, cells=[100, 0]), "cells"),
+    ("crosscheck", dict(CROSS_CFG, cells=[float("inf")]), "cells"),
+    # blocks reject the keys they do not read
+    ("simulate", dict(SIM_CFG, law={"kind": "reciprocal", "derivatives": [1]}),
+     "law.derivatives"),
+    ("simulate", dict(SIM_CFG, rho0={"constnat": 1.0}), "rho0.constnat"),
+    ("optimize", dict(OPT_CFG, optimize={"control_cell": 3}), "optimize.control_cell"),
+    ("verify", {"verify": {"rho_lo": 1.0, "rho_hi": 2.0, "horizon": 2.5, "T": 1.0,
+                           "boundary_density": {"constant": 2.0}}}, "verify.T"),
+    # mistyped blocks and fields
+    ("simulate", dict(SIM_CFG, law="abc"), "law"),
+    ("simulate", dict(SIM_CFG, law=None), "law"),
+    ("optimize", dict(OPT_CFG, optimize=[1]), "optimize"),
+    ("optimize", dict(OPT_CFG, optimize=None), "optimize"),
+    ("transfer", {"transfer": 5}, "transfer"),
+    ("simulate", dict(SIM_CFG, horizon=[1.0]), "horizon"),
+    ("simulate", dict(SIM_CFG, tol="abc"), "tol"),
+    ("transfer", {"transfer": {"rho_lo": [0.0], "rho_hi": 2.0}}, "transfer.rho_lo"),
+    ("transfer", {"transfer": {"rho_lo": 2.0, "rho_hi": 1.0}}, "transfer"),
+    ("optimize", dict(OPT_CFG, optimize={"grad_tol": None}), "optimize.grad_tol"),
+    ("simulate", {k: v for k, v in SIM_CFG.items() if k != "horizon"}, "horizon"),
+    # malformed YAML names the whole file
+    ("simulate", "rho0: {constant: 1.0", "<root>"),
+    ("verify", "- [1, 2", "<root>"),
 ])
 def test_invalid_count_exits_2_with_field_path(runner, tmp_path, command, cfg, field):
     path = write_config(tmp_path / "c.yaml", cfg)
@@ -219,3 +246,90 @@ def test_nan_tol_exits_2(runner, tmp_path):
     res = runner.invoke(main, ["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
     assert res.exit_code == 2, res.output
     assert "tol must be positive" in json.loads(res.output)["message"]
+
+
+def test_resolved_config_echoes_keys_of_any_type(runner, tmp_path):
+    path = write_config(tmp_path / "c.yaml", "1: one\n" + yaml.safe_dump(SIM_CFG))
+    out = tmp_path / "o"
+    res = runner.invoke(main, ["simulate", "--config", path, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert json.loads((out / "resolved_config.json").read_text())["1"] == "one"
+
+
+# -- fuzz: every config exits 0, 2 or 3, never with a traceback ------------------
+
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3),
+    st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+    st.floats(-2.0, 2.0), st.text(max_size=3),
+    st.lists(st.integers(-1, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=1),
+)
+MISSING = object()
+
+
+def steps(end):
+    """A step-function block on [0, end]: a constant or up to 3 cells."""
+    values = st.floats(0.0, 2.0)
+    cells = st.lists(values, min_size=1, max_size=3).map(lambda v: {
+        "breakpoints": np.linspace(0.0, end, len(v) + 1).tolist(), "values": v})
+    return st.one_of(st.builds(dict, constant=values), cells)
+
+
+@st.composite
+def cli_runs(draw):
+    """A command, a valid config with up to two fields junked or removed, options."""
+    T = draw(st.floats(0.1, 1.5))
+    inflow = draw(st.sampled_from(["control", "boundary_density"]))
+    transfers = st.lists(st.floats(0.0, 0.5), min_size=2, max_size=2).map(sorted)
+    cfg = copy.deepcopy(draw(st.fixed_dictionaries({
+        "law": st.sampled_from([{"kind": "reciprocal"}, {
+            "kind": "tabulated", "grid": [0.0, 1.0, 2.0], "values": [1.0, 0.5, 0.3]}]),
+        "rho0": steps(1.0), inflow: steps(T), "demand": steps(T), "horizon": st.just(T),
+        "tol": st.just(1e-8), "trace_samples": st.integers(0, 16),
+        "slice_samples": st.integers(0, 16), "knots_per_window": st.integers(0, 16),
+        "cells": st.lists(st.integers(1, 40), max_size=2),
+        "optimize": st.fixed_dictionaries({
+            "control_cells": st.integers(1, 2), "max_iters": st.integers(0, 1),
+            "random_restarts": st.integers(0, 1), "grad_tol": st.floats(0.0, 1.0),
+            "tracking_weight": st.floats(0.0, 2.0)}),
+        "transfer": transfers.map(lambda lh: {"rho_lo": lh[0], "rho_hi": lh[1]}),
+        "verify": transfers.map(lambda lh: {  # candidate optimal: certified
+            "rho_lo": lh[0], "rho_hi": lh[1], "horizon": 1.0 + 0.5 * (lh[0] + lh[1]),
+            "boundary_density": {"constant": lh[1]}}),
+    })))
+    for _ in range(draw(st.integers(0, 2))):
+        target = cfg
+        key = draw(st.sampled_from(sorted(cfg)))
+        if isinstance(cfg[key], dict) and draw(st.booleans()):
+            target = cfg[key]
+            key = draw(st.one_of(st.sampled_from(sorted(target)), st.text(max_size=3)))
+        value = draw(st.one_of(JUNK, st.just(MISSING)))
+        if value is MISSING:
+            target.pop(key, None)
+        else:
+            target[key] = value
+    command = draw(st.sampled_from(["simulate", "optimize", "transfer", "verify",
+                                    "crosscheck"]))
+    options = []
+    for name, values in (("--cells", [None, None, "0", "2"]),
+                         ("--tol", [None, None, "nan", "1e-8"])):
+        value = draw(st.sampled_from(values))
+        if value is not None:
+            options += [name, value]
+    return command, cfg, options
+
+
+@settings(max_examples=200, deadline=None)
+@given(run=cli_runs())
+def test_fuzzed_configs_exit_0_2_or_3(tmp_path_factory, run):
+    command, cfg, options = run
+    tmp = tmp_path_factory.getbasetemp() / "fuzz"
+    tmp.mkdir(exist_ok=True)
+    path = write_config(tmp / "c.yaml", cfg)
+    res = CliRunner().invoke(main, [command, "--config", path, "--out", str(tmp / "o"),
+                                    *options])
+    assert res.exit_code in (0, 2, 3), res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
+    if res.exit_code == 2:
+        assert "field" in json.loads(res.output)
