@@ -106,7 +106,7 @@ def _invert_monotone(ts, xs, ss, x, *, tol=1e-13):
         d = c1 + th * (2 * c2 + 3 * c3 * th)
         step = f / np.maximum(d, 1e-300)
         th = np.minimum(np.maximum(th - step, 0.0), 1.0)
-        if np.max(np.abs(step) * h) <= tol:
+        if np.max(np.abs(step) * h, initial=0.0) <= tol:  # initial: x may be empty
             break
     f = r + th * (c1 + th * (c2 + th * c3))
     bad = np.abs(f) > 1e-11 * max(1.0, xs[-1])

@@ -44,7 +44,14 @@ def _at(where: str, key: str) -> str:
     return key if where == ROOT else f"{where}.{key}"
 
 
-def _get(cfg: dict, key: str, where: str = ROOT, parse=float, default=REQUIRED):
+def _number(value) -> float:
+    """``float(value)``, refusing a boolean: YAML's ``true`` is not the number 1."""
+    if isinstance(value, bool):
+        raise TypeError("expected a number, got a boolean")
+    return float(value)
+
+
+def _get(cfg: dict, key: str, where: str = ROOT, parse=_number, default=REQUIRED):
     """``parse(cfg[key])``, or ``default`` if the key is absent."""
     if key not in cfg:
         if default is REQUIRED:
@@ -57,9 +64,12 @@ def _get(cfg: dict, key: str, where: str = ROOT, parse=float, default=REQUIRED):
 
 
 def _count(minimum: int = 0):
-    """A parser of integer counts of at least ``minimum``."""
+    """A parser of whole counts of at least ``minimum``."""
     def parse(value) -> int:
-        n = int(value)
+        x = _number(value)
+        if not x.is_integer():
+            raise ValueError(f"must be a whole number, got {value!r}")
+        n = int(x)
         if n < minimum:
             raise ValueError(f"must be at least {minimum}, got {n}")
         return n
@@ -67,7 +77,17 @@ def _count(minimum: int = 0):
 
 
 def _array(value) -> np.ndarray:
+    values = value if isinstance(value, list) else [value]
+    if any(isinstance(v, bool) for v in values):
+        raise TypeError("expected numbers, got a boolean")
     return np.asarray(value, dtype=float)
+
+
+def _cell_counts(value) -> list[int]:
+    counts = [_count(1)(n) for n in value]
+    if not counts:
+        raise ValueError("must list at least one cell count")
+    return counts
 
 
 def _block(cfg: dict, key: str, where: str = ROOT, keys=(), default=REQUIRED) -> dict:
@@ -163,7 +183,8 @@ def _command(body):
         out.mkdir(parents=True, exist_ok=True)
         try:
             with open(config_path) as f:
-                cfg = yaml.safe_load(f)
+                # libyaml's scanner where present; the same safe constructor
+                cfg = yaml.load(f, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
             if not isinstance(cfg, dict):
                 raise ConfigError(ROOT, "config must be a mapping")
             message = body(cfg, out, seed, cells, tol)
@@ -277,7 +298,7 @@ def crosscheck(cfg, out, seed, cells, tol):
         raise ConfigError(ROOT, "crosscheck requires flux-mode control")
     # --cells replaces the config's list and is checked the same way
     grid = _get(cfg if cells is None else {"cells": [cells]}, "cells",
-                parse=lambda ns: [_count(1)(n) for n in ns], default=[250, 1000, 4000])
+                parse=_cell_counts, default=[250, 1000, 4000])
     traj = _build_trajectory(cfg, tol)
     rows = []
     for n in grid:

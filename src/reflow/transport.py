@@ -114,14 +114,17 @@ class Trajectory:
 
     def slice_values(self, t: float, x) -> np.ndarray:
         """Density profile at time t evaluated on an array of positions."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        xi_t = self.xi(t)
-        out = np.empty_like(x)
-        ahead = x - xi_t
-        init = ahead > 0
-        out[init] = self.rho0(ahead[init])
-        if np.any(~init):
-            sigma = self.xi.inverse(xi_t - x[~init])
+        return self._density(self.xi(t), np.atleast_1d(np.asarray(x, dtype=float)))
+
+    def _density(self, xi_t, x) -> np.ndarray:
+        """Density at positions x where the curve is at xi_t (broadcast
+        together); the interface x = xi_t takes the inflow branch."""
+        behind = xi_t - x
+        out = np.empty_like(behind)
+        init = behind < 0
+        out[init] = self.rho0(-behind[init])
+        if not np.all(init):
+            sigma = self.xi.inverse(behind[~init])
             out[~init] = self.inflow.boundary_density(sigma, self.speed)
         return out
 
@@ -188,9 +191,11 @@ class Trajectory:
 
     def l1_time_distance(self, x1: float, x2: float, *, max_width: float = 1e-3) -> float:
         """Hidden-regularity dual: integral over [0, T] of |rho(t,x1) - rho(t,x2)|."""
-        return _gauss5(self.time_panels(max_width=max_width * self.horizon),
-                       lambda ts: np.abs(np.array([self.rho_at(tt, x1) for tt in ts])
-                                         - np.array([self.rho_at(tt, x2) for tt in ts])))
+        def gap(ts):
+            xi_t = self.xi(ts)
+            return np.abs(self._density(xi_t, x1) - self._density(xi_t, x2))
+
+        return _gauss5(self.time_panels(max_width=max_width * self.horizon), gap)
 
     # -- time quadrature ----------------------------------------------------
 
@@ -198,8 +203,7 @@ class Trajectory:
         """Times in (0, T) where the outflux (or influx) can jump."""
         levels = self.inflow.xi_levels(self.rho0, self.xi)
         levels = levels[(levels > 0.0) & (levels < self.xi.x_end)]
-        times = self.xi.inverse(levels) if levels.size else levels
-        ev = np.concatenate((times, self.inflow.signal.breakpoints))
+        ev = np.concatenate((self.xi.inverse(levels), self.inflow.signal.breakpoints))
         return np.unique(ev[(ev > 0.0) & (ev < self.horizon)])
 
     def time_panels(self, extra=(), *, max_width: float | None = None) -> np.ndarray:

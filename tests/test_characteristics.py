@@ -45,6 +45,11 @@ class TestCurveType:
         with pytest.raises(ValueError):
             xi.inverse(np.sinh(2.0) + 1.0)
 
+    def test_inverse_of_no_targets_is_empty(self):
+        t = np.linspace(0.0, 2.0, 9)
+        xi = CharacteristicCurve(t, np.sinh(t), np.cosh(t))
+        assert xi.inverse(np.empty(0)).shape == (0,)
+
     def test_inverse_bisects_where_newton_is_cut_short(self, monkeypatch):
         # the first segment's cubic is not monotone; with a single Newton step
         # most targets are left unresolved and must come from the bisection

@@ -220,6 +220,13 @@ OPT_CFG = {
     ("transfer", {"transfer": {"rho_lo": 2.0, "rho_hi": 1.0}}, "transfer"),
     ("optimize", dict(OPT_CFG, optimize={"grad_tol": None}), "optimize.grad_tol"),
     ("simulate", {k: v for k, v in SIM_CFG.items() if k != "horizon"}, "horizon"),
+    # a boolean is not a number, a count is whole, a grid study needs a grid
+    ("simulate", dict(SIM_CFG, horizon=True), "horizon"),
+    ("simulate", dict(SIM_CFG, trace_samples=2.7), "trace_samples"),
+    ("simulate", dict(SIM_CFG, law={"kind": "tabulated", "grid": [0.0, True],
+                                    "values": [1.0, 0.5]}), "law.grid"),
+    ("crosscheck", dict(CROSS_CFG, cells=[]), "cells"),
+    ("crosscheck", dict(CROSS_CFG, cells=[True]), "cells"),
     # malformed YAML names the whole file
     ("simulate", "rho0: {constant: 1.0", "<root>"),
     ("verify", "- [1, 2", "<root>"),
@@ -231,6 +238,17 @@ def test_invalid_count_exits_2_with_field_path(runner, tmp_path, command, cfg, f
     diag = json.loads(res.output)
     assert diag["error"] == "validation"
     assert diag["field"] == field
+
+
+def test_loader_builds_no_python_object(runner, tmp_path):
+    # an unsafe loader would run the command and accept the unread key
+    marker = tmp_path / "ran"
+    path = write_config(tmp_path / "c.yaml", yaml.safe_dump(SIM_CFG)
+                        + f"x: !!python/object/apply:os.system ['touch {marker}']\n")
+    res = runner.invoke(main, ["simulate", "--config", path, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert json.loads(res.output)["field"] == "<root>"
+    assert not marker.exists()
 
 
 def test_zero_cells_option_exits_2(runner, tmp_path):

@@ -8,6 +8,8 @@ from reflow.laws import reciprocal, tabulated
 from reflow.signals import ControlSignal, DensityProfile
 from reflow.transport import simulate
 
+KNOTS = np.linspace(0.0, 8.0, 5)  # a 5-knot table of the reciprocal law
+
 
 class TestSingleStep:
     def test_hand_computed_update(self):
@@ -78,3 +80,22 @@ class TestTimeLoop:
         traj = simulate(rho0, law, 2.0, u=u)
         state, _, _ = fv_solve(rho0, law, u, 2.0, n_cells=4000)
         assert abs(traj.total_mass(2.0) - state.total_mass) <= 1e-3
+
+    @pytest.mark.parametrize("law", [reciprocal(), tabulated(KNOTS, 1.0 / (1.0 + KNOTS))])
+    def test_solve_is_an_explicit_step_march(self, law):
+        # fv_solve batches the influx averages and the outflux series; the
+        # march itself must stay the plain one-step-at-a-time loop, bit for bit
+        u = ControlSignal(np.array([0.0, 0.37, 0.8, 1.2]), np.array([0.9, 0.2, 0.6]))
+        rho0 = DensityProfile(np.array([0.0, 0.45, 1.0]), np.array([1.3, 0.6]))
+        state, times, outflux = fv_solve(rho0, law, u, 1.2, n_cells=200)
+        march = FvState.from_profile(rho0, 200)
+        dt = times[1]
+        expected_times, expected_outflux = [0.0], [law(march.total_mass) * march.cells[-1]]
+        for k in range(times.size - 1):
+            uin = u.integrate(k * dt, (k + 1) * dt) / dt
+            march = fv_step(march, law, uin, dt, cfl=1.0)
+            expected_times.append(march.t)
+            expected_outflux.append(law(march.total_mass) * march.cells[-1])
+        assert np.array_equal(state.cells, march.cells)
+        assert np.array_equal(times, expected_times)
+        assert np.array_equal(outflux, expected_outflux)

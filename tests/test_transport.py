@@ -130,6 +130,22 @@ class TestRegularityDiagnostics:
         b = step_fill.l1_slice_distance(1.4, 0.7)
         assert a == pytest.approx(b, rel=1e-9)
 
+    @pytest.mark.parametrize("inflow", ["u", "boundary_density"])
+    def test_l1_time_distance_matches_pointwise_rho_at(self, inflow):
+        rho0 = DensityProfile([0.0, 0.3, 0.7, 1.0], [1.2, 0.4, 2.0])
+        signal = ControlSignal(np.linspace(0.0, 2.0, 5), [0.8, 0.1, 1.5, 0.6])
+        traj = simulate(rho0, reciprocal(), 2.0, **{inflow: signal})
+        # the same Gauss-Legendre panels, each node through the scalar rho_at
+        nodes, weights = np.polynomial.legendre.leggauss(5)
+        edges = traj.time_panels(max_width=0.05 * traj.horizon)
+        h = np.diff(edges)
+        ts = edges[:-1, None] + h[:, None] * (0.5 * (nodes + 1.0))
+        for x1, x2 in [(0.2, 0.9), (0.0, 1.0), (0.5, 0.55)]:
+            gap = np.abs(np.vectorize(traj.rho_at)(ts, x1) - np.vectorize(traj.rho_at)(ts, x2))
+            expected = float(np.sum(h * (gap @ (0.5 * weights))))
+            assert traj.l1_time_distance(x1, x2, max_width=0.05) == pytest.approx(
+                expected, rel=1e-12)
+
 
 class TestExport:
     def test_timeseries_csv_schema(self, tmp_path, step_fill):
