@@ -32,16 +32,12 @@ _G3_WEIGHTS = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
 
 
 class SolverError(RuntimeError):
-    """Fixed-point iteration failed to converge (violated contraction premise)."""
+    """Fixed-point iteration failed to converge, or a curve failed to invert."""
 
 
 # ---------------------------------------------------------------------------
 # cubic Hermite evaluation on knot arrays (vectorized, no scipy dependency)
 # ---------------------------------------------------------------------------
-
-# Newton steps per inversion before unresolved points fall back to bisection
-_NEWTON_STEPS = 60
-
 
 def _segment(grid, v):
     """Index of the segment of the increasing ``grid`` holding each v, clamped."""
@@ -88,10 +84,12 @@ def _invert_monotone(ts, xs, ss, x, *, tol=1e-13):
     """Times where the increasing Hermite curve equals ``x`` (vectorized).
 
     Each target is located once on ``xs``; Newton then runs on that segment's
-    cubic with the segment held fixed. Points Newton leaves unresolved (a
-    segment whose cubic is not monotone) are bisected on the same segment.
+    cubic with the segment held fixed. A point Newton leaves unresolved raises
+    SolverError naming its segment.
     """
     x = np.asarray(x, dtype=float)
+    if ts.size == 1:
+        return np.full(x.shape, ts[0])
     idx = _segment(xs, x)
     h = ts[idx + 1] - ts[idx]
     # the segment cubic x0 + th (c1 + th (c2 + th c3)) in the offset th
@@ -101,7 +99,7 @@ def _invert_monotone(ts, xs, ss, x, *, tol=1e-13):
     c3 = 2 * (x0 - x1) + c1 + m1
     r = x0 - x
     th = np.minimum(np.maximum(-r / (x1 - x0), 0.0), 1.0)
-    for _ in range(_NEWTON_STEPS):
+    for _ in range(60):
         f = r + th * (c1 + th * (c2 + th * c3))
         d = c1 + th * (2 * c2 + 3 * c3 * th)
         step = f / np.maximum(d, 1e-300)
@@ -111,13 +109,8 @@ def _invert_monotone(ts, xs, ss, x, *, tol=1e-13):
     f = r + th * (c1 + th * (c2 + th * c3))
     bad = np.abs(f) > 1e-11 * max(1.0, xs[-1])
     if np.any(bad):
-        # bisect on each point's segment, keeping f(lo) < 0 <= f(hi)
-        lo, hi = np.zeros_like(th), np.ones_like(th)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            below = r + mid * (c1 + mid * (c2 + mid * c3)) < 0
-            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-        th = np.where(bad, 0.5 * (lo + hi), th)
+        i = np.ravel(idx)[np.argmax(bad)]
+        raise SolverError(f"Newton inversion unresolved on segment [{ts[i]:g}, {ts[i + 1]:g}]")
     return ts[idx] + h * th
 
 
@@ -126,7 +119,8 @@ class CharacteristicCurve:
     """Strictly increasing curve given by knot times, values and slopes.
 
     Between knots the curve is the cubic Hermite interpolant; slopes are the
-    transport speed at the knot, so secants stay inside the speed envelope.
+    transport speed at the knot, so secants stay inside the speed envelope. A
+    single knot is the curve at one instant, as at the start of a solve.
     """
 
     times: np.ndarray
@@ -137,8 +131,8 @@ class CharacteristicCurve:
         ts = np.asarray(self.times, dtype=float)
         xs = np.asarray(self.values, dtype=float)
         ss = np.asarray(self.slopes, dtype=float)
-        if not (ts.shape == xs.shape == ss.shape) or ts.size < 2:
-            raise ValueError("knot arrays must share a shape of length >= 2")
+        if not (ts.shape == xs.shape == ss.shape) or ts.ndim != 1 or ts.size < 1:
+            raise ValueError("knot arrays must share a 1-D shape of length >= 1")
         if np.any(np.diff(ts) <= 0) or np.any(np.diff(xs) <= 0):
             raise ValueError("knot times and values must be strictly increasing")
         if np.any(ss <= 0):
@@ -167,7 +161,7 @@ class CharacteristicCurve:
         """Unique t with curve(t) = x, for x in [curve(0), curve(T)]."""
         xa = np.asarray(x, dtype=float)
         if np.any(xa < self.values[0] - 1e-12) or np.any(xa > self.values[-1] + 1e-12):
-            raise ValueError(f"position {x} outside curve range "
+            raise ValueError(f"positions [{xa.min():g}, {xa.max():g}] outside curve range "
                              f"[{self.values[0]:g}, {self.values[-1]:g}]")
         out = _invert_monotone(self.times, self.values, self.slopes, xa)
         return float(out) if np.ndim(x) == 0 else np.asarray(out)
@@ -269,7 +263,7 @@ class FluxInflow(Inflow):
 
     def boundary_mass(self, prefix, xi_of=None):
         # the particle now at z entered at prefix^-1(z); window lengths below
-        # 1/sup-speed guarantee that entry time lies in the frozen prefix
+        # 1/sup-speed keep that in the frozen prefix (the inverse checks it)
         return lambda z: self.signal.cumulative(prefix.inverse(z))
 
     def entered(self, s, xi_s, B):
@@ -491,7 +485,7 @@ def solve_xi(
     eps = 1e-12 * max(1.0, T)
     last = 0.0  # length of the last accepted window
     while ts[-1] < T - eps:
-        prefix = _Prefix(ts, xs, ss)
+        prefix = CharacteristicCurve(ts, xs, ss)
         t_a = ts[-1]
         # one call per window although M is fixed: the benchmark counts windows by it
         bounds = law.bounds(M)
@@ -528,22 +522,6 @@ def solve_xi(
     return CharacteristicCurve(ts, xs, ss)
 
 
-class _Prefix(CharacteristicCurve):
-    """Already-computed part of the curve (skips revalidation for speed).
-
-    Its inverse skips the range check too: the mass model only asks it for
-    positions the prefix has already passed.
-    """
-
-    def __init__(self, ts, xs, ss):  # noqa: D107 - thin wrapper
-        object.__setattr__(self, "times", ts)
-        object.__setattr__(self, "values", xs)
-        object.__setattr__(self, "slopes", ss)
-
-    def inverse(self, x):
-        return _invert_monotone(self.times, self.values, self.slopes, x)
-
-
 def apply_F(
     xi: CharacteristicCurve,
     u: ControlSignal,
@@ -555,8 +533,9 @@ def apply_F(
 ) -> CharacteristicCurve:
     """One application of the integral map to ``xi`` on ``window``.
 
-    ``xi`` must be defined on [0, window end]. Returns the mapped curve on the
-    window; its value at the window start equals xi there.
+    ``xi`` must be defined on [0, window end]; as the frozen prefix it must also
+    hold every entry time the map asks for (ValueError otherwise). Returns the
+    mapped curve on the window; its value at the window start equals xi there.
     """
     t_a, t_b = float(window[0]), float(window[1])
     if not (0.0 <= t_a < t_b):
@@ -566,8 +545,7 @@ def apply_F(
     if t_b > xi.t_end + 1e-12:
         raise ValueError(f"window end {t_b} exceeds curve domain {xi.t_end}")
     inflow = FluxInflow(u)
-    prefix = _Prefix(xi.times, xi.values, xi.slopes)
     cand = (xi.times, xi.values, xi.slopes)
-    knots = _window_knots(inflow, rho0, prefix, cand, t_a, t_b, knots_per_window)
-    values, slopes, _ = _integrate_window(inflow, rho0, law, prefix, cand, knots)
+    knots = _window_knots(inflow, rho0, xi, cand, t_a, t_b, knots_per_window)
+    values, slopes, _ = _integrate_window(inflow, rho0, law, xi, cand, knots)
     return CharacteristicCurve(knots, values, slopes)

@@ -10,6 +10,7 @@ at first order in the mesh width.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,8 +39,9 @@ class FvState:
     def dx(self) -> float:
         return 1.0 / self.cells.size
 
-    @property
+    @cached_property
     def total_mass(self) -> float:
+        """Summed once: no step changes a state's cells after building it."""
         return float(self.cells.sum()) * self.dx
 
     @classmethod

@@ -120,12 +120,6 @@ class DensityProfile(PiecewiseConstant):
         mid = 0.5 * (bp[:-1] + bp[1:])
         return cls(bp, np.asarray(f(mid), dtype=float))
 
-    def tail_mass(self, delta: float) -> float:
-        """Mass in the outflow tail ``[1 - delta, 1]``."""
-        if not 0.0 <= delta <= 1.0:
-            raise ValueError(f"delta must lie in [0, 1], got {delta}")
-        return self.integrate(1.0 - delta, 1.0)
-
 
 class ControlSignal(PiecewiseConstant):
     """Nonnegative piecewise-constant signal on [0, T] (influx, demand, outflux)."""

@@ -108,8 +108,7 @@ def _initial_guesses(problem: TrackingProblem, seed, extra_random: int):
 
 def resample_control(u: ControlSignal, grid: np.ndarray) -> np.ndarray:
     """Cell averages of u on a new breakpoint grid (exact for step data)."""
-    return np.array([u.integrate(a, b) / (b - a)
-                     for a, b in zip(grid[:-1], grid[1:])])
+    return np.diff(u.cumulative(grid)) / np.diff(grid)
 
 
 def minimize(problem: TrackingProblem, *, max_iters: int = 200,

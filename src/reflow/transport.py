@@ -10,6 +10,7 @@ sampled trace, so they are exact up to the curve tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -73,8 +74,11 @@ class Trajectory:
     horizon: float
     inflow: Inflow
     M: float = field(init=False)
+    # B(z), the mass that entered while xi was below z; built once per curve
+    boundary_mass: Callable = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "boundary_mass", self.inflow.boundary_mass(self.xi))
         object.__setattr__(self, "M", float(self.cumulative_influx(self.horizon))
                            + self.rho0.total_mass)
 
@@ -90,7 +94,7 @@ class Trajectory:
 
     def cumulative_influx(self, t):
         """Mass that entered through x = 0 by time t."""
-        return self.inflow.entered(t, self.xi(t), self.inflow.boundary_mass(self.xi))
+        return self.inflow.entered(t, self.xi(t), self.boundary_mass)
 
     @property
     def exit_time(self) -> float | None:
@@ -105,7 +109,7 @@ class Trajectory:
         """W(t), the mass currently inside [0, 1]."""
         scalar = np.ndim(t) == 0
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        W = self.inflow.mass(self.rho0, t, self.xi(t), self.inflow.boundary_mass(self.xi))
+        W = self.inflow.mass(self.rho0, t, self.xi(t), self.boundary_mass)
         return float(W[0]) if scalar else np.asarray(W)
 
     def rho_at(self, t: float, x: float) -> float:
@@ -151,7 +155,7 @@ class Trajectory:
         from_boundary = np.zeros_like(xi_t)
         post = xi_t > 1.0
         if np.any(post):
-            from_boundary[post] = self.inflow.boundary_mass(self.xi)(xi_t[post] - 1.0)
+            from_boundary[post] = self.boundary_mass(xi_t[post] - 1.0)
         out = from_init + from_boundary
         return float(out[0]) if scalar else np.asarray(out)
 

@@ -99,7 +99,7 @@ def test_criterion_4_contraction_property():
     rho0 = DensityProfile(np.array([0.0, 0.6, 1.0]), np.array([1.2, 0.2]))
     lam_lo, lam_hi, d = law.bounds(u.total_mass + rho0.total_mass)
     delta = 0.3
-    assert rho0.tail_mass(lam_hi * delta) < 0.5 * lam_lo / d
+    assert rho0.integrate(1.0 - lam_hi * delta, 1.0) < 0.5 * lam_lo / d
     t = np.linspace(0.0, delta, 600)
     worst, violations = 0.0, 0
     for _ in range(100):

@@ -6,7 +6,7 @@ from scipy.integrate import solve_ivp
 
 from reflow import characteristics
 from reflow.characteristics import (CharacteristicCurve, DensityInflow, FluxInflow,
-                                    _choose_window, _Prefix, apply_F, solve_xi)
+                                    SolverError, _choose_window, apply_F, solve_xi)
 from reflow.laws import reciprocal, tabulated
 from reflow.signals import ControlSignal, DensityProfile
 
@@ -50,16 +50,30 @@ class TestCurveType:
         xi = CharacteristicCurve(t, np.sinh(t), np.cosh(t))
         assert xi.inverse(np.empty(0)).shape == (0,)
 
-    def test_inverse_bisects_where_newton_is_cut_short(self, monkeypatch):
-        # the first segment's cubic is not monotone; with a single Newton step
-        # most targets are left unresolved and must come from the bisection
+    def test_inverse_on_non_monotone_segment(self):
+        # the first segment's cubic is not monotone; Newton still resolves it
         curve = CharacteristicCurve(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.01, 1.0]),
                                     np.array([1.0, 1.0, 1.0]))
         x = np.concatenate((np.linspace(0.0, 0.01, 201), np.linspace(0.01, 1.0, 50)))
-        monkeypatch.setattr(characteristics, "_NEWTON_STEPS", 1)
         assert np.max(np.abs(curve(curve.inverse(x)) - x)) <= 1e-11
-        monkeypatch.undo()
-        assert np.max(np.abs(curve(curve.inverse(x)) - x)) <= 1e-11
+
+    def test_unresolved_inverse_raises(self):
+        # end slopes 1e8 times the rise: no inversion meets its 1e-11 check
+        curve = CharacteristicCurve(np.array([0.0, 1.0]), np.array([0.0, 0.01]),
+                                    np.array([1e6, 1e6]))
+        with pytest.raises(SolverError, match="segment"):
+            curve.inverse(np.linspace(0.0, 0.01, 1001))
+
+    def test_one_knot_curve(self):
+        curve = CharacteristicCurve(np.array([0.5]), np.array([0.2]), np.array([0.7]))
+        assert curve(0.5) == 0.2 and curve.slope(0.5) == 0.7
+        assert curve.inverse(0.2) == 0.5
+        assert np.array_equal(curve.inverse(np.array([0.2, 0.2])), [0.5, 0.5])
+        for x in (0.2 + 1e-9, 0.1, np.array([0.2, 0.3])):
+            with pytest.raises(ValueError, match="outside curve range"):
+                curve.inverse(x)
+        with pytest.raises(ValueError):
+            CharacteristicCurve(np.empty(0), np.empty(0), np.empty(0))
 
 
 class TestAgainstClosedForms:
@@ -140,10 +154,8 @@ class TestWindows:
                 bounds = lam_tilde, lam_bar, d = law.bounds(inflow.mass_bound(rho0, law))
                 xi = solve_xi(rho0=rho0, law=law, T=T, **kw)
                 start = np.array([law(rho0.total_mass)])
-                prefixes = [_Prefix(np.zeros(1), np.zeros(1), start)]
-                for t in (0.4, 0.8, 1.2):
-                    c = xi.restricted(t)
-                    prefixes.append(_Prefix(c.times, c.values, c.slopes))
+                prefixes = [CharacteristicCurve(np.zeros(1), np.zeros(1), start)]
+                prefixes += [xi.restricted(t) for t in (0.4, 0.8, 1.2)]
                 for prefix in prefixes:
                     delta = _choose_window(inflow, rho0, bounds, prefix, T)
                     assert 0.0 < delta <= T - prefix.t_end
@@ -219,7 +231,7 @@ class TestContraction:
         # window small enough that the mass which can reach x = 1 stays below
         # half the minimum speed over the Lipschitz constant of the law
         delta = 0.3
-        assert rho0.tail_mass(lam_hi * delta) < 0.5 * lam_lo / d
+        assert rho0.integrate(1.0 - lam_hi * delta, 1.0) < 0.5 * lam_lo / d
         t_grid = np.linspace(0.0, delta, 600)
         worst = 0.0
         for _ in range(100):
@@ -232,6 +244,15 @@ class TestContraction:
             worst = max(worst, mapped / gap)
             assert mapped <= 0.5 * gap + 1e-12
         assert worst <= 0.5 + 1e-12
+
+    def test_entry_time_beyond_prefix_is_rejected(self):
+        # the mapped curve passes x = 1 but xi, the prefix, ends at 0.005: the
+        # mass of what leaves would need an entry time xi does not hold
+        xi = CharacteristicCurve(np.array([0.0, 5.0]), np.array([0.0, 0.005]),
+                                 np.array([1e-3, 1e-3]))
+        u = ControlSignal.constant(0.5, 5.0)
+        with pytest.raises(ValueError, match="outside curve range"):
+            apply_F(xi, u, DensityProfile.constant(0.5), reciprocal(), (0.0, 5.0))
 
     def test_solved_curve_is_a_fixed_point(self):
         u = ControlSignal(np.array([0.0, 0.5, 1.2]), np.array([0.9, 0.4]))

@@ -129,13 +129,6 @@ class TestHelpers:
         f = PiecewiseConstant.from_function(lambda x: x, 0.0, 1.0, n_cells=4)
         assert np.allclose(f.values, [0.125, 0.375, 0.625, 0.875])
 
-    def test_density_tail_mass(self):
-        rho = DensityProfile([0.0, 0.8, 1.0], [1.0, 5.0])
-        assert rho.tail_mass(0.2) == pytest.approx(1.0)
-        assert rho.tail_mass(0.5) == pytest.approx(1.0 + 0.3)
-        with pytest.raises(ValueError):
-            rho.tail_mass(1.5)
-
     def test_control_constant_and_horizon(self):
         u = ControlSignal.constant(0.7, 2.5)
         assert u.horizon == 2.5
