@@ -23,12 +23,39 @@ import numpy as np
 from .laws import SpeedLaw
 from .signals import ControlSignal, DensityProfile, PiecewiseConstant
 
-__all__ = ["CharacteristicCurve", "DensityInflow", "FluxInflow", "Inflow", "SolverError",
-           "apply_F", "solve_xi"]
+__all__ = ["CharacteristicCurve", "CurveTangent", "DensityInflow", "FluxInflow", "Inflow",
+           "SolverError", "apply_F", "solve_xi"]
 
 # nodes/weights of 3-point Gauss-Legendre on [0, 1]
 _G3_NODES = np.array([0.5 - np.sqrt(15.0) / 10.0, 0.5, 0.5 + np.sqrt(15.0) / 10.0])
 _G3_WEIGHTS = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
+
+
+def _inverse3(m):
+    """Inverses of a stack of 3 x 3 matrices, from their cofactors (no LAPACK)."""
+    cof = np.stack((np.cross(m[:, 1], m[:, 2]), np.cross(m[:, 2], m[:, 0]),
+                    np.cross(m[:, 0], m[:, 1])), axis=-1)
+    return cof / np.einsum("ji,ji->j", m[:, 0], cof[:, :, 0])[:, None, None]
+
+
+def _g3_integrated():
+    """Row p, column i: coefficient of theta^(p+1) in the integral from 0 to
+    theta of the quadratic that is 1 at node i and 0 at the other nodes. Plain
+    float arithmetic: a first matmul or LAPACK call at import would raise the
+    peak memory of every command."""
+    nodes = _G3_NODES.tolist()
+    cols = []
+    for c in nodes:
+        a, b = [x for x in nodes if x != c]
+        d = (c - a) * (c - b)
+        cols.append([a * b / d, -(a + b) / (2.0 * d), 1.0 / (3.0 * d)])
+    return np.array(cols).T
+
+
+_G3_INTEGRATED = _g3_integrated()
+# the collocation matrix of 3-stage Gauss: row g integrates up to node g
+_G3_COLLOCATION = np.sum((_G3_NODES[:, None] ** np.arange(1, 4))[:, :, None] * _G3_INTEGRATED,
+                         axis=1)
 
 
 class SolverError(RuntimeError):
@@ -165,6 +192,16 @@ class CharacteristicCurve:
                              f"[{self.values[0]:g}, {self.values[-1]:g}]")
         out = _invert_monotone(self.times, self.values, self.slopes, xa)
         return float(out) if np.ndim(x) == 0 else np.asarray(out)
+
+    def with_exits(self, times) -> np.ndarray:
+        """Sorted ``times`` and every later time at which a particle that
+        entered x = 0 at one of them, or at such a time, leaves x = 1."""
+        found = new = np.asarray(times, dtype=float)
+        while new.size:
+            levels = self(new) + 1.0
+            new = self.inverse(levels[levels < self.x_end])
+            found = np.concatenate((found, new))
+        return np.unique(found)
 
     def sample(self, n: int):
         """(t, xi, xi') on a uniform grid of n points, for export."""
@@ -355,18 +392,6 @@ def _window_knots(inflow, rho0, prefix, cand, t_a, t_b, n_uniform, kinks=()):
     return _merge_knots(base, np.concatenate(extra), t_a, t_b)
 
 
-def _law_kinks(law, knots, W):
-    """Times where W, linear between the knots, crosses a kink mass of the law."""
-    levels = law.kinks
-    if levels.size == 0:
-        return levels
-    levels = levels[(levels > W.min()) & (levels < W.max())]
-    d = W[:, None] - levels
-    seg, k = np.nonzero((d[:-1] < 0) != (d[1:] < 0))
-    frac = d[seg, k] / (d[seg, k] - d[seg + 1, k])
-    return knots[seg] + frac * (knots[seg + 1] - knots[seg])
-
-
 def _integrate_window(inflow, rho0, law, prefix, cand, knots):
     """One application of the window map on the given knot grid.
 
@@ -421,7 +446,7 @@ def _solve_window(inflow, rho0, law, prefix, t_a, t_b, tol, n_uniform, max_iter,
             return None
         resid = new_resid
         cand = (knots, values, slopes)
-        kinks = _law_kinks(law, knots, W)
+        kinks = law.kink_times(knots, W)
         if resid <= 0.5 * tol:
             return cand
     raise SolverError(
@@ -520,6 +545,101 @@ def solve_xi(
         xs[-1] += ss[-1] * (T - ts[-1])
         ts[-1] = T
     return CharacteristicCurve(ts, xs, ss)
+
+
+class CurveTangent:
+    """Derivatives of a flux-mode curve in the cell values of its influx.
+
+    Direction k raises u by one on cell k of the grid ``cells``. The cell
+    values enter only through dU(s), the integral of du up to s, so the
+    tangent of every direction solves one linear delay equation, with
+    lam' = law.slope(W):
+
+        dxi' = lam'(W) dW,   dW = dU(s) - rho0(1 - xi) dxi        before exit,
+                             dW = dU(s) - dU(sig) - u(sig) dsig   after,
+
+    where sig = xi^-1(xi(s) - 1) is the entry time of the particle leaving at
+    s and dsig = (dxi(s) - dxi(sig)) / xi'(sig). The knots of ``xi``,
+    refined by the exit times of particles that entered at a knot, hold
+    every jump of dxi'. On each interval 3-stage Gauss collocation turns the
+    equation into dxi_{j+1} = R_j dxi_j + q_j, which one cumulative product
+    and sum solve for all knots and directions at once; the delayed values
+    are known from the pass before, so one pass per transit of [0, 1]
+    suffices. Values between knots come from the collocation polynomials.
+    """
+
+    def __init__(self, xi: CharacteristicCurve, inflow: Inflow, rho0: DensityProfile,
+                 law: SpeedLaw, cells):
+        if not isinstance(inflow, FluxInflow):
+            raise ValueError("the curve tangent needs a prescribed influx")
+        self.xi, self.u, self.rho0 = xi, inflow.signal, rho0
+        self.cells = np.asarray(cells, dtype=float)
+        self.knots = knots = xi.with_exits(xi.times)
+        self.h = h = np.diff(knots)
+        s = (knots[:-1, None] + h[:, None] * _G3_NODES).ravel()
+        k, post, sigma = self._mass_terms(s)
+        slope = law.slope(inflow.mass(rho0, s, xi(s), inflow.boundary_mass(xi)))
+        # dxi' = a dxi + forcing, the forcing holding the delayed dxi(sig)
+        a = (slope * k).reshape(-1, 3)
+        forcing = slope[:, None] * self._cell_mass(s)
+        forcing[post] -= slope[post, None] * self._cell_mass(sigma)
+        # stage slopes F solve (I - h a A) F = a dxi_j + forcing on each interval
+        inv = _inverse3(np.eye(3) - h[:, None, None] * a[:, :, None] * _G3_COLLOCATION)
+        r = h[:, None] * (_G3_WEIGHTS @ inv)
+        growth = np.concatenate(([1.0], np.cumprod(1.0 + np.sum(r * a, axis=1))))
+        n = self.cells.size - 1
+        self.values = np.zeros((knots.size, n))
+        self.coeffs = np.zeros((h.size, 3, n))  # of theta, theta^2, theta^3 per interval
+        for _ in range(int(np.ceil(xi.x_end))):
+            f = forcing.copy()
+            f[post] -= (slope * k)[post, None] * self(sigma)
+            f = f.reshape(-1, 3, n)
+            q = np.einsum("ji,jin->jn", r, f)
+            self.values = growth[:, None] * np.concatenate(
+                (np.zeros((1, n)), np.cumsum(q / growth[1:, None], axis=0)))
+            stages = np.einsum("jgi,jin->jgn", inv, a[:, :, None] * self.values[:-1, None, :] + f)
+            self.coeffs = h[:, None, None] * np.einsum("pi,jin->jpn", _G3_INTEGRATED, stages)
+
+    def _cell_mass(self, t):
+        """dU(t) of every direction: the part of each cell before t, (t.size, n)."""
+        g = self.cells
+        d = t[:, None] - g[:-1]
+        return np.clip(d, 0.0, np.diff(g), out=d)
+
+    def influx(self, t) -> np.ndarray:
+        """du at the times t (1-D): 1 in the column of the cell holding t."""
+        return (_segment(self.cells, t)[:, None] == np.arange(self.cells.size - 1)).astype(float)
+
+    def _mass_terms(self, t):
+        """(k, post, sig) with dW = dU(t) + k dxi(t) - [dU(sig) + k dxi(sig)] after exit."""
+        xs = self.xi(t)
+        post = xs > 1.0
+        k = -self.rho0(1.0 - xs)
+        sigma = self.xi.inverse(xs[post] - 1.0)
+        k[post] = -self.u(sigma) / self.xi.slope(sigma)
+        return k, post, sigma
+
+    def __call__(self, t) -> np.ndarray:
+        """dxi at the times t (1-D), one column per direction."""
+        t = np.asarray(t, dtype=float)
+        j = _segment(self.knots, t)
+        th = ((t - self.knots[j]) / self.h[j])[:, None]
+        out = self.coeffs[j, 2] * th  # Horner, in place: the arrays are points x directions
+        for p in (1, 0):
+            out += self.coeffs[j, p]
+            out *= th
+        out += self.values[j]
+        return out
+
+    def mass(self, t) -> np.ndarray:
+        """dW at the times t (1-D), one column per direction."""
+        t = np.asarray(t, dtype=float)
+        k, post, sigma = self._mass_terms(t)
+        dW = self(t)
+        dW *= k[:, None]
+        dW += self._cell_mass(t)
+        dW[post] -= self._cell_mass(sigma) + k[post, None] * self(sigma)
+        return dW
 
 
 def apply_F(

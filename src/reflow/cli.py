@@ -76,6 +76,13 @@ def _count(minimum: int = 0):
     return parse
 
 
+def _nonnegative(value) -> float:
+    x = _number(value)
+    if not 0.0 <= x < np.inf:  # also rejects NaN
+        raise ValueError(f"must be finite and nonnegative, got {value!r}")
+    return x
+
+
 def _array(value) -> np.ndarray:
     values = value if isinstance(value, list) else [value]
     if any(isinstance(v, bool) for v in values):
@@ -188,10 +195,11 @@ def _command(body):
             if not isinstance(cfg, dict):
                 raise ConfigError(ROOT, "config must be a mapping")
             message = body(cfg, out, seed, cells, tol)
-            # not sort_keys: YAML keys need not be mutually comparable
+            # not sort_keys: YAML keys need not be mutually comparable; no
+            # indent, which would force the pure-Python encoder
             with open(out / "resolved_config.json", "w") as f:
-                json.dump(dict(cfg, _resolved={"seed": seed, "tol": tol, "cells": cells}),
-                          f, indent=2, default=str, skipkeys=True)
+                f.write(json.dumps(dict(cfg, _resolved={"seed": seed, "tol": tol, "cells": cells}),
+                                   default=str, skipkeys=True))
         except (ValueError, yaml.YAMLError) as e:
             _fail("validation", e, 2)
         except SolverError as e:
@@ -230,7 +238,7 @@ def optimize(cfg, out, seed, cells, tol):
                else _get(opt, "control_cells", "optimize", _count(1), 16))
     problem = TrackingProblem(
         rho0, y_d, law, T, np.linspace(0.0, T, n_cells + 1),
-        tracking_weight=_get(opt, "tracking_weight", "optimize", default=1.0),
+        tracking_weight=_get(opt, "tracking_weight", "optimize", _nonnegative, 1.0),
         solver_tol=tol if tol is not None else _get(cfg, "tol", default=1e-9),
     )
     report = minimize(problem, seed=seed,
@@ -244,6 +252,8 @@ def optimize(cfg, out, seed, cells, tol):
             "control_values": report.best_control.values.tolist(),
             "restarts": report.restarts,
             "converged": report.converged,
+            "kkt_residual": report.kkt_residual,
+            "solves": report.solves,
         }, f, indent=2)
     with open(out / "history.csv", "w") as f:
         f.write("# columns: restart,iteration,cost\n")

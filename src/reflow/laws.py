@@ -1,8 +1,8 @@
 """Transport speed as a function of the total mass in the system.
 
 A speed law is a positive, non-increasing, Lipschitz function of the total
-mass W, together with envelope bounds over mass intervals [0, M]: the infimum
-and supremum of the speed and the supremum of |slope|. The built-in
+mass W, together with its slope and envelope bounds over mass intervals
+[0, M]: the infimum and supremum of the speed and the supremum of |slope|. The built-in
 reciprocal law is lambda(W) = 1/(1+W); tabulated laws interpolate user
 samples linearly and extend constantly beyond the last knot (and below
 W = 0), and take all three bounds from their own table.
@@ -55,10 +55,33 @@ class SpeedLaw:
             out = np.interp(Wc, self.grid, self.grid_values)
         return float(out) if W.ndim == 0 else out
 
+    def slope(self, W):
+        """Derivative of the speed in W, from the right: 0 below W = 0 and,
+        for a table, past its last knot."""
+        W = np.asarray(W, dtype=float)
+        if self.kind == RECIPROCAL:
+            out = np.where(W >= 0.0, -1.0 / (1.0 + np.maximum(W, 0.0)) ** 2, 0.0)
+        else:
+            g, v = self.grid, self.grid_values
+            slopes = np.concatenate(([0.0], np.diff(v) / np.diff(g), [0.0]))
+            out = slopes[np.searchsorted(g, W, side="right")]
+        return float(out) if W.ndim == 0 else out
+
     @property
     def kinks(self) -> np.ndarray:
         """Masses where the slope of the speed jumps: every table knot past W = 0."""
         return self.grid[1:] if self.kind == TABULATED else np.empty(0)
+
+    def kink_times(self, times, W) -> np.ndarray:
+        """Times where W, sampled at ``times`` and linear between them, crosses a kink."""
+        levels = self.kinks
+        if levels.size == 0:
+            return levels
+        levels = levels[(levels > W.min()) & (levels < W.max())]
+        d = W[:, None] - levels
+        seg, k = np.nonzero((d[:-1] < 0) != (d[1:] < 0))
+        frac = d[seg, k] / (d[seg, k] - d[seg + 1, k])
+        return times[seg] + frac * (times[seg + 1] - times[seg])
 
     def bounds(self, M: float) -> tuple[float, float, float]:
         """(inf speed, sup speed, sup |slope|) over masses in [0, M]."""

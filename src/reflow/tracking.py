@@ -2,10 +2,11 @@
 
 The control is a piecewise-constant influx on a fixed breakpoint grid. The
 cost is evaluated through the characteristic solver, so each evaluation is an
-exact (up to solver tolerance) trajectory. Gradients are finite differences
-per cell — the grids are small enough that an adjoint is not worth the
-machinery — and descent is projected gradient with Armijo backtracking,
-restarted from a few structured initial guesses.
+exact (up to solver tolerance) trajectory. The gradient in all cell values
+comes from the same trajectory, without another solve: one forward-tangent
+sweep along its curve (``Trajectory.tracking_gradient``). Descent is
+projected gradient with Armijo backtracking, restarted from a few structured
+initial guesses.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ class TrackingProblem:
             raise ValueError("control grid must be strictly increasing")
         if self.y_d.horizon < self.horizon - 1e-12:
             raise ValueError("demand must be defined on all of [0, horizon]")
+        if not 0.0 <= self.tracking_weight < np.inf:  # also rejects NaN
+            raise ValueError(f"tracking weight must be finite and nonnegative, "
+                             f"got {self.tracking_weight}")
 
     def control_from_values(self, values) -> ControlSignal:
         return ControlSignal(self.control_grid, np.asarray(values, dtype=float))
@@ -54,40 +58,34 @@ class OptimizationReport:
     cost_history: list
     gradient_norm_history: list
     restarts: int
-    converged: bool
+    converged: bool  # the best restart stopped on meeting grad_tol
+    kkt_residual: float  # projected-gradient norm at best_control
+    solves: list  # solves run by each restart
 
 
-def cost(problem: TrackingProblem, u: ControlSignal) -> float:
-    """J(u) = ∫₀ᵀ u² + w ∫₀ᵀ (y − y_d)²."""
+def _evaluate(problem: TrackingProblem, u: ControlSignal):
+    """J(u) and the trajectory it was read from."""
     if np.any(u.values < 0):
         raise ValueError("tracking cost is defined for nonnegative controls only")
     traj = simulate(problem.rho0, problem.law, problem.horizon, u=u,
                     tol=problem.solver_tol,
                     knots_per_window=problem.knots_per_window)
     return (u.lp_norm(2) ** 2
-            + problem.tracking_weight * traj.tracking_error_sq(problem.y_d))
+            + problem.tracking_weight * traj.tracking_error_sq(problem.y_d)), traj
 
 
-def _cost_of_values(problem: TrackingProblem, values: np.ndarray) -> float:
-    return cost(problem, problem.control_from_values(values))
+def cost(problem: TrackingProblem, u: ControlSignal) -> float:
+    """J(u) = ∫₀ᵀ u² + w ∫₀ᵀ (y − y_d)²."""
+    return _evaluate(problem, u)[0]
 
 
-def _fd_gradient(problem: TrackingProblem, values: np.ndarray, j0: float,
-                 rel_h: float = 1e-6) -> np.ndarray:
-    """Per-cell finite differences; one-sided at the nonnegativity boundary."""
-    grad = np.empty_like(values)
-    for k in range(values.size):
-        h = rel_h * max(1.0, abs(values[k]))
-        vp = values.copy()
-        vp[k] += h
-        jp = _cost_of_values(problem, vp)
-        if values[k] >= h:
-            vm = values.copy()
-            vm[k] -= h
-            grad[k] = (jp - _cost_of_values(problem, vm)) / (2.0 * h)
-        else:
-            grad[k] = (jp - j0) / h
-    return grad
+def _projected_gradient(problem: TrackingProblem, values: np.ndarray, traj):
+    """∇J at the cell values, from their trajectory, and its projection:
+    descent directions blocked at v = 0 do not count."""
+    grid = problem.control_grid
+    grad = (2.0 * values * np.diff(grid)
+            + problem.tracking_weight * traj.tracking_gradient(problem.y_d, grid))
+    return grad, np.where((values <= 0.0) & (grad > 0.0), 0.0, grad)
 
 
 def _initial_guesses(problem: TrackingProblem, seed, extra_random: int):
@@ -126,19 +124,16 @@ def minimize(problem: TrackingProblem, *, max_iters: int = 200,
     guesses = _initial_guesses(problem, seed, extra_random_restarts)
     guesses += [np.maximum(resample_control(w, problem.control_grid), 0.0)
                 for w in warm_starts]
-    best_values, best_j, best_norm = None, np.inf, np.inf
-    all_hist, all_gnorms = [], []
-    converged = False
+    best, best_j, best_norm = None, np.inf, np.inf
+    all_hist, all_gnorms, all_solves = [], [], []
     for values in guesses:
         values = values.copy()
-        j = _cost_of_values(problem, values)
-        hist = [j]
-        gnorms = []
+        j, traj = _evaluate(problem, problem.control_from_values(values))
+        hist, gnorms, solves = [j], [], 1
+        converged = False
         step = step_size
         for _ in range(max_iters):
-            grad = _fd_gradient(problem, values, j)
-            # projected gradient: descent directions blocked at v=0 don't count
-            pg = np.where((values <= 0.0) & (grad > 0.0), 0.0, grad)
+            grad, pg = _projected_gradient(problem, values, traj)
             gnorm = float(np.linalg.norm(pg))
             gnorms.append(gnorm)
             if gnorm <= grad_tol:
@@ -147,9 +142,10 @@ def minimize(problem: TrackingProblem, *, max_iters: int = 200,
             accepted = False
             while step > 1e-14:
                 trial = np.maximum(values - step * grad, 0.0)
-                jt = _cost_of_values(problem, trial)
+                jt, traj_t = _evaluate(problem, problem.control_from_values(trial))
+                solves += 1
                 if jt <= j - 1e-4 * float(np.dot(grad, values - trial)):
-                    values, j = trial, jt
+                    values, j, traj = trial, jt, traj_t
                     accepted = True
                     step = min(step * 2.0, 1e3)
                     break
@@ -159,14 +155,18 @@ def minimize(problem: TrackingProblem, *, max_iters: int = 200,
             hist.append(j)
         all_hist.append(hist)
         all_gnorms.append(gnorms)
+        all_solves.append(solves)
         unorm = float(np.linalg.norm(values))
         if j < best_j - 1e-14 or (abs(j - best_j) <= 1e-14 and unorm < best_norm):
-            best_values, best_j, best_norm = values, j, unorm
+            best, best_j, best_norm = (values, traj, converged), j, unorm
+    values, traj, converged = best
     return OptimizationReport(
-        best_control=problem.control_from_values(best_values),
+        best_control=problem.control_from_values(values),
         best_cost=best_j,
         cost_history=all_hist,
         gradient_norm_history=all_gnorms,
         restarts=len(guesses),
         converged=converged,
+        kkt_residual=float(np.linalg.norm(_projected_gradient(problem, values, traj)[1])),
+        solves=all_solves,
     )

@@ -1,10 +1,11 @@
 """Full weak solution assembled from the characteristic curve.
 
 A trajectory evaluates the density pointwise by tracing back along
-characteristics, and derives the total mass, outflux, backlog and regularity
-diagnostics. Integral quantities (cumulative outflux, mass balance) are
-computed from the solution formula itself rather than by quadrature of a
-sampled trace, so they are exact up to the curve tolerance.
+characteristics, and derives the total mass, outflux, backlog, regularity
+diagnostics and the gradient of a tracking error in the influx. Integral
+quantities (cumulative outflux, mass balance) are computed from the solution
+formula itself rather than by quadrature of a sampled trace, so they are
+exact up to the curve tolerance.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from typing import Callable
 
 import numpy as np
 
-from .characteristics import CharacteristicCurve, Inflow, solve_xi
+from .characteristics import CharacteristicCurve, CurveTangent, Inflow, solve_xi
 from .laws import SpeedLaw
-from .signals import ControlSignal, DensityProfile
+from .signals import ControlSignal, DensityProfile, PiecewiseConstant
 
 __all__ = ["Trajectory", "simulate"]
 
@@ -43,6 +44,12 @@ def _gauss5(edges: np.ndarray, f) -> float:
     h = np.diff(edges)
     nodes = (edges[:-1, None] + h[:, None] * _N5[None, :]).ravel()
     return float(np.sum(h * (f(nodes).reshape(-1, 5) @ _W5)))
+
+
+def _left_limit(f: PiecewiseConstant, t):
+    """f just before t (f itself is right-continuous)."""
+    i = np.searchsorted(f.breakpoints, t, side="left") - 1
+    return f.values[np.minimum(np.maximum(i, 0), f.values.size - 1)]
 
 
 def simulate(
@@ -211,16 +218,82 @@ class Trajectory:
         return np.unique(ev[(ev > 0.0) & (ev < self.horizon)])
 
     def time_panels(self, extra=(), *, max_width: float | None = None) -> np.ndarray:
-        """Quadrature edges in [0, T] aligned with all known jump times."""
+        """Quadrature edges in [0, T] at every jump and kink of the outflux and
+        influx, and at the times ``extra``.
+
+        The outflux has kinks where W crosses a kink of the law and, once
+        material that entered at a jump or kink leaves, at that exit.
+        """
         if max_width is None:
             max_width = self.horizon / 512.0
-        breaks = np.concatenate((self.outflux_breaks(), np.asarray(extra, dtype=float)))
-        return _panels(self.horizon, breaks, max_width)
+        kinks = self.law.kinks
+        if kinks.size:
+            kinks = self.law.kink_times(self.xi.times, self.total_mass(self.xi.times))
+        breaks = self.xi.with_exits(np.concatenate((self.outflux_breaks(), kinks)))
+        return _panels(self.horizon, np.concatenate((breaks, np.asarray(extra, dtype=float))),
+                       max_width)
 
     def tracking_error_sq(self, y_d: ControlSignal) -> float:
         """Integral over [0, T] of (y - y_d)^2, panel-exact Gauss quadrature."""
         return _gauss5(self.time_panels(extra=y_d.breakpoints),
                        lambda t: (self.outflux(t) - y_d(t)) ** 2)
+
+    def tracking_gradient(self, y_d: ControlSignal, grid) -> np.ndarray:
+        """Gradient of ``tracking_error_sq(y_d)`` in the influx values on the cells of ``grid``.
+
+        Exact for the solved curve, from its ``CurveTangent``: between jumps,
+        y = lam(W) rho(t, 1) changes by dy = lam'(W) dW rho(t, 1) + lam(W) drho,
+        where drho = 0 before exit and, after it, rho(t, 1) = u(sig) / lam(W(sig))
+        changes with du(sig) and with W(sig), by dW(sig) + W'(sig) dsig. A jump
+        of y that moves with u (a rho0 or control breakpoint reaching x = 1 at
+        t_e) adds its jump of (y - y_d)^2 times its shift dt_e (S. Ulbrich,
+        SIAM J. Control Optim. 41, 2002).
+        """
+        u, xi, law = self.inflow.signal, self.xi, self.law
+        tangent = CurveTangent(xi, self.inflow, self.rho0, law, grid)
+        edges = self.time_panels(extra=y_d.breakpoints)
+        h = np.diff(edges)
+        t = (edges[:-1, None] + h[:, None] * _N5[None, :]).ravel()
+        xi_t = xi(t)
+        post = xi_t > 1.0
+        W = self.total_mass(t)
+        lam = law(W)
+        rho1 = self.rho0(1.0 - xi_t)
+        sigma = xi.inverse(xi_t[post] - 1.0)
+        W_s = self.total_mass(sigma)
+        lam_s, u_s = law(W_s), u(sigma)
+        rho1[post] = u_s / lam_s
+        dy = tangent.mass(t)
+        dy *= (law.slope(W) * rho1)[:, None]
+        if np.any(post):
+            d_sigma = (tangent(t[post]) - tangent(sigma)) / xi.slope(sigma)[:, None]
+            dW_s = tangent.mass(sigma) + self.w_derivative(sigma)[:, None] * d_sigma
+            drho = tangent.influx(sigma) - (u_s * law.slope(W_s) / lam_s)[:, None] * dW_s
+            dy[post] += (lam[post] / lam_s)[:, None] * drho
+        weights = (h[:, None] * _W5).ravel()
+        grad = (2.0 * weights * (lam * rho1 - y_d(t))) @ dy
+
+        # moving jumps: rho0 breakpoint beta reaches x = 1 when xi = 1 - beta
+        # (beta = 0 at the exit time), the material that entered at control
+        # breakpoint tau when xi = 1 + xi(tau)
+        beta = self.rho0.breakpoints[:-1]
+        tau = u.breakpoints[1:]
+        tau = tau[tau < self.horizon]
+        levels = np.concatenate((1.0 - beta, 1.0 + xi(tau)))
+        moving = levels < xi.x_end
+        if np.any(moving):
+            lam_tau = self.speed(tau)
+            before = np.concatenate((self.rho0(beta), _left_limit(u, tau) / lam_tau))
+            after = np.concatenate((_left_limit(self.rho0, beta), u(tau) / lam_tau))
+            after[0] = u(0.0) / self.speed(0.0)  # beta = 0: the first boundary material
+            entry = np.concatenate((np.zeros((beta.size, tangent.cells.size - 1)), tangent(tau)))
+            e = xi.inverse(levels[moving])
+            lam_e = self.speed(e)
+            f_before = (lam_e * before[moving] - _left_limit(y_d, e)) ** 2
+            f_after = (lam_e * after[moving] - y_d(e)) ** 2
+            shift = (entry[moving] - tangent(e)) / xi.slope(e)[:, None]
+            grad += (f_before - f_after) @ shift
+        return grad
 
     def influx_l2_sq(self) -> float:
         """Integral over [0, T] of u^2, panel-exact Gauss quadrature."""

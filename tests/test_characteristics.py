@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from reflow import characteristics
-from reflow.characteristics import (CharacteristicCurve, DensityInflow, FluxInflow,
+from reflow.characteristics import (CharacteristicCurve, CurveTangent, DensityInflow, FluxInflow,
                                     SolverError, _choose_window, apply_F, solve_xi)
 from reflow.laws import reciprocal, tabulated
 from reflow.signals import ControlSignal, DensityProfile
@@ -74,6 +74,46 @@ class TestCurveType:
                 curve.inverse(x)
         with pytest.raises(ValueError):
             CharacteristicCurve(np.empty(0), np.empty(0), np.empty(0))
+
+
+class TestTangent:
+    """CurveTangent against central differences of solved curves."""
+
+    @pytest.mark.parametrize("law", [reciprocal(), tabulated([0.0, 0.5, 1.0, 2.0],
+                                                             [1.0, 0.7, 0.5, 0.4])])
+    def test_matches_central_differences_over_two_transits(self, law):
+        T = 4.5
+        rho0 = DensityProfile([0.0, 0.4, 1.0], [0.3, 0.9])
+        grid = np.linspace(0.0, T, 6)
+        v = np.array([0.2, 0.7, 0.1, 0.5, 0.3])
+
+        ts = np.linspace(0.0, T, 61)
+
+        def solved(values):
+            inflow = FluxInflow(ControlSignal(grid, values))
+            xi = solve_xi(inflow.signal, rho0, law, T, tol=1e-12, knots_per_window=64)
+            return inflow, xi, inflow.mass(rho0, ts, xi(ts), inflow.boundary_mass(xi))
+
+        inflow, xi, _ = solved(v)
+        assert xi.x_end > 2.0  # the delay reaches back over a whole transit
+        tangent = CurveTangent(xi, inflow, rho0, law, grid)
+        h = 1e-5
+        for k in range(v.size):
+            (_, xp, Wp), (_, xm, Wm) = (solved(v + s * h * np.eye(v.size)[k]) for s in (1, -1))
+            dxi = (xp(ts) - xm(ts)) / (2 * h)
+            dW = (Wp - Wm) / (2 * h)
+            assert np.max(np.abs(tangent(ts)[:, k] - dxi)) <= 1e-6 * np.max(np.abs(dxi))
+            assert np.max(np.abs(tangent.mass(ts)[:, k] - dW)) <= 1e-6 * np.max(np.abs(dW))
+
+    def test_with_exits_follows_material_over_every_transit(self):
+        xi = solve_xi(ControlSignal.constant(0.2, 3.2), DensityProfile.constant(0.3),
+                      reciprocal(), 3.2)
+        assert 2.0 < xi.x_end < 3.0
+        entries = np.array([0.1, 0.5])
+        expected = np.sort(np.concatenate([entries] + [
+            xi.inverse(xi(entries) + m)[xi(entries) + m < xi.x_end] for m in (1, 2)]))
+        assert expected.size == 6
+        assert np.allclose(xi.with_exits(entries), expected, rtol=0.0, atol=1e-11)
 
 
 class TestAgainstClosedForms:

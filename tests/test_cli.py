@@ -171,6 +171,10 @@ class TestOptimize:
         report = json.loads((out / "report.json").read_text())
         assert report["best_cost"] >= 0.0
         assert all(v >= 0.0 for v in report["control_values"])
+        assert isinstance(report["converged"], bool)
+        assert 0.0 <= report["kkt_residual"] < float("inf")
+        assert len(report["solves"]) == report["restarts"]
+        assert all(isinstance(n, int) and n >= 1 for n in report["solves"])
         history = (out / "history.csv").read_text().splitlines()
         assert history[0] == "# columns: restart,iteration,cost"
 
@@ -230,6 +234,12 @@ OPT_CFG = {
     # malformed YAML names the whole file
     ("simulate", "rho0: {constant: 1.0", "<root>"),
     ("verify", "- [1, 2", "<root>"),
+    # a negative weight makes J unbounded below, NaN poisons the line search
+    ("optimize", dict(OPT_CFG, optimize={"tracking_weight": -1.0}), "optimize.tracking_weight"),
+    ("optimize", dict(OPT_CFG, optimize={"tracking_weight": float("nan")}),
+     "optimize.tracking_weight"),
+    ("optimize", dict(OPT_CFG, optimize={"tracking_weight": float("inf")}),
+     "optimize.tracking_weight"),
 ])
 def test_invalid_count_exits_2_with_field_path(runner, tmp_path, command, cfg, field):
     path = write_config(tmp_path / "c.yaml", cfg)

@@ -67,3 +67,32 @@ class TestTabulated:
             tabulated([0.0, 1.0, 2.0], [1.0, 0.5, 0.6])
         with pytest.raises(ValueError, match="kind"):
             SpeedLaw(kind="cubic")
+
+
+class TestSlope:
+    """SpeedLaw.slope against one-sided differences of the law (from the right)."""
+
+    @staticmethod
+    def forward_difference(law, W, h=1e-7):
+        return (law(W + h) - law(W)) / h
+
+    def test_reciprocal(self):
+        law = reciprocal()
+        W = np.array([0.0, 0.3, 1.0, 7.5])
+        assert np.allclose(law.slope(W), self.forward_difference(law, W), rtol=1e-6, atol=0)
+        assert law.slope(2.0) == pytest.approx(-1.0 / 9.0, rel=1e-15)
+
+    def test_tabulated_inside_and_at_knots(self):
+        law = tabulated([0.0, 0.5, 1.0, 2.0, 4.0], [1.0, 0.8, 0.5, 0.35, 0.2])
+        W = np.array([0.0, 0.25, 0.5, 0.9, 1.0, 3.0])
+        assert np.allclose(law.slope(W), self.forward_difference(law, W), rtol=1e-6, atol=1e-9)
+
+    def test_zero_below_zero_mass_and_past_the_last_knot(self):
+        for law in (reciprocal(), tabulated([0.0, 1.0, 2.0], [1.0, 0.6, 0.5])):
+            W = np.array([-3.0, -1e-3])
+            assert np.all(law.slope(W) == 0.0)
+            assert np.allclose(self.forward_difference(law, W, h=1e-4), 0.0)
+        law = tabulated([0.0, 1.0, 2.0], [1.0, 0.6, 0.5])
+        W = np.array([2.0, 2.5, 10.0])
+        assert np.all(law.slope(W) == 0.0)
+        assert np.allclose(self.forward_difference(law, W), 0.0)

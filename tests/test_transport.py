@@ -5,7 +5,7 @@ import pytest
 
 from reflow.laws import reciprocal, tabulated
 from reflow.signals import ControlSignal, DensityProfile
-from reflow.transport import simulate
+from reflow.transport import _gauss5, simulate
 
 from test_characteristics import random_scenario
 
@@ -145,6 +145,26 @@ class TestRegularityDiagnostics:
             expected = float(np.sum(h * (gap @ (0.5 * weights))))
             assert traj.l1_time_distance(x1, x2, max_width=0.05) == pytest.approx(
                 expected, rel=1e-12)
+
+
+class TestTimePanels:
+    @pytest.mark.parametrize("law, rho0, y_d, u, T", [
+        # W crosses kinks of a tabulated law
+        (tabulated([0.0, 0.5, 1.0, 2.0, 4.0], [1.0, 0.8, 0.5, 0.35, 0.2]),
+         DensityProfile([0.0, 0.5, 1.0], [0.4, 0.8]), ControlSignal([0.0, 0.6, 2.5], [0.3, 0.5]),
+         [0.2, 0.7, 0.4, 0.5], 2.5),
+        # material that entered at the rho0 jump's exit time leaves again
+        (reciprocal(), DensityProfile([0.0, 0.4, 1.0], [0.3, 0.9]),
+         ControlSignal([0.0, 1.0, 4.5], [0.3, 0.5]), [0.2, 0.7, 0.1, 0.5, 0.3], 4.5),
+    ])
+    def test_tracking_error_is_panel_exact_at_outflux_kinks(self, law, rho0, y_d, u, T):
+        traj = simulate(rho0, law, T, u=ControlSignal(np.linspace(0.0, T, len(u) + 1), u),
+                        tol=1e-12)
+        # a reference with an edge at the exit time of every knot, 32 times finer
+        edges = traj.time_panels(extra=np.concatenate((
+            y_d.breakpoints, traj.xi.with_exits(traj.xi.times))), max_width=T / 16384)
+        ref = _gauss5(edges, lambda t: (traj.outflux(t) - y_d(t)) ** 2)
+        assert traj.tracking_error_sq(y_d) == pytest.approx(ref, rel=1e-13, abs=1e-15)
 
 
 class TestExport:
