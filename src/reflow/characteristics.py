@@ -56,6 +56,8 @@ _G3_INTEGRATED = _g3_integrated()
 # the collocation matrix of 3-stage Gauss: row g integrates up to node g
 _G3_COLLOCATION = np.sum((_G3_NODES[:, None] ** np.arange(1, 4))[:, :, None] * _G3_INTEGRATED,
                          axis=1)
+_NEWTON_TOL = 1e-13  # time step at which Newton inversion stops
+_MAX_ITER = 80  # map applications allowed per window
 
 
 class SolverError(RuntimeError):
@@ -107,7 +109,7 @@ def _hermite_slope(ts, xs, ss, t):
     )
 
 
-def _invert_monotone(ts, xs, ss, x, *, tol=1e-13):
+def _invert_monotone(ts, xs, ss, x):
     """Times where the increasing Hermite curve equals ``x`` (vectorized).
 
     Each target is located once on ``xs``; Newton then runs on that segment's
@@ -131,7 +133,7 @@ def _invert_monotone(ts, xs, ss, x, *, tol=1e-13):
         d = c1 + th * (2 * c2 + 3 * c3 * th)
         step = f / np.maximum(d, 1e-300)
         th = np.minimum(np.maximum(th - step, 0.0), 1.0)
-        if np.max(np.abs(step) * h, initial=0.0) <= tol:  # initial: x may be empty
+        if np.max(np.abs(step) * h, initial=0.0) <= _NEWTON_TOL:  # initial: x may be empty
             break
     f = r + th * (c1 + th * (c2 + th * c3))
     bad = np.abs(f) > 1e-11 * max(1.0, xs[-1])
@@ -370,26 +372,25 @@ class DensityInflow(Inflow):
 # window machinery
 # ---------------------------------------------------------------------------
 
-def _merge_knots(base, extra, t_a, t_b):
-    knots = np.concatenate((base, extra))
-    knots = knots[(knots >= t_a) & (knots <= t_b)]
-    knots = np.unique(np.concatenate((knots, [t_a, t_b])))
-    keep = np.concatenate(([True], np.diff(knots) > 1e-13 * max(1.0, t_b)))
-    return knots[keep]
-
-
 def _window_knots(inflow, rho0, prefix, cand, t_a, t_b, n_uniform, kinks=()):
     """Knot grid: uniform refinement + time breakpoints + curve-crossing events.
 
-    ``kinks`` are extra knot times, where the speed law has a kink.
+    ``kinks`` are extra knot times, where the speed law has a kink. Both window
+    ends are knots; a knot between them within the resolution of an end or of
+    the knot below it is dropped, and a window below the resolution raises.
     """
-    base = np.linspace(t_a, t_b, n_uniform + 1)
-    extra = [inflow.time_knots(t_a, t_b), kinks]
+    res = 1e-13 * max(1.0, t_b)
+    if not t_b - t_a > res:
+        raise SolverError(f"window [{t_a:g}, {t_b:g}] of length {t_b - t_a:.3g} is below "
+                          f"the knot resolution {res:.3g}")
+    extra = [np.linspace(t_a, t_b, n_uniform + 1), inflow.time_knots(t_a, t_b), kinks]
     levels = inflow.xi_levels(rho0, prefix)
     levels = levels[(levels > cand[1][0]) & (levels < cand[1][-1])]
     if levels.size:
         extra.append(np.atleast_1d(_invert_monotone(*cand, levels)))
-    return _merge_knots(base, np.concatenate(extra), t_a, t_b)
+    knots = np.unique(np.concatenate(extra))  # t_a first: the uniform grid holds it
+    knots = knots[(knots >= t_a) & (knots < t_b - res)]
+    return np.append(knots[np.concatenate(([True], np.diff(knots) > res))], t_b)
 
 
 def _integrate_window(inflow, rho0, law, prefix, cand, knots):
@@ -420,8 +421,7 @@ def _integrate_window(inflow, rho0, law, prefix, cand, knots):
     return values, law(W_knots), W_knots
 
 
-def _solve_window(inflow, rho0, law, prefix, t_a, t_b, tol, n_uniform, max_iter,
-                  trial=False):
+def _solve_window(inflow, rho0, law, prefix, t_a, t_b, tol, n_uniform, trial=False):
     """Fixed-point iteration of the window map starting from the linear guess.
 
     A ``trial`` window, whose length no a-priori bound backs, is given up
@@ -437,7 +437,7 @@ def _solve_window(inflow, rho0, law, prefix, t_a, t_b, tol, n_uniform, max_iter,
     )
     resid = np.inf
     kinks = ()  # unknown until W is known on a candidate
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         knots = _window_knots(inflow, rho0, prefix, cand, t_a, t_b, n_uniform, kinks)
         old = _hermite_value(cand[0], cand[1], cand[2], knots)
         values, slopes, W = _integrate_window(inflow, rho0, law, prefix, cand, knots)
@@ -451,7 +451,7 @@ def _solve_window(inflow, rho0, law, prefix, t_a, t_b, tol, n_uniform, max_iter,
             return cand
     raise SolverError(
         f"window [{t_a:g}, {t_b:g}] did not converge: residual {resid:.3e} "
-        f"after {max_iter} iterations (tol {tol:g})"
+        f"after {_MAX_ITER} iterations (tol {tol:g})"
     )
 
 
@@ -473,27 +473,26 @@ def _choose_window(inflow, rho0, bounds, prefix, T):
 
 
 def solve_xi(
-    u: ControlSignal | None,
+    inflow: Inflow | ControlSignal,
     rho0: DensityProfile,
     law: SpeedLaw,
     T: float,
     tol: float = 1e-10,
     *,
-    boundary_density: ControlSignal | None = None,
     knots_per_window: int = 256,
-    max_iter: int = 80,
 ) -> CharacteristicCurve:
-    """Characteristic curve through (0, 0) on [0, T].
+    """Characteristic curve through (0, 0) on [0, T] under the boundary ``inflow``
+    (a bare ``ControlSignal`` is a prescribed influx).
 
-    Exactly one of ``u`` (prescribed influx) and ``boundary_density``
-    (prescribed density at x = 0, influx derived) must be given. The curve is
-    built by window-by-window fixed-point continuation. Each window after the
-    first tries twice the last accepted length and keeps it while the
-    residuals halve at every map application. The first window, and any whose
-    trial fails, takes the length at which the tail-mass contraction criterion
-    holds on the current state.
+    The curve is built by window-by-window fixed-point continuation. Each
+    window after the first tries twice the last accepted length and keeps it
+    while the residuals halve at every map application. The first window, and
+    any whose trial fails, takes the length at which the tail-mass contraction
+    criterion holds on the current state; if that is below the knot
+    resolution, SolverError is raised.
     """
-    inflow = Inflow.of(u, boundary_density)
+    if isinstance(inflow, ControlSignal):
+        inflow = FluxInflow(inflow)
     if not T > 0:  # also rejects NaN
         raise ValueError(f"horizon must be positive, got T={T}")
     if not tol > 0:
@@ -526,14 +525,12 @@ def solve_xi(
             # time of every particle reaching x = 1 lies in the frozen prefix
             t_b = min(t_a + min(2.0 * last, 0.9 / bounds[1]), T)
             window = _solve_window(inflow, rho0, law, prefix, t_a, t_b, tol,
-                                   knots_per_window, max_iter, trial=True)
+                                   knots_per_window, trial=True)
         if window is None:
             delta = _choose_window(inflow, rho0, bounds, prefix, T)
             window = _solve_window(inflow, rho0, law, prefix, t_a, min(t_a + delta, T),
-                                   tol, knots_per_window, max_iter)
+                                   tol, knots_per_window)
         knots, values, slopes = window
-        if knots.size < 2 or knots[-1] <= t_a:
-            break  # remainder below knot resolution; closed by the snap below
         last = knots[-1] - t_a
         ts = np.concatenate((ts, knots[1:]))
         xs = np.concatenate((xs, values[1:]))

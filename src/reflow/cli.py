@@ -243,7 +243,7 @@ def optimize(cfg, out, seed, cells, tol):
     )
     report = minimize(problem, seed=seed,
                       max_iters=_get(opt, "max_iters", "optimize", _count(), 100),
-                      grad_tol=_get(opt, "grad_tol", "optimize", default=1e-6),
+                      grad_tol=_get(opt, "grad_tol", "optimize", _nonnegative, 1e-6),
                       extra_random_restarts=_get(opt, "random_restarts", "optimize", _count(), 0))
     with open(out / "report.json", "w") as f:
         json.dump({

@@ -19,6 +19,8 @@ from .signals import ControlSignal, DensityProfile
 
 __all__ = ["FvState", "CflError", "fv_step", "fv_solve"]
 
+_CFL = 0.9  # Courant number of the march in fv_solve
+
 
 class CflError(RuntimeError):
     """Raised when a step would violate the CFL stability constraint."""
@@ -73,7 +75,7 @@ def fv_step(state: FvState, law: SpeedLaw, influx: float, dt: float,
 
 
 def fv_solve(rho0: DensityProfile, law: SpeedLaw, u: ControlSignal, T: float,
-             n_cells: int, cfl: float = 0.9):
+             n_cells: int):
     """March to time T; returns the final state and the outflux time series.
 
     The step size is chosen from the global speed bound so the CFL condition
@@ -85,7 +87,7 @@ def fv_solve(rho0: DensityProfile, law: SpeedLaw, u: ControlSignal, T: float,
     state = FvState.from_profile(rho0, n_cells)
     M = u.integrate(0.0, T) + rho0.total_mass
     _, lam_max, _ = law.bounds(M)
-    dt = cfl / (n_cells * lam_max)
+    dt = _CFL / (n_cells * lam_max)
     n_steps = int(np.ceil(T / dt))
     dt = T / n_steps
     influx = np.diff(u.cumulative(np.arange(n_steps + 1) * dt)) / dt

@@ -22,6 +22,8 @@ from .transport import simulate
 __all__ = ["TrackingProblem", "OptimizationReport", "cost", "minimize",
            "resample_control"]
 
+_STEP_SIZE = 0.5  # first trial step of every restart
+
 
 @dataclass(frozen=True)
 class TrackingProblem:
@@ -88,19 +90,22 @@ def _projected_gradient(problem: TrackingProblem, values: np.ndarray, traj):
     return grad, np.where((values <= 0.0) & (grad > 0.0), 0.0, grad)
 
 
-def _initial_guesses(problem: TrackingProblem, seed, extra_random: int):
-    """Structured starts: rest, matched equilibrium, demand mirror, random."""
+def _initial_guesses(problem: TrackingProblem, seed, extra_random: int, warm_starts):
+    """Distinct starts: rest, matched equilibrium, demand mirror, random, warm;
+    one within 1e-12 max(1, max|q|) of an earlier start q (max norm) is dropped."""
     n = problem.control_grid.size - 1
-    guesses = [np.zeros(n)]
     c = problem.rho0.total_mass
     lam_c = float(problem.law(c))
-    guesses.append(np.full(n, c * lam_c))
     mids = 0.5 * (problem.control_grid[:-1] + problem.control_grid[1:])
-    guesses.append(np.maximum(problem.y_d(mids), 0.0))
+    starts = [np.zeros(n), np.full(n, c * lam_c), np.maximum(problem.y_d(mids), 0.0)]
     rng = np.random.default_rng(seed)
     scale = max(float(np.max(problem.y_d.values, initial=0.0)), c * lam_c, 0.1)
-    for _ in range(extra_random):
-        guesses.append(rng.uniform(0.0, scale, size=n))
+    starts += [rng.uniform(0.0, scale, size=n) for _ in range(extra_random)]
+    starts += [np.maximum(resample_control(w, problem.control_grid), 0.0) for w in warm_starts]
+    guesses = []
+    for g in starts:
+        if all(np.max(np.abs(g - q)) > 1e-12 * max(1.0, np.max(np.abs(q))) for q in guesses):
+            guesses.append(g)
     return guesses
 
 
@@ -109,8 +114,7 @@ def resample_control(u: ControlSignal, grid: np.ndarray) -> np.ndarray:
     return np.diff(u.cumulative(grid)) / np.diff(grid)
 
 
-def minimize(problem: TrackingProblem, *, max_iters: int = 200,
-             step_size: float = 0.5, grad_tol: float = 1e-7,
+def minimize(problem: TrackingProblem, *, max_iters: int = 200, grad_tol: float = 1e-7,
              seed: int = 0, extra_random_restarts: int = 0,
              warm_starts: tuple = ()) -> OptimizationReport:
     """Projected gradient descent over the control cell values.
@@ -119,11 +123,12 @@ def minimize(problem: TrackingProblem, *, max_iters: int = 200,
     the projected gradient is small or the step collapses. Additional
     warm-start controls (e.g. a known feasible candidate, or the result from
     a coarser grid) are resampled onto the control grid and join the restart
-    pool. The best restart wins; ties go to the control with smaller L² norm.
+    pool, which skips repeated starts. The best restart wins; ties go to the
+    control with smaller L² norm.
     """
-    guesses = _initial_guesses(problem, seed, extra_random_restarts)
-    guesses += [np.maximum(resample_control(w, problem.control_grid), 0.0)
-                for w in warm_starts]
+    if not 0.0 <= grad_tol < np.inf:  # also rejects NaN
+        raise ValueError(f"grad_tol must be finite and nonnegative, got {grad_tol}")
+    guesses = _initial_guesses(problem, seed, extra_random_restarts, warm_starts)
     best, best_j, best_norm = None, np.inf, np.inf
     all_hist, all_gnorms, all_solves = [], [], []
     for values in guesses:
@@ -131,7 +136,7 @@ def minimize(problem: TrackingProblem, *, max_iters: int = 200,
         j, traj = _evaluate(problem, problem.control_from_values(values))
         hist, gnorms, solves = [j], [], 1
         converged = False
-        step = step_size
+        step = _STEP_SIZE
         for _ in range(max_iters):
             grad, pg = _projected_gradient(problem, values, traj)
             gnorm = float(np.linalg.norm(pg))

@@ -31,6 +31,9 @@ __all__ = [
     "certify_trajectory",
 ]
 
+_SLICE_TOL = 1e-4  # L^1 distance at which the final slice counts as rho_hi
+_DETECTION_TOL = 1e-6  # boundary-density gap to rho_hi that places t0 later
+
 
 @dataclass(frozen=True)
 class TransferScenario:
@@ -154,13 +157,11 @@ class OptimalityCertificate:
 
 
 def certify_trajectory(traj: Trajectory, rho_lo: float, rho_hi: float,
-                       *, detection_tol: float = 1e-6,
-                       slice_tol: float = 1e-4,
-                       tol: float = 1e-6) -> OptimalityCertificate:
+                       *, tol: float = 1e-6) -> OptimalityCertificate:
     """Evaluate the minimal-time lower bound on a simulated transfer.
 
     Requires that the trajectory starts from the equilibrium rho_lo and that
-    its final slice equals rho_hi within slice_tol in L^1.
+    its final slice equals rho_hi within ``_SLICE_TOL`` in L^1.
     """
     if rho_hi <= rho_lo:
         raise ValueError("certificate requires rho_hi > rho_lo; "
@@ -170,17 +171,17 @@ def certify_trajectory(traj: Trajectory, rho_lo: float, rho_hi: float,
     mids = 0.5 * (edges[:-1] + edges[1:])
     dist = float(np.sum(np.diff(edges)
                         * np.abs(traj.slice_values(T, mids) - rho_hi)))
-    if dist > slice_tol:
+    if dist > _SLICE_TOL:
         raise ValueError(
             f"trajectory does not reach the target equilibrium: "
-            f"final-slice L1 distance {dist:.3e} > {slice_tol:.1e}"
+            f"final-slice L1 distance {dist:.3e} > {_SLICE_TOL:.1e}"
         )
 
     # Boundary density rho(t, 0); in flux mode it is u(t) / lam(W(t)).
     grid = traj.time_panels(max_width=T / 4096.0)
     nodes = 0.5 * (grid[:-1] + grid[1:])
     bdens = traj.inflow.boundary_density(nodes, traj.speed)
-    bad = np.abs(bdens - rho_hi) > detection_tol
+    bad = np.abs(bdens - rho_hi) > _DETECTION_TOL
     t0 = float(grid[1 + np.max(np.nonzero(bad)[0])]) if np.any(bad) else 0.0
 
     xi = traj.xi
@@ -199,7 +200,6 @@ def certify_trajectory(traj: Trajectory, rho_lo: float, rho_hi: float,
 
 def check_lower_bound(u: ControlSignal | None, rho0: float, rho1: float,
                       T: float, *, boundary_density: ControlSignal | None = None,
-                      detection_tol: float = 1e-6, slice_tol: float = 1e-4,
                       tol: float = 1e-6) -> OptimalityCertificate:
     """Simulate an admissible control and certify the minimal-time bound.
 
@@ -208,8 +208,7 @@ def check_lower_bound(u: ControlSignal | None, rho0: float, rho1: float,
     """
     traj = simulate(DensityProfile.constant(rho0), reciprocal(), T,
                     u=u, boundary_density=boundary_density)
-    return certify_trajectory(traj, rho0, rho1, detection_tol=detection_tol,
-                              slice_tol=slice_tol, tol=tol)
+    return certify_trajectory(traj, rho0, rho1, tol=tol)
 
 
 def write_figure_csv(scenario: TransferScenario, mass_path, flux_path,

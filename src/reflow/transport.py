@@ -26,6 +26,7 @@ _N5 = np.array([0.04691007703066800, 0.23076534494715845, 0.5,
                 0.76923465505284155, 0.95308992296933200])
 _W5 = np.array([0.11846344252809454, 0.23931433524968324, 0.28444444444444444,
                 0.23931433524968324, 0.11846344252809454])
+_SLICE_WIDTH = 1e-3  # widest panel of the slice quadratures
 
 
 def _panels(end: float, breaks, max_width: float) -> np.ndarray:
@@ -63,14 +64,9 @@ def simulate(
     knots_per_window: int = 256,
 ) -> "Trajectory":
     """Solve the transport problem and wrap the result in a Trajectory."""
-    xi = solve_xi(
-        u, rho0, law, T,
-        tol=tol,
-        boundary_density=boundary_density,
-        knots_per_window=knots_per_window,
-    )
-    return Trajectory(law=law, rho0=rho0, xi=xi, horizon=float(T),
-                      inflow=Inflow.of(u, boundary_density))
+    inflow = Inflow.of(u, boundary_density)
+    xi = solve_xi(inflow, rho0, law, T, tol=tol, knots_per_window=knots_per_window)
+    return Trajectory(law=law, rho0=rho0, xi=xi, horizon=float(T), inflow=inflow)
 
 
 @dataclass(frozen=True)
@@ -178,7 +174,7 @@ class Trajectory:
 
     # -- regularity diagnostics -------------------------------------------
 
-    def slice_panels(self, *times: float, max_width: float = 1e-3) -> np.ndarray:
+    def slice_panels(self, *times: float) -> np.ndarray:
         """Quadrature edges in [0, 1] aligned with the density jumps at the given times."""
         taus = self.inflow.signal.breakpoints
         breaks = []
@@ -186,18 +182,18 @@ class Trajectory:
             xi_t = self.xi(t)
             breaks += [[xi_t], xi_t + self.rho0.breakpoints,
                        xi_t - np.asarray(self.xi(taus[taus <= t]), dtype=float)]
-        return _panels(1.0, np.concatenate(breaks), max_width)
+        return _panels(1.0, np.concatenate(breaks), _SLICE_WIDTH)
 
-    def l1_slice_distance(self, s: float, t: float, *, max_width: float = 1e-3) -> float:
+    def l1_slice_distance(self, s: float, t: float) -> float:
         """Integral over [0, 1] of |rho(s, x) - rho(t, x)|."""
-        return _gauss5(self.slice_panels(s, t, max_width=max_width),
+        return _gauss5(self.slice_panels(s, t),
                        lambda x: np.abs(self.slice_values(s, x) - self.slice_values(t, x)))
 
-    def slice_lp_norm(self, t: float, p: int, *, max_width: float = 1e-3) -> float:
+    def slice_lp_norm(self, t: float, p: int) -> float:
         """L^p norm of the density profile at time t (p in {1, 2})."""
         if p not in (1, 2):
             raise ValueError(f"unsupported exponent p={p}")
-        return _gauss5(self.slice_panels(t, max_width=max_width),
+        return _gauss5(self.slice_panels(t),
                        lambda x: self.slice_values(t, x) ** p) ** (1.0 / p)
 
     def l1_time_distance(self, x1: float, x2: float, *, max_width: float = 1e-3) -> float:

@@ -38,3 +38,13 @@ def test_tracer_wraps_a_simulate_and_restores_every_name(monkeypatch):
     assert tracer.counted("characteristics.knots", None, {0}) == traj.xi.times.size
     assert tracer.counted("signals.cumulative", "characteristics", {0}) > 0
     assert tracer.counted("laws.bounds", "characteristics", {0}) > 0
+
+
+def test_layer_probes_run_and_read_positive(monkeypatch):
+    # the probes call solve_xi, apply_F and fv_step directly, as `--trace 1` does
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import probes
+
+    values = {**probes.characteristics_probes(), **probes.fv_probe()}
+    assert len(values) == 4
+    assert all(np.isfinite(v) and v > 0 for v in values.values())

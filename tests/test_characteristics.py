@@ -9,6 +9,7 @@ from reflow.characteristics import (CharacteristicCurve, CurveTangent, DensityIn
                                     SolverError, _choose_window, apply_F, solve_xi)
 from reflow.laws import reciprocal, tabulated
 from reflow.signals import ControlSignal, DensityProfile
+from reflow.transport import simulate
 
 
 def random_scenario(rng, horizon=1.5, mass_cap=6.0):
@@ -128,8 +129,7 @@ class TestAgainstClosedForms:
     def test_step_fill_matches_square_root_curve(self):
         # rho0 = 0, boundary density held at 2: xi(t) = (sqrt(1+4t)-1)/2
         b = ControlSignal.constant(2.0, 2.0)
-        xi = solve_xi(None, DensityProfile.constant(0.0), reciprocal(), 2.0,
-                      boundary_density=b)
+        xi = solve_xi(DensityInflow(b), DensityProfile.constant(0.0), reciprocal(), 2.0)
         t = np.linspace(0.0, 2.0, 500)
         assert np.max(np.abs(xi(t) - 0.5 * (np.sqrt(1.0 + 4.0 * t) - 1.0))) <= 1e-8
         assert xi(2.0) == pytest.approx(1.0, abs=1e-9)
@@ -169,6 +169,27 @@ class TestOdeOracle:
             assert np.max(np.abs(xi(t_eval) - oracle)) <= 100 * tol
 
 
+class TestWindowsShorterThanTheKnotGrid:
+    """A-priori windows of a few 1e-12: their 256 uniform knots lie closer
+    than the 1e-13 knot resolution, yet both window ends are kept."""
+
+    def test_dense_boundary_density_matches_square_root_curve(self):
+        # rho0 = 0, boundary density b: xi(t) = (sqrt(1 + 2bt) - 1)/b
+        b, tol = 1e11, 1e-10
+        xi = solve_xi(DensityInflow(ControlSignal.constant(b, 1.0)),
+                      DensityProfile.constant(0.0), reciprocal(), 1.0, tol=tol)
+        assert xi.times[0] == 0.0
+        t = np.linspace(0.0, 1.0, 200)
+        assert np.max(np.abs(xi(t) - (np.sqrt(1.0 + 2.0 * b * t) - 1.0) / b)) <= 100 * tol
+
+    def test_dense_flux_scenario_matches_ode(self):
+        u, rho0, tol = ControlSignal.constant(5e5, 1.0), DensityProfile.constant(1e5), 1e-10
+        xi = solve_xi(u, rho0, reciprocal(), 1.0, tol=tol)
+        assert xi.times[0] == 0.0
+        t = np.linspace(0.0, 1.0, 200)
+        assert np.max(np.abs(xi(t) - ode_oracle(u, rho0, reciprocal(), 1.0, t))) <= 100 * tol
+
+
 def curve_in_slope_envelope(rng, delta, lam_lo, lam_hi, n_knots=7):
     """Random curve through (0,0) with slopes inside [lam_lo, lam_hi].
 
@@ -189,10 +210,9 @@ class TestWindows:
         T = 1.5
         for _ in range(6):
             u, rho0 = random_scenario(rng, horizon=T)
-            for inflow, kw in ((FluxInflow(u), {"u": u}),
-                               (DensityInflow(u), {"u": None, "boundary_density": u})):
+            for inflow in (FluxInflow(u), DensityInflow(u)):
                 bounds = lam_tilde, lam_bar, d = law.bounds(inflow.mass_bound(rho0, law))
-                xi = solve_xi(rho0=rho0, law=law, T=T, **kw)
+                xi = solve_xi(inflow, rho0, law, T)
                 start = np.array([law(rho0.total_mass)])
                 prefixes = [CharacteristicCurve(np.zeros(1), np.zeros(1), start)]
                 prefixes += [xi.restricted(t) for t in (0.4, 0.8, 1.2)]
@@ -308,9 +328,9 @@ class TestValidation:
         u = ControlSignal.constant(1.0, 1.0)
         rho0 = DensityProfile.constant(1.0)
         with pytest.raises(ValueError, match="exactly one"):
-            solve_xi(u, rho0, reciprocal(), 1.0, boundary_density=u)
+            simulate(rho0, reciprocal(), 1.0, u=u, boundary_density=u)
         with pytest.raises(ValueError, match="exactly one"):
-            solve_xi(None, rho0, reciprocal(), 1.0)
+            simulate(rho0, reciprocal(), 1.0)
 
     def test_rejects_short_control_horizon(self):
         u = ControlSignal.constant(1.0, 0.5)
@@ -331,5 +351,5 @@ class TestValidation:
         # the window cap 0.25 / (d * tv) must not divide by an underflowed product
         b = ControlSignal.constant(5e-324, 1.0)
         law = tabulated([0.0, 1.0, 2.0], [1.0, 0.5, 0.3])
-        curve = solve_xi(None, DensityProfile.constant(0.0), law, 1.0, boundary_density=b)
+        curve = solve_xi(DensityInflow(b), DensityProfile.constant(0.0), law, 1.0)
         assert curve.x_end == pytest.approx(1.0, abs=1e-12)

@@ -240,6 +240,10 @@ OPT_CFG = {
      "optimize.tracking_weight"),
     ("optimize", dict(OPT_CFG, optimize={"tracking_weight": float("inf")}),
      "optimize.tracking_weight"),
+    # NaN or a negative value switches the convergence test off, .inf stops at once
+    ("optimize", dict(OPT_CFG, optimize={"grad_tol": float("nan")}), "optimize.grad_tol"),
+    ("optimize", dict(OPT_CFG, optimize={"grad_tol": -1.0}), "optimize.grad_tol"),
+    ("optimize", dict(OPT_CFG, optimize={"grad_tol": float("inf")}), "optimize.grad_tol"),
 ])
 def test_invalid_count_exits_2_with_field_path(runner, tmp_path, command, cfg, field):
     path = write_config(tmp_path / "c.yaml", cfg)
@@ -274,6 +278,18 @@ def test_nan_tol_exits_2(runner, tmp_path):
     res = runner.invoke(main, ["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
     assert res.exit_code == 2, res.output
     assert "tol must be positive" in json.loads(res.output)["message"]
+
+
+def test_window_below_knot_resolution_exits_3(runner, tmp_path):
+    # so much initial mass that the a-priori window is about 5e-17 long
+    cfg = {k: v for k, v in SIM_CFG.items() if k != "boundary_density"}
+    path = write_config(tmp_path / "c.yaml", dict(cfg, rho0={"constant": 1.0e13},
+                                                  control={"constant": 1.0}))
+    res = runner.invoke(main, ["simulate", "--config", path, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 3, res.output
+    diag = json.loads(res.output)
+    assert diag["error"] == "solver"
+    assert "knot resolution" in diag["message"]
 
 
 def test_resolved_config_echoes_keys_of_any_type(runner, tmp_path):

@@ -172,7 +172,8 @@ class TestMinimize:
         for hist in report.cost_history:
             assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
         assert np.all(report.best_control.values >= 0.0)
-        assert report.restarts == 4
+        # rest, matched equilibrium 0.5 (the same as the demand mirror), one random
+        assert report.restarts == 3
 
     def test_report_describes_the_best_restart(self):
         pr = small_problem()
@@ -183,7 +184,7 @@ class TestMinimize:
         assert report.gradient_norm_history[-1] == [pytest.approx(0.0259, abs=1e-3)]
         assert report.best_cost == report.cost_history[0][-1] < cost(pr, warm)
         assert not report.converged
-        assert report.solves[-1] == 1 and len(report.solves) == report.restarts == 4
+        assert report.solves[-1] == 1 and len(report.solves) == report.restarts == 3
         assert all(s >= len(h) for s, h in zip(report.solves, report.cost_history))
         grad, traj = tangent_gradient(pr, report.best_control.values)
         pg = np.where((report.best_control.values <= 0.0) & (grad > 0.0), 0.0, grad)
@@ -202,6 +203,22 @@ class TestMinimize:
         j_zero = cost(pr, ControlSignal.constant(0.0, 1.0))
         j_eq = cost(pr, ControlSignal.constant(0.5, 1.0))
         assert report.best_cost <= min(j_zero, j_eq) + 1e-12
+
+    def test_warm_start_at_matched_equilibrium_adds_no_restart(self):
+        pr = TrackingProblem(DensityProfile.constant(0.5), ControlSignal.constant(0.2, 1.0),
+                             reciprocal(), 1.0, np.linspace(0.0, 1.0, 5),
+                             solver_tol=1e-8, knots_per_window=64)
+        plain = minimize(pr, max_iters=3, grad_tol=1e-5)
+        # resampling c * lam(c) = 1/3 moves two of its cells by 6e-17
+        warm = minimize(pr, max_iters=3, grad_tol=1e-5,
+                        warm_starts=(ControlSignal.constant(0.5 / 1.5, 1.0),))
+        assert warm.restarts == plain.restarts == 3
+        assert warm.cost_history == plain.cost_history
+
+    @pytest.mark.parametrize("grad_tol", [float("nan"), -1.0, float("inf")])
+    def test_rejects_grad_tol_that_disables_convergence(self, grad_tol):
+        with pytest.raises(ValueError, match="grad_tol"):
+            minimize(small_problem(), max_iters=1, grad_tol=grad_tol)
 
     def test_warm_start_caps_the_result(self):
         pr = small_problem()
