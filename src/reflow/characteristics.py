@@ -5,9 +5,10 @@ built window by window: on each window the integral map is a 1/2-contraction
 provided the window is short enough that little mass can leave through x = 1,
 so plain fixed-point iteration converges geometrically. That a-priori length
 rests on the whole-horizon mass bound and is mostly far too short, so each
-window after the first tries twice the last accepted length (below
-0.9 / sup speed) and keeps it while every map application at least halves the
-residual; otherwise it falls back to the a-priori length. Integrals of the speed are evaluated by
+window first tries twice the last accepted length, capped at 0.9 / sup speed
+(the first window tries the cap itself), and keeps it while every map
+application at least halves the residual; otherwise it falls back to the
+a-priori length. Integrals of the speed are evaluated by
 composite 3-point Gauss quadrature on a knot grid that tracks the kink
 locations of the integrand (data breakpoints composed with the curve, the
 instant the curve reaches x = 1, and the masses where a tabulated speed law
@@ -372,25 +373,34 @@ class DensityInflow(Inflow):
 # window machinery
 # ---------------------------------------------------------------------------
 
-def _window_knots(inflow, rho0, prefix, cand, t_a, t_b, n_uniform, kinks=()):
-    """Knot grid: uniform refinement + time breakpoints + curve-crossing events.
+def _window_knots(inflow, rho0, prefix, t_a, t_b, n_uniform):
+    """Knot grid of the window [t_a, t_b] as a function of a candidate curve.
 
-    ``kinks`` are extra knot times, where the speed law has a kink. Both window
-    ends are knots; a knot between them within the resolution of an end or of
-    the knot below it is dropped, and a window below the resolution raises.
+    The uniform refinement, the time breakpoints and the kink levels in xi
+    depend only on the window and the frozen ``prefix``, so they are built
+    once; the returned ``knots(cand, kinks=())`` adds the times where ``cand``
+    crosses a level, and ``kinks``, extra knot times where the speed law has a
+    kink. Both window ends are knots; a knot between them within the
+    resolution of an end or of the knot below it is dropped, and a window
+    below the resolution raises.
     """
     res = 1e-13 * max(1.0, t_b)
     if not t_b - t_a > res:
         raise SolverError(f"window [{t_a:g}, {t_b:g}] of length {t_b - t_a:.3g} is below "
                           f"the knot resolution {res:.3g}")
-    extra = [np.linspace(t_a, t_b, n_uniform + 1), inflow.time_knots(t_a, t_b), kinks]
-    levels = inflow.xi_levels(rho0, prefix)
-    levels = levels[(levels > cand[1][0]) & (levels < cand[1][-1])]
-    if levels.size:
-        extra.append(np.atleast_1d(_invert_monotone(*cand, levels)))
-    knots = np.unique(np.concatenate(extra))  # t_a first: the uniform grid holds it
-    knots = knots[(knots >= t_a) & (knots < t_b - res)]
-    return np.append(knots[np.concatenate(([True], np.diff(knots) > res))], t_b)
+    fixed = [np.linspace(t_a, t_b, n_uniform + 1), inflow.time_knots(t_a, t_b)]
+    all_levels = inflow.xi_levels(rho0, prefix)
+
+    def knots(cand, kinks=()):
+        extra = fixed + [kinks]
+        levels = all_levels[(all_levels > cand[1][0]) & (all_levels < cand[1][-1])]
+        if levels.size:
+            extra.append(np.atleast_1d(_invert_monotone(*cand, levels)))
+        grid = np.unique(np.concatenate(extra))  # t_a first: the uniform grid holds it
+        grid = grid[(grid >= t_a) & (grid < t_b - res)]
+        return np.append(grid[np.concatenate(([True], np.diff(grid) > res))], t_b)
+
+    return knots
 
 
 def _integrate_window(inflow, rho0, law, prefix, cand, knots):
@@ -435,10 +445,11 @@ def _solve_window(inflow, rho0, law, prefix, t_a, t_b, tol, n_uniform, trial=Fal
         np.array([x_a, x_a + s_a * (t_b - t_a)]),
         np.array([s_a, s_a]),
     )
+    window_knots = _window_knots(inflow, rho0, prefix, t_a, t_b, n_uniform)
     resid = np.inf
     kinks = ()  # unknown until W is known on a candidate
     for _ in range(_MAX_ITER):
-        knots = _window_knots(inflow, rho0, prefix, cand, t_a, t_b, n_uniform, kinks)
+        knots = window_knots(cand, kinks)
         old = _hermite_value(cand[0], cand[1], cand[2], knots)
         values, slopes, W = _integrate_window(inflow, rho0, law, prefix, cand, knots)
         new_resid = float(np.max(np.abs(values - old)))
@@ -485,11 +496,11 @@ def solve_xi(
     (a bare ``ControlSignal`` is a prescribed influx).
 
     The curve is built by window-by-window fixed-point continuation. Each
-    window after the first tries twice the last accepted length and keeps it
-    while the residuals halve at every map application. The first window, and
-    any whose trial fails, takes the length at which the tail-mass contraction
-    criterion holds on the current state; if that is below the knot
-    resolution, SolverError is raised.
+    window tries twice the last accepted length, capped at 0.9 / sup speed and
+    at T (the first window tries the cap), and keeps it while the residuals
+    halve at every map application. A window whose trial fails takes the
+    length at which the tail-mass contraction criterion holds on the current
+    state; if that is below the knot resolution, SolverError is raised.
     """
     if isinstance(inflow, ControlSignal):
         inflow = FluxInflow(inflow)
@@ -507,7 +518,7 @@ def solve_xi(
     ss = np.array([float(law(W0))])
 
     eps = 1e-12 * max(1.0, T)
-    last = 0.0  # length of the last accepted window
+    last = np.inf  # length of the last accepted window; the first trial takes the cap
     while ts[-1] < T - eps:
         prefix = CharacteristicCurve(ts, xs, ss)
         t_a = ts[-1]
@@ -519,13 +530,11 @@ def solve_xi(
             xs = np.append(xs, xs[-1] + ss[-1] * (T - t_a))
             ss = np.append(ss, ss[-1])
             break
-        window = None
-        if last > 0:
-            # the trial stays below 1/sup-speed so that, in flux mode, the entry
-            # time of every particle reaching x = 1 lies in the frozen prefix
-            t_b = min(t_a + min(2.0 * last, 0.9 / bounds[1]), T)
-            window = _solve_window(inflow, rho0, law, prefix, t_a, t_b, tol,
-                                   knots_per_window, trial=True)
+        # the trial stays below 1/sup-speed so that, in flux mode, the entry
+        # time of every particle reaching x = 1 lies in the frozen prefix
+        t_b = min(t_a + min(2.0 * last, 0.9 / bounds[1]), T)
+        window = _solve_window(inflow, rho0, law, prefix, t_a, t_b, tol, knots_per_window,
+                               trial=True)
         if window is None:
             delta = _choose_window(inflow, rho0, bounds, prefix, T)
             window = _solve_window(inflow, rho0, law, prefix, t_a, min(t_a + delta, T),
@@ -537,6 +546,9 @@ def solve_xi(
         ss = np.concatenate((ss, slopes[1:]))
         # keep the joint consistent with the converged window
         ss[ts.size - knots.size] = slopes[0]
+    if ts.size == 1:
+        # no window ran (T below the end tolerance): the start knot stays at t = 0
+        ts, xs, ss = (np.append(a, a[-1]) for a in (ts, xs, ss))
     if ts[-1] < T:
         # extend the last knot across the sub-tolerance remainder
         xs[-1] += ss[-1] * (T - ts[-1])
@@ -663,6 +675,6 @@ def apply_F(
         raise ValueError(f"window end {t_b} exceeds curve domain {xi.t_end}")
     inflow = FluxInflow(u)
     cand = (xi.times, xi.values, xi.slopes)
-    knots = _window_knots(inflow, rho0, xi, cand, t_a, t_b, knots_per_window)
+    knots = _window_knots(inflow, rho0, xi, t_a, t_b, knots_per_window)(cand)
     values, slopes, _ = _integrate_window(inflow, rho0, law, xi, cand, knots)
     return CharacteristicCurve(knots, values, slopes)

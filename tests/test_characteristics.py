@@ -203,6 +203,21 @@ def curve_in_slope_envelope(rng, delta, lam_lo, lam_hi, n_knots=7):
     return CharacteristicCurve(ts, xs, ss)
 
 
+@pytest.fixture
+def windows(monkeypatch):
+    """Records (t_a, t_b, trial, accepted) of every _solve_window call."""
+    calls = []
+    solve_window = characteristics._solve_window
+
+    def recording(*args, **kwargs):
+        out = solve_window(*args, **kwargs)
+        calls.append((args[4], args[5], kwargs.get("trial", False), out is not None))
+        return out
+
+    monkeypatch.setattr(characteristics, "_solve_window", recording)
+    return calls
+
+
 class TestWindows:
     def test_a_priori_length_meets_tail_mass_criterion(self):
         rng = np.random.default_rng(7)
@@ -222,28 +237,40 @@ class TestWindows:
                     tail = inflow.slice_tail_mass(rho0, prefix, lam_bar * delta)
                     assert tail < 0.5 * lam_tilde / d
 
-    def test_rejected_trial_falls_back_and_matches_ode(self, monkeypatch):
-        # a steep law with dense mass near x = 1: some doubled windows do not
-        # halve the residual and are solved again at the a-priori length
-        law = tabulated([0.0, 1.0, 1.1, 10.0], [1.0, 0.9, 0.1, 0.05])
-        rho0 = DensityProfile(np.array([0.0, 0.7, 1.0]), np.array([0.3, 3.1]))
-        u = ControlSignal.constant(0.05, 0.9)
-        rejected = []
-        solve_window = characteristics._solve_window
+    def test_first_window_is_a_trial_at_the_cap_length(self, windows):
+        rng = np.random.default_rng(5)
+        for law in (reciprocal(), tabulated([0.0, 1.0, 4.0], [2.0, 1.2, 0.5])):
+            for T in (0.3, 1.5):
+                u, rho0 = random_scenario(rng, horizon=T)
+                for inflow in (FluxInflow(u), DensityInflow(u)):
+                    windows.clear()
+                    solve_xi(inflow, rho0, law, T)
+                    lam_bar = law.bounds(inflow.mass_bound(rho0, law))[1]
+                    assert windows[0][:3] == (0.0, min(0.9 / lam_bar, T), True)
 
-        def recording(*args, **kwargs):
-            out = solve_window(*args, **kwargs)
-            if out is None:
-                rejected.append((args[4], args[5]))
-            return out
+    def test_equilibrium_transfer_takes_no_more_windows(self, windows):
+        # density-mode transfer from equilibrium 1 to 2; with an a-priori first
+        # window of length 1/32 and doubling trials after it, it took 11 windows
+        b = ControlSignal.constant(2.0, 6.0)
+        solve_xi(DensityInflow(b), DensityProfile.constant(1.0), reciprocal(), 6.0)
+        assert len(windows) <= 11
 
-        monkeypatch.setattr(characteristics, "_solve_window", recording)
+    def test_rejected_trial_falls_back_and_matches_ode(self, windows):
+        # a steep law with dense mass near x = 1: some trial windows, the first
+        # one at the cap length included, do not halve the residual and are
+        # solved again at the a-priori length
+        law = tabulated([0.0, 2.3, 2.4, 20.0], [1.0, 0.9, 0.1, 0.05])
+        rho0 = DensityProfile.constant(2.5)
+        T = 1.1
+        u = ControlSignal.constant(0.05, T)
         tol = 1e-11
-        xi = solve_xi(u, rho0, law, 0.9, tol=tol)
+        xi = solve_xi(u, rho0, law, T, tol=tol)
+        rejected = [(t_a, t_b) for t_a, t_b, _, accepted in windows if not accepted]
         assert rejected
+        assert any(t_a == 0.0 for t_a, _ in rejected)
         assert xi.x_end < 1.0
-        t_eval = np.linspace(0.0, 0.9, 200)
-        oracle = ode_oracle(u, rho0, law, 0.9, t_eval)
+        t_eval = np.linspace(0.0, T, 200)
+        oracle = ode_oracle(u, rho0, law, T, t_eval)
         assert np.max(np.abs(xi(t_eval) - oracle)) <= 100 * tol
 
     def test_tabulated_law_kinks_are_knots(self):
@@ -346,6 +373,15 @@ class TestValidation:
         u = ControlSignal.constant(1.0, 1.0)
         with pytest.raises(ValueError, match="tol must be positive"):
             solve_xi(u, DensityProfile.constant(1.0), reciprocal(), 1.0, tol=float("nan"))
+
+    def test_horizon_below_end_tolerance_keeps_the_start_knot(self):
+        # no window runs; the curve must still pass through (0, 0)
+        u, rho0, T = ControlSignal.constant(1.0, 1.0), DensityProfile.constant(1.0), 5e-13
+        xi = solve_xi(u, rho0, reciprocal(), T)
+        assert xi.times[0] == 0.0 and xi(0.0) == 0.0
+        traj = simulate(rho0, reciprocal(), T, u=u)
+        assert traj.total_mass(0.0) == 1.0
+        assert traj.cumulative_outflux(0.0) == 0.0
 
     def test_denormal_boundary_density_is_solved(self):
         # the window cap 0.25 / (d * tv) must not divide by an underflowed product

@@ -11,6 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reflow.cli import main
+from reflow.laws import reciprocal
+from reflow.signals import ControlSignal, DensityProfile
+from reflow.transport import simulate
+from test_characteristics import ode_oracle
 
 
 @pytest.fixture
@@ -281,15 +285,30 @@ def test_nan_tol_exits_2(runner, tmp_path):
 
 
 def test_window_below_knot_resolution_exits_3(runner, tmp_path):
-    # so much initial mass that the a-priori window is about 5e-17 long
-    cfg = {k: v for k, v in SIM_CFG.items() if k != "boundary_density"}
-    path = write_config(tmp_path / "c.yaml", dict(cfg, rho0={"constant": 1.0e13},
-                                                  control={"constant": 1.0}))
+    # so dense a boundary density that the cap-length trial is rejected and the
+    # a-priori window is about 2.5e-14 long
+    path = write_config(tmp_path / "c.yaml", dict(SIM_CFG, rho0={"constant": 0.0},
+                                                  boundary_density={"constant": 1.0e13}))
     res = runner.invoke(main, ["simulate", "--config", path, "--out", str(tmp_path / "o")])
     assert res.exit_code == 3, res.output
     diag = json.loads(res.output)
     assert diag["error"] == "solver"
     assert "knot resolution" in diag["message"]
+
+
+def test_dense_initial_mass_is_solved_by_its_cap_length_trial(runner, tmp_path):
+    # the a-priori window is about 5e-17 long, below the knot resolution, but
+    # the first trial window, of length 0.9 / sup speed, converges
+    cfg = {k: v for k, v in SIM_CFG.items() if k != "boundary_density"}
+    path = write_config(tmp_path / "c.yaml", dict(cfg, rho0={"constant": 1.0e13},
+                                                  control={"constant": 1.0}))
+    res = runner.invoke(main, ["simulate", "--config", path, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 0, res.output
+    u, rho0, T = ControlSignal.constant(1.0, 2.5), DensityProfile.constant(1.0e13), 2.5
+    xi = simulate(rho0, reciprocal(), T, u=u).xi
+    t = np.linspace(0.0, T, 200)
+    oracle = ode_oracle(u, rho0, reciprocal(), T, t)
+    assert np.max(np.abs(xi(t) - oracle)) <= 1e-12 * np.max(oracle)
 
 
 def test_resolved_config_echoes_keys_of_any_type(runner, tmp_path):
