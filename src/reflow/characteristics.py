@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .laws import SpeedLaw
-from .signals import ControlSignal, DensityProfile, PiecewiseConstant
+from .signals import ControlSignal, DensityProfile, PiecewiseConstant, segment
 
 __all__ = ["CharacteristicCurve", "CurveTangent", "DensityInflow", "FluxInflow", "Inflow",
            "SolverError", "apply_F", "solve_xi"]
@@ -69,14 +69,9 @@ class SolverError(RuntimeError):
 # cubic Hermite evaluation on knot arrays (vectorized, no scipy dependency)
 # ---------------------------------------------------------------------------
 
-def _segment(grid, v):
-    """Index of the segment of the increasing ``grid`` holding each v, clamped."""
-    return np.minimum(np.maximum(np.searchsorted(grid, v, side="right") - 1, 0), grid.size - 2)
-
-
 def _locate(ts, t):
     """Segment index, width and offset in [0, 1] of each t, clamped to the knots."""
-    idx = _segment(ts, t)
+    idx = segment(ts, t)
     h = ts[idx + 1] - ts[idx]
     th = (np.minimum(np.maximum(t, ts[0]), ts[-1]) - ts[idx]) / h
     return idx, h, th
@@ -120,7 +115,7 @@ def _invert_monotone(ts, xs, ss, x):
     x = np.asarray(x, dtype=float)
     if ts.size == 1:
         return np.full(x.shape, ts[0])
-    idx = _segment(xs, x)
+    idx = segment(xs, x)
     h = ts[idx + 1] - ts[idx]
     # the segment cubic x0 + th (c1 + th (c2 + th c3)) in the offset th
     x0, x1 = xs[idx], xs[idx + 1]
@@ -617,7 +612,7 @@ class CurveTangent:
 
     def influx(self, t) -> np.ndarray:
         """du at the times t (1-D): 1 in the column of the cell holding t."""
-        return (_segment(self.cells, t)[:, None] == np.arange(self.cells.size - 1)).astype(float)
+        return (segment(self.cells, t)[:, None] == np.arange(self.cells.size - 1)).astype(float)
 
     def _mass_terms(self, t):
         """(k, post, sig) with dW = dU(t) + k dxi(t) - [dU(sig) + k dxi(sig)] after exit."""
@@ -631,7 +626,7 @@ class CurveTangent:
     def __call__(self, t) -> np.ndarray:
         """dxi at the times t (1-D), one column per direction."""
         t = np.asarray(t, dtype=float)
-        j = _segment(self.knots, t)
+        j = segment(self.knots, t)
         th = ((t - self.knots[j]) / self.h[j])[:, None]
         out = self.coeffs[j, 2] * th  # Horner, in place: the arrays are points x directions
         for p in (1, 0):

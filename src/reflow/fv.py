@@ -19,7 +19,7 @@ from .signals import ControlSignal, DensityProfile
 
 __all__ = ["FvState", "CflError", "fv_step", "fv_solve"]
 
-_CFL = 0.9  # Courant number of the march in fv_solve
+_CFL = 0.9  # Courant number of fv_solve's march and fv_step's limit
 
 
 class CflError(RuntimeError):
@@ -53,17 +53,17 @@ class FvState:
         return cls(t=0.0, cells=np.diff(cum) * n)
 
 
-def fv_step(state: FvState, law: SpeedLaw, influx: float, dt: float,
-            cfl: float = 0.9) -> FvState:
+def fv_step(state: FvState, law: SpeedLaw, influx: float, dt: float) -> FvState:
     """Advance one upwind step with the speed frozen at the current mass.
 
     ``influx`` is the boundary flux (mass per unit time) entering at x = 0,
-    averaged over the step.
+    averaged over the step. A step above Courant number ``_CFL`` (0.9, the
+    number fv_solve marches at) raises CflError.
     """
     lam = float(law(state.total_mass))
     dx = state.dx
-    if lam * dt > cfl * dx * (1.0 + 1e-12):
-        raise CflError(dt, cfl * dx / lam)
+    if lam * dt > _CFL * dx * (1.0 + 1e-12):
+        raise CflError(dt, _CFL * dx / lam)
     rho = state.cells
     # d[i] = flux out of cell i minus flux into it, then scaled to the update
     f = lam * rho
@@ -94,6 +94,6 @@ def fv_solve(rho0: DensityProfile, law: SpeedLaw, u: ControlSignal, T: float,
     times, mass, last = np.empty((3, n_steps + 1))
     times[0], mass[0], last[0] = 0.0, state.total_mass, state.cells[-1]
     for k in range(n_steps):
-        state = fv_step(state, law, influx[k], dt, cfl=1.0)
+        state = fv_step(state, law, influx[k], dt)
         times[k + 1], mass[k + 1], last[k + 1] = state.t, state.total_mass, state.cells[-1]
     return state, times, law(mass) * last

@@ -5,7 +5,7 @@ mass W, together with its slope and envelope bounds over mass intervals
 [0, M]: the infimum and supremum of the speed and the supremum of |slope|. The built-in
 reciprocal law is lambda(W) = 1/(1+W); tabulated laws interpolate user
 samples linearly and extend constantly beyond the last knot (and below
-W = 0), and take all three bounds from their own table.
+W = 0), and take the slope bound from their own table.
 """
 
 from __future__ import annotations
@@ -84,19 +84,19 @@ class SpeedLaw:
         return times[seg] + frac * (times[seg + 1] - times[seg])
 
     def bounds(self, M: float) -> tuple[float, float, float]:
-        """(inf speed, sup speed, sup |slope|) over masses in [0, M]."""
+        """(inf speed, sup speed, sup |slope|) over masses in [0, M]; the law is
+        non-increasing, so the inf and sup speeds are law(M) and law(0)."""
         if M < 0:
             raise ValueError(f"mass bound M must be nonnegative, got {M}")
         if self.kind == RECIPROCAL:
-            return 1.0 / (1.0 + M), 1.0, 1.0
+            return self(M), self(0.0), 1.0
         g, v = self.grid, self.grid_values
         # knots inside [0, M] plus one padding knot past M, so the segments
         # scanned cover [0, M]; the law is linear on each, so the largest
         # segment slope is the exact sup |slope|
         hi = min(int(np.searchsorted(g, M, side="right")) + 1, g.size)
-        vals = np.concatenate((v[:hi], [float(np.interp(M, g, v))]))
         slopes = np.diff(v[:hi]) / np.diff(g[:hi])
-        return float(np.min(vals)), float(np.max(vals)), float(np.max(np.abs(slopes)))
+        return self(M), self(0.0), float(np.max(np.abs(slopes)))
 
 
 def reciprocal() -> SpeedLaw:

@@ -8,7 +8,13 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["PiecewiseConstant", "DensityProfile", "ControlSignal"]
+__all__ = ["PiecewiseConstant", "DensityProfile", "ControlSignal", "segment"]
+
+
+def segment(grid, x, side="right"):
+    """Index of the cell of the increasing ``grid`` holding each x, clamped to
+    the cells; ``side="left"`` puts a point on a breakpoint in the cell before it."""
+    return np.minimum(np.maximum(np.searchsorted(grid, x, side=side) - 1, 0), grid.size - 2)
 
 
 class PiecewiseConstant:
@@ -49,26 +55,25 @@ class PiecewiseConstant:
     def total_mass(self) -> float:
         return float(self._cum[-1])
 
-    def _cell_index(self, x: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.breakpoints, x, side="right") - 1
-        return np.minimum(np.maximum(idx, 0), self.values.size - 1)
-
     # -- evaluation and quadrature --------------------------------------
 
     def __call__(self, x):
         """Pointwise value; arguments outside the domain are clamped."""
         x = np.asarray(x, dtype=float)
-        xc = np.minimum(np.maximum(x, self.breakpoints[0]), self.breakpoints[-1])
-        out = self.values[self._cell_index(xc)]
-        return float(out) if np.isscalar(x) or x.ndim == 0 else out
+        out = self.values[segment(self.breakpoints, x)]
+        return float(out) if x.ndim == 0 else out
+
+    def left_limit(self, x):
+        """Value just before x (the function itself is right-continuous), clamped."""
+        return self.values[segment(self.breakpoints, x, side="left")]
 
     def cumulative(self, x):
         """Exact integral from the left end of the domain to ``x`` (clamped)."""
         x = np.asarray(x, dtype=float)
         xc = np.minimum(np.maximum(x, self.breakpoints[0]), self.breakpoints[-1])
-        idx = self._cell_index(xc)
+        idx = segment(self.breakpoints, xc)
         out = self._cum[idx] + (xc - self.breakpoints[idx]) * self.values[idx]
-        return float(out) if np.isscalar(x) or x.ndim == 0 else out
+        return float(out) if x.ndim == 0 else out
 
     def integrate(self, a: float, b: float) -> float:
         """Exact integral over ``[a, b]``; endpoints are clamped to the domain."""
@@ -116,9 +121,7 @@ class DensityProfile(PiecewiseConstant):
 
     @classmethod
     def from_function(cls, f, n_cells: int = 1024) -> "DensityProfile":
-        bp = np.linspace(0.0, 1.0, n_cells + 1)
-        mid = 0.5 * (bp[:-1] + bp[1:])
-        return cls(bp, np.asarray(f(mid), dtype=float))
+        return super().from_function(f, 0.0, 1.0, n_cells)
 
 
 class ControlSignal(PiecewiseConstant):
@@ -139,6 +142,4 @@ class ControlSignal(PiecewiseConstant):
 
     @classmethod
     def from_function(cls, f, horizon: float, n_cells: int = 1024) -> "ControlSignal":
-        bp = np.linspace(0.0, horizon, n_cells + 1)
-        mid = 0.5 * (bp[:-1] + bp[1:])
-        return cls(bp, np.asarray(f(mid), dtype=float))
+        return super().from_function(f, 0.0, horizon, n_cells)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .characteristics import CharacteristicCurve, CurveTangent, Inflow, solve_xi
 from .laws import SpeedLaw
-from .signals import ControlSignal, DensityProfile, PiecewiseConstant
+from .signals import ControlSignal, DensityProfile
 
 __all__ = ["Trajectory", "simulate"]
 
@@ -45,12 +45,6 @@ def _gauss5(edges: np.ndarray, f) -> float:
     h = np.diff(edges)
     nodes = (edges[:-1, None] + h[:, None] * _N5[None, :]).ravel()
     return float(np.sum(h * (f(nodes).reshape(-1, 5) @ _W5)))
-
-
-def _left_limit(f: PiecewiseConstant, t):
-    """f just before t (f itself is right-continuous)."""
-    i = np.searchsorted(f.breakpoints, t, side="left") - 1
-    return f.values[np.minimum(np.maximum(i, 0), f.values.size - 1)]
 
 
 def simulate(
@@ -136,17 +130,10 @@ class Trajectory:
         return out
 
     def outflux(self, t):
-        """y(t) = speed(W(t)) * rho(t, 1)."""
+        """y(t) = speed(W(t)) * rho(t, 1); the interface takes the inflow branch."""
         scalar = np.ndim(t) == 0
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        xi_t = self.xi(t)
-        rho1 = np.empty_like(t)
-        pre = xi_t <= 1.0
-        rho1[pre] = self.rho0(1.0 - xi_t[pre])
-        if np.any(~pre):
-            sigma = self.xi.inverse(xi_t[~pre] - 1.0)
-            rho1[~pre] = self.inflow.boundary_density(sigma, self.speed)
-        y = self.speed(t) * rho1
+        y = self.speed(t) * self._density(self.xi(t), 1.0)
         return float(y[0]) if scalar else y
 
     def cumulative_outflux(self, t):
@@ -279,13 +266,13 @@ class Trajectory:
         moving = levels < xi.x_end
         if np.any(moving):
             lam_tau = self.speed(tau)
-            before = np.concatenate((self.rho0(beta), _left_limit(u, tau) / lam_tau))
-            after = np.concatenate((_left_limit(self.rho0, beta), u(tau) / lam_tau))
+            before = np.concatenate((self.rho0(beta), u.left_limit(tau) / lam_tau))
+            after = np.concatenate((self.rho0.left_limit(beta), u(tau) / lam_tau))
             after[0] = u(0.0) / self.speed(0.0)  # beta = 0: the first boundary material
             entry = np.concatenate((np.zeros((beta.size, tangent.cells.size - 1)), tangent(tau)))
             e = xi.inverse(levels[moving])
             lam_e = self.speed(e)
-            f_before = (lam_e * before[moving] - _left_limit(y_d, e)) ** 2
+            f_before = (lam_e * before[moving] - y_d.left_limit(e)) ** 2
             f_after = (lam_e * after[moving] - y_d(e)) ** 2
             shift = (entry[moving] - tangent(e)) / xi.slope(e)[:, None]
             grad += (f_before - f_after) @ shift

@@ -364,7 +364,7 @@ def cli_runs(draw):
     for _ in range(draw(st.integers(0, 2))):
         target = cfg
         key = draw(st.sampled_from(sorted(cfg)))
-        if isinstance(cfg[key], dict) and draw(st.booleans()):
+        if isinstance(cfg[key], dict) and cfg[key] and draw(st.booleans()):
             target = cfg[key]
             key = draw(st.one_of(st.sampled_from(sorted(target)), st.text(max_size=3)))
         value = draw(st.one_of(JUNK, st.just(MISSING)))

@@ -93,7 +93,7 @@ class TestTimeLoop:
         expected_times, expected_outflux = [0.0], [law(march.total_mass) * march.cells[-1]]
         for k in range(times.size - 1):
             uin = u.integrate(k * dt, (k + 1) * dt) / dt
-            march = fv_step(march, law, uin, dt, cfl=1.0)
+            march = fv_step(march, law, uin, dt)
             expected_times.append(march.t)
             expected_outflux.append(law(march.total_mass) * march.cells[-1])
         assert np.array_equal(state.cells, march.cells)

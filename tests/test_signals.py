@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reflow.signals import ControlSignal, DensityProfile, PiecewiseConstant
+from reflow.signals import ControlSignal, DensityProfile, PiecewiseConstant, segment
 
 
 def overlap_integral(breakpoints, values, a, b):
@@ -122,6 +122,25 @@ class TestIntegrals:
         f = PiecewiseConstant([0.0, 0.5, 1.1, 2.0], [1.0, 3.0, 0.5])
         if a <= b:
             assert f.cumulative(a) <= f.cumulative(b) + 1e-15
+
+
+class TestLookup:
+    def test_segment_side_at_a_breakpoint(self):
+        grid = np.array([0.0, 0.5, 1.1, 2.0])
+        assert segment(grid, 0.5) == 1
+        assert segment(grid, 0.5, side="left") == 0
+        assert np.array_equal(segment(grid, [-1.0, 0.0, 2.0, 5.0]), [0, 0, 2, 2])
+        assert np.array_equal(segment(grid, [-1.0, 0.0, 2.0, 5.0], side="left"), [0, 0, 2, 2])
+
+    def test_left_limit(self):
+        f = PiecewiseConstant([0.0, 0.5, 1.1, 2.0], [1.0, 3.0, 0.5])
+        # at a breakpoint: the cell before it, while f itself takes the cell after
+        assert f.left_limit(0.5) == 1.0 and f(0.5) == 3.0
+        assert f.left_limit(1.1) == 3.0 and f(1.1) == 0.5
+        x = np.array([0.2, 0.7, 1.5, 1.99])
+        assert np.array_equal(f.left_limit(x), f(x))
+        # clamped below and above the domain
+        assert np.array_equal(f.left_limit([-1.0, 0.0, 2.0, 3.0]), [1.0, 1.0, 0.5, 0.5])
 
 
 class TestHelpers:

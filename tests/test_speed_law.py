@@ -22,6 +22,8 @@ class TestReciprocal:
         assert lam_lo == pytest.approx(0.25)
         assert lam_hi == 1.0
         assert d == 1.0
+        for M in (0.0, 0.37, 3.0):
+            assert law.bounds(M)[:2] == (law(M), law(0.0))
 
     def test_bounds_reject_negative_mass(self):
         with pytest.raises(ValueError):
@@ -55,6 +57,9 @@ class TestTabulated:
             g, v = law.grid, law.grid_values
             slopes = np.abs(np.diff(v) / np.diff(g))[g[:-1] < M]
             assert d >= np.max(slopes, initial=0.0)
+            # non-increasing law: the speed bounds are the end values, also
+            # for an M strictly between knots (0.17, 1.3, 4.99)
+            assert (lam_lo, lam_hi) == (law(M), law(0.0))
 
     def test_rejects_bad_tables(self):
         with pytest.raises(ValueError, match="increasing"):

@@ -96,6 +96,15 @@ class TestFluxes:
         err[np.abs(t - step_fill.exit_time) < 5e-3] = 0.0
         assert np.max(err) <= 1e-9
 
+    @pytest.mark.parametrize("inflow", [dict(u=ControlSignal.constant(1.0, 4.0)),
+                                        dict(boundary_density=ControlSignal.constant(2.0, 4.0))])
+    def test_outflux_at_exit_takes_the_inflow_branch(self, inflow):
+        # at the exit instant x = 1 is the interface; the outflux reads the
+        # same density there as every slice does
+        traj = simulate(DensityProfile.constant(1.0), reciprocal(), 4.0, **inflow)
+        t = traj.exit_time
+        assert traj.outflux(t) == traj.speed(t) * traj.rho_at(t, 1.0)
+
     def test_backlog_against_hand_integral(self, step_fill):
         # demand 0.5 (old equilibrium outflux) up to t: backlog =
         # 0.5 t - integral of the outflux, evaluated exactly
