@@ -47,13 +47,13 @@ class SpeedLaw:
 
     def __call__(self, W):
         """Speed at total mass ``W``; constant extension for W < 0."""
-        W = np.asarray(W, dtype=float)
-        Wc = np.maximum(W, 0.0)
+        # a float skips the array round trip: fv_solve asks twice per step
+        Wc = max(W, 0.0) if isinstance(W, float) else np.maximum(np.asarray(W, float), 0.0)
         if self.kind == RECIPROCAL:
             out = 1.0 / (1.0 + Wc)
         else:
             out = np.interp(Wc, self.grid, self.grid_values)
-        return float(out) if W.ndim == 0 else out
+        return out if isinstance(out, np.ndarray) else float(out)
 
     def slope(self, W):
         """Derivative of the speed in W, from the right: 0 below W = 0 and,

@@ -68,12 +68,14 @@ class PiecewiseConstant:
         return self.values[segment(self.breakpoints, x, side="left")]
 
     def cumulative(self, x):
-        """Exact integral from the left end of the domain to ``x`` (clamped)."""
-        x = np.asarray(x, dtype=float)
-        xc = np.minimum(np.maximum(x, self.breakpoints[0]), self.breakpoints[-1])
-        idx = segment(self.breakpoints, xc)
-        out = self._cum[idx] + (xc - self.breakpoints[idx]) * self.values[idx]
-        return float(out) if x.ndim == 0 else out
+        """Exact integral from the left end of the domain to ``x`` (clamped).
+
+        The integral of a step function is the piecewise-linear interpolant of
+        its prefix sums, so one ``np.interp`` gives it, exactly at every
+        breakpoint and constant outside the domain.
+        """
+        out = np.interp(x, self.breakpoints, self._cum)
+        return out if isinstance(out, np.ndarray) else float(out)
 
     def integrate(self, a: float, b: float) -> float:
         """Exact integral over ``[a, b]``; endpoints are clamped to the domain."""

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+import reflow.fv as fv
 import reflow.transport as transport
 from reflow.laws import reciprocal
 from reflow.signals import ControlSignal, DensityProfile
@@ -38,6 +39,19 @@ def test_tracer_wraps_a_simulate_and_restores_every_name(monkeypatch):
     assert tracer.counted("characteristics.knots", None, {0}) == traj.xi.times.size
     assert tracer.counted("signals.cumulative", "characteristics", {0}) > 0
     assert tracer.counted("laws.bounds", "characteristics", {0}) > 0
+
+
+def test_tracer_counts_one_fv_step_per_march_step(monkeypatch):
+    # fv.steps_per_op counts the march's calls of fv_step through its module name
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    rho0 = DensityProfile([0.0, 0.5, 1.0], [1.0, 0.5])
+    u = ControlSignal([0.0, 1.0, 2.0], [0.8, 0.2])
+    tracer = spans.Tracer()
+    with tracer.installed(), tracer.op(0):
+        _, times, _ = fv.fv_solve(rho0, reciprocal(), u, 2.0, n_cells=300)
+    assert tracer.counted("fv.step", None, {0}) == times.size - 1 > 0
 
 
 def test_layer_probes_run_and_read_positive(monkeypatch):

@@ -96,6 +96,37 @@ class TestIntegrals:
             expected = overlap_integral(f.breakpoints, f.values, pts[0], pts[1])
             assert abs(f.integrate(pts[0], pts[1]) - expected) <= 1e-10
 
+    def test_cumulative_is_exact_at_every_breakpoint(self, random_steps):
+        for f in random_steps:
+            prefix = np.concatenate(([0.0], np.cumsum(f.values * np.diff(f.breakpoints))))
+            assert np.array_equal(f.cumulative(f.breakpoints), prefix)
+            assert np.array_equal([f.cumulative(b) for b in f.breakpoints], prefix)
+
+    def test_cumulative_clamps_to_zero_and_total_mass(self, random_steps):
+        for f in random_steps:
+            a0, b0 = f.domain
+            below = f.cumulative([a0 - 1.0, -np.inf, a0])
+            above = f.cumulative([b0 + 1e-9, np.inf, 2.0 * b0 + 1.0])
+            assert np.array_equal(below, [0.0, 0.0, 0.0])
+            assert np.array_equal(above, [f.total_mass] * 3)
+
+    def test_cumulative_of_a_scalar_is_a_float(self):
+        f = PiecewiseConstant([0.0, 0.5, 2.0], [1.0, 3.0])
+        for x in (0.7, np.float64(0.7), 1, np.array(0.7), -1.0, 5.0):
+            assert type(f.cumulative(x)) is float
+        assert isinstance(f.cumulative([0.7]), np.ndarray)
+
+    def test_cumulative_matches_the_cell_formula_to_a_few_ulp(self, random_steps):
+        # the cell-by-cell formula cum[i] + (x - bp[i]) * values[i] is the oracle
+        rng = np.random.default_rng(9)
+        for f in random_steps:
+            bp, v = f.breakpoints, f.values
+            cum = np.concatenate(([0.0], np.cumsum(v * np.diff(bp))))
+            x = rng.uniform(*f.domain, 200)
+            i = np.searchsorted(bp, x, side="right") - 1
+            expected = cum[i] + (x - bp[i]) * v[i]
+            assert np.all(np.abs(f.cumulative(x) - expected) <= 4 * np.spacing(expected))
+
     def test_integrate_rejects_reversed_interval(self):
         f = PiecewiseConstant([0.0, 1.0], [1.0])
         with pytest.raises(ValueError, match="a <= b"):

@@ -101,3 +101,13 @@ class TestSlope:
         W = np.array([2.0, 2.5, 10.0])
         assert np.all(law.slope(W) == 0.0)
         assert np.allclose(self.forward_difference(law, W), 0.0)
+
+
+@pytest.mark.parametrize("law", [reciprocal(), tabulated([0.0, 1.0, 4.0], [1.0, 0.6, 0.2])])
+def test_a_float_gives_the_array_value_bit_for_bit(law):
+    # floats take a path of their own, without the array round trip
+    W = np.concatenate((np.linspace(-1.0, 6.0, 141), [0.0, -0.0, 1.0, 4.0]))
+    by_float = [law(float(w)) for w in W]
+    assert all(type(v) is float for v in by_float)
+    assert np.array_equal(by_float, law(W))
+    assert [law(np.float64(w)) for w in W] == by_float == [law(np.array(w)) for w in W]
