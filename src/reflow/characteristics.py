@@ -65,80 +65,6 @@ class SolverError(RuntimeError):
     """Fixed-point iteration failed to converge, or a curve failed to invert."""
 
 
-# ---------------------------------------------------------------------------
-# cubic Hermite evaluation on knot arrays (vectorized, no scipy dependency)
-# ---------------------------------------------------------------------------
-
-def _locate(ts, t):
-    """Segment index, width and offset in [0, 1] of each t, clamped to the knots."""
-    idx = segment(ts, t)
-    h = ts[idx + 1] - ts[idx]
-    th = (np.minimum(np.maximum(t, ts[0]), ts[-1]) - ts[idx]) / h
-    return idx, h, th
-
-
-def _hermite_value(ts, xs, ss, t):
-    t = np.asarray(t, dtype=float)
-    if ts.size == 1:
-        return np.full(t.shape, xs[0])
-    idx, h, th = _locate(ts, t)
-    t2 = th * th
-    t3 = t2 * th
-    return (
-        (2 * t3 - 3 * t2 + 1) * xs[idx]
-        + (t3 - 2 * t2 + th) * h * ss[idx]
-        + (-2 * t3 + 3 * t2) * xs[idx + 1]
-        + (t3 - t2) * h * ss[idx + 1]
-    )
-
-
-def _hermite_slope(ts, xs, ss, t):
-    t = np.asarray(t, dtype=float)
-    if ts.size == 1:
-        return np.full(t.shape, ss[0])
-    idx, h, th = _locate(ts, t)
-    t2 = th * th
-    return (
-        (6 * t2 - 6 * th) * (xs[idx] - xs[idx + 1]) / h
-        + (3 * t2 - 4 * th + 1) * ss[idx]
-        + (3 * t2 - 2 * th) * ss[idx + 1]
-    )
-
-
-def _invert_monotone(ts, xs, ss, x):
-    """Times where the increasing Hermite curve equals ``x`` (vectorized).
-
-    Each target is located once on ``xs``; Newton then runs on that segment's
-    cubic with the segment held fixed. A point Newton leaves unresolved raises
-    SolverError naming its segment.
-    """
-    x = np.asarray(x, dtype=float)
-    if ts.size == 1:
-        return np.full(x.shape, ts[0])
-    idx = segment(xs, x)
-    h = ts[idx + 1] - ts[idx]
-    # the segment cubic x0 + th (c1 + th (c2 + th c3)) in the offset th
-    x0, x1 = xs[idx], xs[idx + 1]
-    c1, m1 = h * ss[idx], h * ss[idx + 1]
-    c2 = 3 * (x1 - x0) - 2 * c1 - m1
-    c3 = 2 * (x0 - x1) + c1 + m1
-    r = x0 - x
-    th = np.minimum(np.maximum(-r / (x1 - x0), 0.0), 1.0)
-    for _ in range(60):
-        f = r + th * (c1 + th * (c2 + th * c3))
-        d = c1 + th * (2 * c2 + 3 * c3 * th)
-        step = f / np.maximum(d, 1e-300)
-        th = np.minimum(np.maximum(th - step, 0.0), 1.0)
-        if np.max(np.abs(step) * h, initial=0.0) <= _NEWTON_TOL:  # initial: x may be empty
-            break
-    f = r + th * (c1 + th * (c2 + th * c3))
-    bad = np.abs(f) > 1e-11 * max(1.0, xs[-1])
-    if np.any(bad):
-        i = np.ravel(idx)[np.argmax(bad)]
-        raise SolverError(f"Newton inversion unresolved on segment [{ts[i]:g}, {ts[i + 1]:g}]")
-    return ts[idx] + h * th
-
-
 @dataclass(frozen=True)
 class CharacteristicCurve:
     """Strictly increasing curve given by knot times, values and slopes.
@@ -158,9 +84,10 @@ class CharacteristicCurve:
         ss = np.asarray(self.slopes, dtype=float)
         if not (ts.shape == xs.shape == ss.shape) or ts.ndim != 1 or ts.size < 1:
             raise ValueError("knot arrays must share a 1-D shape of length >= 1")
-        if np.any(np.diff(ts) <= 0) or np.any(np.diff(xs) <= 0):
+        # slice comparisons: every solver iterate is checked, so the cost shows
+        if (ts[1:] <= ts[:-1]).any() or (xs[1:] <= xs[:-1]).any():
             raise ValueError("knot times and values must be strictly increasing")
-        if np.any(ss <= 0):
+        if (ss <= 0).any():
             raise ValueError("knot slopes must be positive")
         object.__setattr__(self, "times", ts)
         object.__setattr__(self, "values", xs)
@@ -174,22 +101,76 @@ class CharacteristicCurve:
     def x_end(self) -> float:
         return float(self.values[-1])
 
+    def _locate(self, t):
+        """Segment index, width and offset in [0, 1] of each t, clamped to the knots."""
+        ts = self.times
+        idx = segment(ts, t)
+        h = ts[idx + 1] - ts[idx]
+        th = (np.minimum(np.maximum(t, ts[0]), ts[-1]) - ts[idx]) / h
+        return idx, h, th
+
     def __call__(self, t):
-        out = _hermite_value(self.times, self.values, self.slopes, t)
-        return float(out) if np.ndim(t) == 0 else out
+        t = np.asarray(t, dtype=float)
+        xs, ss = self.values, self.slopes
+        if xs.size == 1:
+            out = np.full(t.shape, xs[0])
+        else:
+            idx, h, th = self._locate(t)
+            t2 = th * th
+            t3 = t2 * th
+            out = ((2 * t3 - 3 * t2 + 1) * xs[idx] + (t3 - 2 * t2 + th) * h * ss[idx]
+                   + (-2 * t3 + 3 * t2) * xs[idx + 1] + (t3 - t2) * h * ss[idx + 1])
+        return float(out) if t.ndim == 0 else out
 
     def slope(self, t):
-        out = _hermite_slope(self.times, self.values, self.slopes, t)
-        return float(out) if np.ndim(t) == 0 else out
+        t = np.asarray(t, dtype=float)
+        xs, ss = self.values, self.slopes
+        if xs.size == 1:
+            out = np.full(t.shape, ss[0])
+        else:
+            idx, h, th = self._locate(t)
+            t2 = th * th
+            out = ((6 * t2 - 6 * th) * (xs[idx] - xs[idx + 1]) / h
+                   + (3 * t2 - 4 * th + 1) * ss[idx] + (3 * t2 - 2 * th) * ss[idx + 1])
+        return float(out) if t.ndim == 0 else out
 
     def inverse(self, x):
-        """Unique t with curve(t) = x, for x in [curve(0), curve(T)]."""
-        xa = np.asarray(x, dtype=float)
-        if np.any(xa < self.values[0] - 1e-12) or np.any(xa > self.values[-1] + 1e-12):
-            raise ValueError(f"positions [{xa.min():g}, {xa.max():g}] outside curve range "
-                             f"[{self.values[0]:g}, {self.values[-1]:g}]")
-        out = _invert_monotone(self.times, self.values, self.slopes, xa)
-        return float(out) if np.ndim(x) == 0 else np.asarray(out)
+        """Unique t with curve(t) = x, for x in [curve(0), curve(T)].
+
+        Each target is located once on the values; Newton then runs on that
+        segment's cubic with the segment held fixed. A point Newton leaves
+        unresolved raises SolverError naming its segment.
+        """
+        x = np.asarray(x, dtype=float)
+        ts, xs, ss = self.times, self.values, self.slopes
+        if (x < xs[0] - 1e-12).any() or (x > xs[-1] + 1e-12).any():
+            raise ValueError(f"positions [{x.min():g}, {x.max():g}] outside curve range "
+                             f"[{xs[0]:g}, {xs[-1]:g}]")
+        if ts.size == 1:
+            return float(ts[0]) if x.ndim == 0 else np.full(x.shape, ts[0])
+        idx = segment(xs, x)
+        h = ts[idx + 1] - ts[idx]
+        # the segment cubic x0 + th (c1 + th (c2 + th c3)) in the offset th
+        x0, x1 = xs[idx], xs[idx + 1]
+        c1, m1 = h * ss[idx], h * ss[idx + 1]
+        c2 = 3 * (x1 - x0) - 2 * c1 - m1
+        c3 = 2 * (x0 - x1) + c1 + m1
+        r = x0 - x
+        th = np.minimum(np.maximum(-r / (x1 - x0), 0.0), 1.0)
+        for _ in range(60):
+            f = r + th * (c1 + th * (c2 + th * c3))
+            d = c1 + th * (2 * c2 + 3 * c3 * th)
+            step = f / np.maximum(d, 1e-300)
+            th = np.minimum(np.maximum(th - step, 0.0), 1.0)
+            if np.max(np.abs(step) * h, initial=0.0) <= _NEWTON_TOL:  # initial: x may be empty
+                break
+        f = r + th * (c1 + th * (c2 + th * c3))
+        bad = np.abs(f) > 1e-11 * max(1.0, xs[-1])
+        if np.any(bad):
+            i = np.ravel(idx)[np.argmax(bad)]
+            raise SolverError(f"Newton inversion unresolved on segment [{ts[i]:g}, {ts[i + 1]:g}]")
+        out = ts[idx] + h * th
+        return float(out) if x.ndim == 0 else out
 
     def with_exits(self, times) -> np.ndarray:
         """Sorted ``times`` and every later time at which a particle that
@@ -368,6 +349,13 @@ class DensityInflow(Inflow):
 # window machinery
 # ---------------------------------------------------------------------------
 
+def _knot_count(n) -> int:
+    """``knots_per_window`` as an int; ValueError unless a whole number >= 1."""
+    if isinstance(n, bool) or not (n >= 1 and float(n).is_integer()):
+        raise ValueError(f"knots_per_window must be a whole number >= 1, got {n!r}")
+    return int(n)
+
+
 def _window_knots(inflow, rho0, prefix, t_a, t_b, n_uniform):
     """Knot grid of the window [t_a, t_b] as a function of a candidate curve.
 
@@ -388,9 +376,9 @@ def _window_knots(inflow, rho0, prefix, t_a, t_b, n_uniform):
 
     def knots(cand, kinks=()):
         extra = fixed + [kinks]
-        levels = all_levels[(all_levels > cand[1][0]) & (all_levels < cand[1][-1])]
+        levels = all_levels[(all_levels > cand.values[0]) & (all_levels < cand.x_end)]
         if levels.size:
-            extra.append(np.atleast_1d(_invert_monotone(*cand, levels)))
+            extra.append(cand.inverse(levels))
         grid = np.unique(np.concatenate(extra))  # t_a first: the uniform grid holds it
         grid = grid[(grid >= t_a) & (grid < t_b - res)]
         return np.append(grid[np.concatenate(([True], np.diff(grid) > res))], t_b)
@@ -403,19 +391,13 @@ def _integrate_window(inflow, rho0, law, prefix, cand, knots):
 
     Returns (values, slopes, W at knots) of the mapped curve.
     """
-    ts, xs, ss = cand
-    x_a = _hermite_value(ts, xs, ss, knots[0])
+    x_a = cand(knots[0])
     h = np.diff(knots)
     nodes = (knots[:-1, None] + h[:, None] * _G3_NODES[None, :]).ravel()
-    xi_nodes = _hermite_value(ts, xs, ss, nodes)
+    xi_nodes = cand(nodes)
 
     def xi_of(t):
-        t = np.asarray(t, dtype=float)
-        below = t <= prefix.t_end
-        out = np.empty_like(t)
-        out[below] = prefix(t[below])
-        out[~below] = _hermite_value(ts, xs, ss, np.minimum(t[~below], ts[-1]))
-        return out
+        return np.where(t <= prefix.t_end, prefix(t), cand(t))
 
     B = inflow.boundary_mass(prefix, xi_of)
     W_nodes = inflow.mass(rho0, nodes, xi_nodes, B)
@@ -435,23 +417,20 @@ def _solve_window(inflow, rho0, law, prefix, t_a, t_b, tol, n_uniform, trial=Fal
     """
     x_a = prefix.x_end
     s_a = prefix.slopes[-1]
-    cand = (
-        np.array([t_a, t_b]),
-        np.array([x_a, x_a + s_a * (t_b - t_a)]),
-        np.array([s_a, s_a]),
-    )
+    cand = CharacteristicCurve(np.array([t_a, t_b]), np.array([x_a, x_a + s_a * (t_b - t_a)]),
+                               np.array([s_a, s_a]))
     window_knots = _window_knots(inflow, rho0, prefix, t_a, t_b, n_uniform)
     resid = np.inf
     kinks = ()  # unknown until W is known on a candidate
     for _ in range(_MAX_ITER):
         knots = window_knots(cand, kinks)
-        old = _hermite_value(cand[0], cand[1], cand[2], knots)
+        old = cand(knots)
         values, slopes, W = _integrate_window(inflow, rho0, law, prefix, cand, knots)
         new_resid = float(np.max(np.abs(values - old)))
         if trial and new_resid > 0.5 * resid:
             return None
         resid = new_resid
-        cand = (knots, values, slopes)
+        cand = CharacteristicCurve(knots, values, slopes)
         kinks = law.kink_times(knots, W)
         if resid <= 0.5 * tol:
             return cand
@@ -503,6 +482,7 @@ def solve_xi(
         raise ValueError(f"horizon must be positive, got T={T}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got tol={tol}")
+    knots_per_window = _knot_count(knots_per_window)
     if inflow.signal.horizon < T - 1e-12:
         raise ValueError(f"{inflow.what} horizon {inflow.signal.horizon} shorter than T={T}")
 
@@ -534,7 +514,7 @@ def solve_xi(
             delta = _choose_window(inflow, rho0, bounds, prefix, T)
             window = _solve_window(inflow, rho0, law, prefix, t_a, min(t_a + delta, T),
                                    tol, knots_per_window)
-        knots, values, slopes = window
+        knots, values, slopes = window.times, window.values, window.slopes
         last = knots[-1] - t_a
         ts = np.concatenate((ts, knots[1:]))
         xs = np.concatenate((xs, values[1:]))
@@ -669,7 +649,6 @@ def apply_F(
     if t_b > xi.t_end + 1e-12:
         raise ValueError(f"window end {t_b} exceeds curve domain {xi.t_end}")
     inflow = FluxInflow(u)
-    cand = (xi.times, xi.values, xi.slopes)
-    knots = _window_knots(inflow, rho0, xi, t_a, t_b, knots_per_window)(cand)
-    values, slopes, _ = _integrate_window(inflow, rho0, law, xi, cand, knots)
+    knots = _window_knots(inflow, rho0, xi, t_a, t_b, _knot_count(knots_per_window))(xi)
+    values, slopes, _ = _integrate_window(inflow, rho0, law, xi, xi, knots)
     return CharacteristicCurve(knots, values, slopes)

@@ -156,7 +156,7 @@ def _build_trajectory(cfg: dict, tol: float | None):
     T = _get(cfg, "horizon")
     return run_simulation(rho0, law, T, **_inflow_from(cfg, ROOT, T),
                           tol=tol if tol is not None else _get(cfg, "tol", default=1e-10),
-                          knots_per_window=_get(cfg, "knots_per_window", ROOT, _count(), 256))
+                          knots_per_window=_get(cfg, "knots_per_window", ROOT, _count(1), 256))
 
 
 def _fail(kind: str, err: Exception, code: int):

@@ -81,17 +81,30 @@ class Trajectory:
 
     # -- influx bookkeeping ----------------------------------------------
 
+    def _times(self, t) -> np.ndarray:
+        """``t`` as a 1-D float array; a time outside [0, T] raises ValueError,
+        since the curve and the influx would be clamped there differently."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        eps = 1e-12 * max(1.0, self.horizon)
+        if not np.all((t >= -eps) & (t <= self.horizon + eps)):  # also rejects NaN
+            raise ValueError(f"times must lie in [0, {self.horizon:g}], got "
+                             f"[{np.min(t):g}, {np.max(t):g}]")
+        return t
+
     def speed(self, t):
         """Transport speed lambda(W(t))."""
         return self.law(self.total_mass(t))
 
     def influx(self, t):
         """The influx u(t); derived from the boundary density when prescribed."""
-        return self.inflow.influx(t, self.speed)
+        u = self.inflow.influx(self._times(t), self.speed)
+        return float(u[0]) if np.ndim(t) == 0 else u
 
     def cumulative_influx(self, t):
         """Mass that entered through x = 0 by time t."""
-        return self.inflow.entered(t, self.xi(t), self.boundary_mass)
+        ts = self._times(t)
+        E = self.inflow.entered(ts, self.xi(ts), self.boundary_mass)
+        return float(E[0]) if np.ndim(t) == 0 else E
 
     @property
     def exit_time(self) -> float | None:
@@ -104,10 +117,9 @@ class Trajectory:
 
     def total_mass(self, t):
         """W(t), the mass currently inside [0, 1]."""
-        scalar = np.ndim(t) == 0
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        W = self.inflow.mass(self.rho0, t, self.xi(t), self.boundary_mass)
-        return float(W[0]) if scalar else np.asarray(W)
+        ts = self._times(t)
+        W = self.inflow.mass(self.rho0, ts, self.xi(ts), self.boundary_mass)
+        return float(W[0]) if np.ndim(t) == 0 else W
 
     def rho_at(self, t: float, x: float) -> float:
         """Density at (t, x); the interface x = xi(t) takes the inflow branch."""
@@ -115,7 +127,7 @@ class Trajectory:
 
     def slice_values(self, t: float, x) -> np.ndarray:
         """Density profile at time t evaluated on an array of positions."""
-        return self._density(self.xi(t), np.atleast_1d(np.asarray(x, dtype=float)))
+        return self._density(self.xi(self._times(t)), np.atleast_1d(np.asarray(x, dtype=float)))
 
     def _density(self, xi_t, x) -> np.ndarray:
         """Density at positions x where the curve is at xi_t (broadcast
@@ -131,23 +143,20 @@ class Trajectory:
 
     def outflux(self, t):
         """y(t) = speed(W(t)) * rho(t, 1); the interface takes the inflow branch."""
-        scalar = np.ndim(t) == 0
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        y = self.speed(t) * self._density(self.xi(t), 1.0)
-        return float(y[0]) if scalar else y
+        ts = self._times(t)
+        y = self.speed(ts) * self._density(self.xi(ts), 1.0)
+        return float(y[0]) if np.ndim(t) == 0 else y
 
     def cumulative_outflux(self, t):
         """Exact accumulated outflux: mass that has left through x = 1."""
-        scalar = np.ndim(t) == 0
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        xi_t = np.asarray(self.xi(t), dtype=float)
-        from_init = self.rho0.total_mass - np.atleast_1d(self.rho0.cumulative(1.0 - xi_t))
+        xi_t = self.xi(self._times(t))
+        from_init = self.rho0.total_mass - self.rho0.cumulative(1.0 - xi_t)
         from_boundary = np.zeros_like(xi_t)
         post = xi_t > 1.0
         if np.any(post):
             from_boundary[post] = self.boundary_mass(xi_t[post] - 1.0)
         out = from_init + from_boundary
-        return float(out[0]) if scalar else np.asarray(out)
+        return float(out[0]) if np.ndim(t) == 0 else out
 
     def w_derivative(self, t):
         """W'(t) = u(t) - y(t); one-sided values at data breakpoints."""

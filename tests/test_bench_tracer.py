@@ -41,6 +41,26 @@ def test_tracer_wraps_a_simulate_and_restores_every_name(monkeypatch):
     assert tracer.counted("laws.bounds", "characteristics", {0}) > 0
 
 
+def test_traced_simulate_returns_the_untraced_curve(monkeypatch):
+    # the solver's own candidate curves run through the class-level wrappers
+    # of CharacteristicCurve; tracing must not change a single bit
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    rho0 = DensityProfile([0.0, 0.5, 1.0], [1.0, 0.5])
+    u = ControlSignal([0.0, 1.0, 2.0], [0.8, 0.2])
+    b = ControlSignal([0.0, 0.3, 2.0], [0.4, 1.5])
+    runs = [dict(u=u), dict(boundary_density=b)]
+    bare = [transport.simulate(rho0, reciprocal(), 2.0, **kw).xi for kw in runs]
+    tracer = spans.Tracer()
+    with tracer.installed(), tracer.op(0):
+        traced = [transport.simulate(rho0, reciprocal(), 2.0, **kw).xi for kw in runs]
+    assert tracer.counted("characteristics.solves", None, {0}) == 2
+    for x, y in zip(bare, traced):
+        for name in ("times", "values", "slopes"):
+            assert np.array_equal(getattr(x, name), getattr(y, name))
+
+
 def test_tracer_counts_one_fv_step_per_march_step(monkeypatch):
     # fv.steps_per_op counts the march's calls of fv_step through its module name
     monkeypatch.syspath_prepend(str(PERFBENCH))

@@ -374,6 +374,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="tol must be positive"):
             solve_xi(u, DensityProfile.constant(1.0), reciprocal(), 1.0, tol=float("nan"))
 
+    @pytest.mark.parametrize("n", [-1, 0, True, 2.5, float("nan")])
+    def test_rejects_knots_per_window_that_is_not_a_whole_count(self, n):
+        # -1 used to fail in the knot merge, 0 gave the grid of 1, True was 1
+        u, rho0 = ControlSignal.constant(1.0, 1.0), DensityProfile.constant(1.0)
+        with pytest.raises(ValueError, match="knots_per_window must be a whole number"):
+            solve_xi(u, rho0, reciprocal(), 1.0, knots_per_window=n)
+        xi = solve_xi(u, rho0, reciprocal(), 1.0)
+        with pytest.raises(ValueError, match="knots_per_window must be a whole number"):
+            apply_F(xi, u, rho0, reciprocal(), (0.2, 0.4), knots_per_window=n)
+
     def test_horizon_below_end_tolerance_keeps_the_start_knot(self):
         # no window runs; the curve must still pass through (0, 0)
         u, rho0, T = ControlSignal.constant(1.0, 1.0), DensityProfile.constant(1.0), 5e-13

@@ -145,6 +145,18 @@ class TestVerify:
         assert cert["satisfied"]
         assert abs(cert["slack"]) <= 1e-6
 
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_tol_that_is_not_finite_and_nonnegative_exits_2(self, runner, tmp_path, tol):
+        # --tol is the certificate tolerance here; it used to exit 0, unsatisfied
+        cfg = write_config(tmp_path / "c.yaml", {"verify": {
+            "rho_lo": 1.0, "rho_hi": 2.0, "horizon": 2.5,
+            "boundary_density": {"constant": 2.0},
+        }})
+        res = runner.invoke(main, ["verify", "--config", cfg, "--out", str(tmp_path / "o"),
+                                   "--tol", tol])
+        assert res.exit_code == 2, res.output
+        assert "tol must be finite and nonnegative" in json.loads(res.output)["message"]
+
 
 class TestCrosscheck:
     def test_error_table_shrinks_with_refinement(self, runner, tmp_path):
@@ -248,6 +260,8 @@ OPT_CFG = {
     ("optimize", dict(OPT_CFG, optimize={"grad_tol": float("nan")}), "optimize.grad_tol"),
     ("optimize", dict(OPT_CFG, optimize={"grad_tol": -1.0}), "optimize.grad_tol"),
     ("optimize", dict(OPT_CFG, optimize={"grad_tol": float("inf")}), "optimize.grad_tol"),
+    # 0 knots per window used to give the grid of 1
+    ("simulate", dict(SIM_CFG, knots_per_window=0), "knots_per_window"),
 ])
 def test_invalid_count_exits_2_with_field_path(runner, tmp_path, command, cfg, field):
     path = write_config(tmp_path / "c.yaml", cfg)

@@ -148,6 +148,18 @@ class TestCertificate:
             check_lower_bound(None, lo, hi, 1.0,
                               boundary_density=ControlSignal.constant(hi, 1.0))
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+    def test_rejects_tol_that_is_not_finite_and_nonnegative(self, tol):
+        # a NaN or negative tol used to certify nothing: satisfied false, slack 0
+        lo, hi = 1.0, 2.0
+        T = minimal_time(TransferScenario(lo, hi))
+        b = ControlSignal.constant(hi, T)
+        with pytest.raises(ValueError, match="tol"):
+            check_lower_bound(None, lo, hi, T, boundary_density=b, tol=tol)
+        traj = simulate(DensityProfile.constant(lo), reciprocal(), T, boundary_density=b)
+        with pytest.raises(ValueError, match="tol"):
+            certify_trajectory(traj, lo, hi, tol=tol)
+
     def test_rejects_equal_equilibria(self):
         traj = simulate(DensityProfile.constant(1.0), reciprocal(), 1.0,
                         u=ControlSignal.constant(0.5, 1.0))

@@ -115,6 +115,21 @@ class TestFluxes:
         with pytest.raises(ValueError, match="horizon"):
             step_fill.backlog(y_d, 3.0)
 
+    @pytest.mark.parametrize("t", [1.5, -0.1, float("nan"), np.array([0.5, 1.5])])
+    def test_observables_reject_times_outside_the_horizon(self, t):
+        # the curve is clamped at T but the influx is not: total_mass(1.5) read
+        # 1.7269 where a solve to 1.5 gives 1.6235
+        traj = simulate(DensityProfile.constant(0.5), reciprocal(), 1.0,
+                        u=ControlSignal.constant(1.0, 2.0))
+        for observable in (traj.total_mass, traj.outflux, traj.cumulative_outflux,
+                           traj.cumulative_influx, traj.influx, traj.speed,
+                           lambda t: traj.slice_values(t, [0.5])):
+            with pytest.raises(ValueError, match="times must lie in"):
+                observable(t)
+        eps = 1e-13  # within the end tolerance 1e-12 max(1, T)
+        assert traj.total_mass(1.0 + eps) == pytest.approx(traj.total_mass(1.0), abs=1e-12)
+        assert traj.total_mass(-eps) == pytest.approx(traj.total_mass(0.0), abs=1e-12)
+
     def test_nan_horizon_rejected(self):
         u = ControlSignal.constant(0.5, 2.0)
         with pytest.raises(ValueError, match="horizon must be positive"):
