@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .laws import SpeedLaw
-from .signals import ControlSignal, DensityProfile, PiecewiseConstant, segment
+from .rules import count, covers, finite_positive
+from .signals import ControlSignal, DensityProfile, segment
 
 __all__ = ["CharacteristicCurve", "CurveTangent", "DensityInflow", "FluxInflow", "Inflow",
            "SolverError", "apply_F", "solve_xi"]
@@ -310,13 +311,11 @@ class DensityInflow(Inflow):
     what = "boundary-density"
 
     def boundary_mass(self, prefix, xi_of=None):
-        # breakpoints of b mapped to positions; cells the curve has not
-        # crossed yet have zero width and are dropped
+        # breakpoints of b mapped to positions; a cell the curve has not crossed
+        # yet has zero width and adds exactly 0; np.interp takes repeated abscissae
         z = np.maximum.accumulate((prefix if xi_of is None else xi_of)(self.signal.breakpoints))
-        keep = np.diff(z) > 0
-        steps = PiecewiseConstant(np.concatenate((z[:1], z[1:][keep])),
-                                  self.signal.values[keep])
-        return steps.cumulative
+        mass = np.concatenate(([0.0], np.cumsum(self.signal.values * np.diff(z))))
+        return lambda x: np.interp(x, z, mass)
 
     def entered(self, s, xi_s, B):
         return B(xi_s)
@@ -348,13 +347,6 @@ class DensityInflow(Inflow):
 # ---------------------------------------------------------------------------
 # window machinery
 # ---------------------------------------------------------------------------
-
-def _knot_count(n) -> int:
-    """``knots_per_window`` as an int; ValueError unless a whole number >= 1."""
-    if isinstance(n, bool) or not (n >= 1 and float(n).is_integer()):
-        raise ValueError(f"knots_per_window must be a whole number >= 1, got {n!r}")
-    return int(n)
-
 
 def _window_knots(inflow, rho0, prefix, t_a, t_b, n_uniform):
     """Knot grid of the window [t_a, t_b] as a function of a candidate curve.
@@ -478,13 +470,10 @@ def solve_xi(
     """
     if isinstance(inflow, ControlSignal):
         inflow = FluxInflow(inflow)
-    if not T > 0:  # also rejects NaN
-        raise ValueError(f"horizon must be positive, got T={T}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got tol={tol}")
-    knots_per_window = _knot_count(knots_per_window)
-    if inflow.signal.horizon < T - 1e-12:
-        raise ValueError(f"{inflow.what} horizon {inflow.signal.horizon} shorter than T={T}")
+    T = finite_positive(T, "horizon")
+    tol = finite_positive(tol, "tol")
+    knots_per_window = count(knots_per_window, "knots_per_window")
+    covers(inflow.signal, T, inflow.what)
 
     M = inflow.mass_bound(rho0, law)
     W0 = rho0.total_mass
@@ -644,11 +633,11 @@ def apply_F(
     t_a, t_b = float(window[0]), float(window[1])
     if not (0.0 <= t_a < t_b):
         raise ValueError(f"invalid window [{t_a}, {t_b}]")
-    if t_b > u.horizon + 1e-12:
-        raise ValueError(f"window end {t_b} exceeds control horizon {u.horizon}")
+    covers(u, t_b, "control")
     if t_b > xi.t_end + 1e-12:
         raise ValueError(f"window end {t_b} exceeds curve domain {xi.t_end}")
+    knots_per_window = count(knots_per_window, "knots_per_window")
     inflow = FluxInflow(u)
-    knots = _window_knots(inflow, rho0, xi, t_a, t_b, _knot_count(knots_per_window))(xi)
+    knots = _window_knots(inflow, rho0, xi, t_a, t_b, knots_per_window)(xi)
     values, slopes, _ = _integrate_window(inflow, rho0, law, xi, xi, knots)
     return CharacteristicCurve(knots, values, slopes)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import click
@@ -22,6 +23,7 @@ import yaml
 from .characteristics import SolverError
 from .fv import fv_solve
 from .laws import SpeedLaw, reciprocal, tabulated
+from .rules import count, covers, finite_nonnegative, finite_positive, number
 from .signals import ControlSignal, DensityProfile
 from .tracking import TrackingProblem, minimize
 from .transfer import (TransferScenario, check_lower_bound,
@@ -31,6 +33,7 @@ from .transport import simulate as run_simulation
 
 ROOT = "<root>"  # the path of the whole config file
 REQUIRED = object()  # the default of a field that must be given
+_count0 = partial(count, minimum=0)  # samples, iterations and restarts may be 0
 
 
 class ConfigError(ValueError):
@@ -44,54 +47,24 @@ def _at(where: str, key: str) -> str:
     return key if where == ROOT else f"{where}.{key}"
 
 
-def _number(value) -> float:
-    """``float(value)``, refusing a boolean: YAML's ``true`` is not the number 1."""
-    if isinstance(value, bool):
-        raise TypeError("expected a number, got a boolean")
-    return float(value)
-
-
-def _get(cfg: dict, key: str, where: str = ROOT, parse=_number, default=REQUIRED):
-    """``parse(cfg[key])``, or ``default`` if the key is absent."""
+def _get(cfg: dict, key: str, where: str = ROOT, parse=number, default=REQUIRED):
+    """``parse(cfg[key], key)``, or ``default`` if the key is absent."""
     if key not in cfg:
         if default is REQUIRED:
             raise ConfigError(_at(where, key), "missing required field")
         return default
     try:
-        return parse(cfg[key])
+        return parse(cfg[key], key)
     except (ValueError, TypeError, OverflowError) as e:
         raise ConfigError(_at(where, key), str(e)) from e
 
 
-def _count(minimum: int = 0):
-    """A parser of whole counts of at least ``minimum``."""
-    def parse(value) -> int:
-        x = _number(value)
-        if not x.is_integer():
-            raise ValueError(f"must be a whole number, got {value!r}")
-        n = int(x)
-        if n < minimum:
-            raise ValueError(f"must be at least {minimum}, got {n}")
-        return n
-    return parse
+def _array(value, name: str) -> np.ndarray:
+    return np.asarray([number(v, name) for v in (value if isinstance(value, list) else [value])])
 
 
-def _nonnegative(value) -> float:
-    x = _number(value)
-    if not 0.0 <= x < np.inf:  # also rejects NaN
-        raise ValueError(f"must be finite and nonnegative, got {value!r}")
-    return x
-
-
-def _array(value) -> np.ndarray:
-    values = value if isinstance(value, list) else [value]
-    if any(isinstance(v, bool) for v in values):
-        raise TypeError("expected numbers, got a boolean")
-    return np.asarray(value, dtype=float)
-
-
-def _cell_counts(value) -> list[int]:
-    counts = [_count(1)(n) for n in value]
+def _cell_counts(value, name: str) -> list[int]:
+    counts = [count(n, name) for n in value]
     if not counts:
         raise ValueError("must list at least one cell count")
     return counts
@@ -99,13 +72,13 @@ def _cell_counts(value) -> list[int]:
 
 def _block(cfg: dict, key: str, where: str = ROOT, keys=(), default=REQUIRED) -> dict:
     """The mapping ``cfg[key]``; any key of it not in ``keys`` is rejected."""
-    block = _get(cfg, key, where, lambda v: v, default)
+    block = _get(cfg, key, where, lambda v, _: v, default)
     path = _at(where, key)
     if not isinstance(block, dict):
         raise ConfigError(path, "must be a mapping")
     unknown = [k for k in block if k not in keys]
     if unknown:
-        raise ConfigError(f"{path}.{unknown[0]}", "unknown key")
+        raise ConfigError(_at(path, str(unknown[0])), "unknown key")
     return block
 
 
@@ -119,7 +92,7 @@ def _built(path: str, build, *args):
 
 def _law_from(cfg: dict) -> SpeedLaw:
     law = _block(cfg, "law", keys=("kind", "grid", "values"), default={})
-    kind = _get(law, "kind", "law", str, "reciprocal")
+    kind = _get(law, "kind", "law", lambda v, _: str(v), "reciprocal")
     if kind == "reciprocal":
         return reciprocal()
     if kind != "tabulated":
@@ -140,6 +113,7 @@ def _steps_from(cls, cfg: dict, key: str, where: str, end: float):
 
 # config key of each inflow mode -> its keyword in simulate/check_lower_bound
 _INFLOW_KEYS = {"control": "u", "boundary_density": "boundary_density"}
+_TRAJECTORY_KEYS = ("law", "rho0", *_INFLOW_KEYS, "horizon", "tol", "knots_per_window")
 
 
 def _inflow_from(cfg: dict, where: str, T: float) -> dict:
@@ -154,9 +128,9 @@ def _build_trajectory(cfg: dict, tol: float | None):
     law = _law_from(cfg)
     rho0 = _steps_from(DensityProfile, cfg, "rho0", ROOT, 1.0)
     T = _get(cfg, "horizon")
-    return run_simulation(rho0, law, T, **_inflow_from(cfg, ROOT, T),
-                          tol=tol if tol is not None else _get(cfg, "tol", default=1e-10),
-                          knots_per_window=_get(cfg, "knots_per_window", ROOT, _count(1), 256))
+    tol = _get(cfg, "tol", ROOT, finite_positive, 1e-10) if tol is None else tol
+    return run_simulation(rho0, law, T, **_inflow_from(cfg, ROOT, T), tol=tol,
+                          knots_per_window=_get(cfg, "knots_per_window", ROOT, count, 256))
 
 
 def _fail(kind: str, err: Exception, code: int):
@@ -172,60 +146,61 @@ def main():
     """Nonlocal-velocity transport: simulate, optimize, verify."""
 
 
-def _command(body):
-    """Register ``body(cfg, out, seed, cells, tol) -> message`` as a subcommand.
+def _command(*keys):
+    """Register ``body(cfg, out, seed, cells, tol) -> message`` as a subcommand
+    whose config is a mapping of the root ``keys``; any other root key is rejected.
 
     Parsing, computing and writing artifacts share one ``try``; a run that
     succeeds also writes resolved_config.json and echoes the message.
     """
-    @main.command(name=body.__name__, help=body.__doc__)
-    @click.option("--config", "config_path", required=True,
-                  type=click.Path(exists=True, dir_okay=False))
-    @click.option("--out", "out_dir", default=".", type=click.Path(file_okay=False))
-    @click.option("--seed", default=0, type=int, show_default=True)
-    @click.option("--cells", default=None, type=int, help="override grid/cell counts")
-    @click.option("--tol", default=None, type=float, help="override solver tolerance")
-    def run(config_path, out_dir, seed, cells, tol):
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        try:
-            with open(config_path) as f:
-                # libyaml's scanner where present; the same safe constructor
-                cfg = yaml.load(f, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-            if not isinstance(cfg, dict):
-                raise ConfigError(ROOT, "config must be a mapping")
-            message = body(cfg, out, seed, cells, tol)
-            # not sort_keys: YAML keys need not be mutually comparable; no
-            # indent, which would force the pure-Python encoder
-            with open(out / "resolved_config.json", "w") as f:
-                f.write(json.dumps(dict(cfg, _resolved={"seed": seed, "tol": tol, "cells": cells}),
-                                   default=str, skipkeys=True))
-        except (ValueError, yaml.YAMLError) as e:
-            _fail("validation", e, 2)
-        except SolverError as e:
-            _fail("solver", e, 3)
-        click.echo(message)
-    return run
+    def register(body):
+        @main.command(name=body.__name__, help=body.__doc__)
+        @click.option("--config", "config_path", required=True,
+                      type=click.Path(exists=True, dir_okay=False))
+        @click.option("--out", "out_dir", default=".", type=click.Path(file_okay=False))
+        @click.option("--seed", default=0, type=int, show_default=True)
+        @click.option("--cells", default=None, type=int, help="override grid/cell counts")
+        @click.option("--tol", default=None, type=float, help="override solver tolerance")
+        def run(config_path, out_dir, seed, cells, tol):
+            out = Path(out_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            try:
+                with open(config_path) as f:
+                    # libyaml's scanner where present; the same safe constructor
+                    cfg = yaml.load(f, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+                # the whole file is the block at <root>
+                message = body(_block({ROOT: cfg}, ROOT, keys=keys), out, seed, cells, tol)
+                resolved = dict(cfg, _resolved={"seed": seed, "tol": tol, "cells": cells})
+                with open(out / "resolved_config.json", "w") as f:
+                    # not sort_keys: YAML keys need not be mutually comparable; no
+                    # indent, which would force the pure-Python encoder
+                    f.write(json.dumps(resolved, default=str, skipkeys=True))
+            except (ValueError, yaml.YAMLError) as e:
+                _fail("validation", e, 2)
+            except SolverError as e:
+                _fail("solver", e, 3)
+            click.echo(message)
+        return run
+    return register
 
 
-@_command
+@_command(*_TRAJECTORY_KEYS, "demand", "trace_samples", "slice_samples")
 def simulate(cfg, out, seed, cells, tol):
     """Run one trajectory and write time-series and final-slice CSVs."""
     y_d = None
     if "demand" in cfg:
         T = _get(cfg, "horizon")
-        y_d = _steps_from(ControlSignal, cfg, "demand", ROOT, T)
-        if y_d.horizon < T - 1e-12:
-            raise ConfigError("demand", f"ends at {y_d.horizon:g}, before the horizon {T:g}")
-    n_trace = _get(cfg, "trace_samples", parse=_count(), default=4096)
-    n_slice = _get(cfg, "slice_samples", parse=_count(), default=1024)
+        y_d = _built("demand", covers, _steps_from(ControlSignal, cfg, "demand", ROOT, T), T,
+                     "demand")
+    n_trace = _get(cfg, "trace_samples", parse=_count0, default=4096)
+    n_slice = _get(cfg, "slice_samples", parse=_count0, default=1024)
     traj = _build_trajectory(cfg, tol)
     traj.write_timeseries(out / "timeseries.csv", n=n_trace, y_d=y_d)
     traj.write_slice(out / "slice_final.csv", traj.horizon, n=n_slice)
     return f"wrote {out / 'timeseries.csv'} and {out / 'slice_final.csv'}"
 
 
-@_command
+@_command("law", "rho0", "horizon", "demand", "tol", "optimize")
 def optimize(cfg, out, seed, cells, tol):
     """Minimize the demand-tracking cost; write report JSON + history CSV."""
     law = _law_from(cfg)
@@ -235,16 +210,16 @@ def optimize(cfg, out, seed, cells, tol):
     opt = _block(cfg, "optimize", default={}, keys=(
         "control_cells", "tracking_weight", "max_iters", "grad_tol", "random_restarts"))
     n_cells = (cells if cells is not None
-               else _get(opt, "control_cells", "optimize", _count(1), 16))
+               else _get(opt, "control_cells", "optimize", count, 16))
     problem = TrackingProblem(
         rho0, y_d, law, T, np.linspace(0.0, T, n_cells + 1),
-        tracking_weight=_get(opt, "tracking_weight", "optimize", _nonnegative, 1.0),
-        solver_tol=tol if tol is not None else _get(cfg, "tol", default=1e-9),
+        tracking_weight=_get(opt, "tracking_weight", "optimize", finite_nonnegative, 1.0),
+        solver_tol=tol if tol is not None else _get(cfg, "tol", ROOT, finite_positive, 1e-9),
     )
     report = minimize(problem, seed=seed,
-                      max_iters=_get(opt, "max_iters", "optimize", _count(), 100),
-                      grad_tol=_get(opt, "grad_tol", "optimize", _nonnegative, 1e-6),
-                      extra_random_restarts=_get(opt, "random_restarts", "optimize", _count(), 0))
+                      max_iters=_get(opt, "max_iters", "optimize", _count0, 100),
+                      grad_tol=_get(opt, "grad_tol", "optimize", finite_nonnegative, 1e-6),
+                      extra_random_restarts=_get(opt, "random_restarts", "optimize", _count0, 0))
     with open(out / "report.json", "w") as f:
         json.dump({
             "best_cost": report.best_cost,
@@ -263,13 +238,13 @@ def optimize(cfg, out, seed, cells, tol):
     return f"best cost {report.best_cost:.8g} ({report.restarts} restarts)"
 
 
-@_command
+@_command("transfer", "trace_samples")
 def transfer(cfg, out, seed, cells, tol):
     """Closed-form equilibrium transfer: diagnostics JSON + trace CSVs."""
     tcfg = _block(cfg, "transfer", keys=("rho_lo", "rho_hi"))
     sc = _built("transfer", TransferScenario, _get(tcfg, "rho_lo", "transfer"),
                 _get(tcfg, "rho_hi", "transfer"))
-    n_trace = _get(cfg, "trace_samples", parse=_count(), default=2048)
+    n_trace = _get(cfg, "trace_samples", parse=_count0, default=2048)
     T = minimal_time(sc)
     result = {"rho_lo": sc.rho_lo, "rho_hi": sc.rho_hi, "T": T}
     if sc.rho_hi > sc.rho_lo:
@@ -283,7 +258,7 @@ def transfer(cfg, out, seed, cells, tol):
     return json.dumps(result)
 
 
-@_command
+@_command("verify")
 def verify(cfg, out, seed, cells, tol):
     """Certify an admissible transfer against the minimal-time lower bound."""
     vcfg = _block(cfg, "verify", keys=("rho_lo", "rho_hi", "horizon", *_INFLOW_KEYS))
@@ -301,7 +276,7 @@ def verify(cfg, out, seed, cells, tol):
     return json.dumps(payload)
 
 
-@_command
+@_command(*_TRAJECTORY_KEYS, "cells")
 def crosscheck(cfg, out, seed, cells, tol):
     """Characteristic-vs-finite-volume grid study; error table CSV."""
     if "control" not in cfg:

@@ -16,6 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .laws import SpeedLaw
+from .rules import count, covers, finite_positive
 from .signals import ControlSignal, DensityProfile
 
 __all__ = ["FvState", "CflError", "fv_step", "fv_solve"]
@@ -90,13 +91,9 @@ def fv_solve(rho0: DensityProfile, law: SpeedLaw, u: ControlSignal, T: float,
     The boundary flux is the exact step average of u, which makes the
     discrete mass balance exact. Two cell buffers serve the whole march.
     """
-    if not 0.0 < T < np.inf:  # also rejects NaN
-        raise ValueError(f"horizon must be positive and finite, got T={T}")
-    if u.horizon < T - 1e-12:
-        raise ValueError(f"control horizon {u.horizon} shorter than T={T}")
-    if isinstance(n_cells, bool) or not (n_cells >= 1 and float(n_cells).is_integer()):
-        raise ValueError(f"n_cells must be a whole number >= 1, got {n_cells!r}")
-    state = FvState.from_profile(rho0, int(n_cells))
+    T = finite_positive(T, "horizon")
+    covers(u, T, "control")
+    state = FvState.from_profile(rho0, count(n_cells, "n_cells"))
     spare = np.empty_like(state.cells)
     courant_dx = _CFL * state.dx
     t, U = 0.0, 0.0  # U = u.cumulative(t)

@@ -36,6 +36,8 @@ class SpeedLaw:
                 raise ValueError("tabulated grid must be increasing, length >= 2")
             if v.shape != g.shape:
                 raise ValueError("values must match the grid shape")
+            if not (np.all(np.isfinite(g)) and np.all(np.isfinite(v))):
+                raise ValueError("tabulated grid and values must be finite")
             if g[0] != 0.0:
                 raise ValueError("tabulated grid must start at W = 0")
             if np.any(v <= 0):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .laws import SpeedLaw
+from .rules import count, covers, finite_nonnegative, finite_positive
 from .signals import ControlSignal, DensityProfile
 from .transport import simulate
 
@@ -43,11 +44,10 @@ class TrackingProblem:
             raise ValueError("control grid must span [0, horizon]")
         if np.any(np.diff(grid) <= 0):
             raise ValueError("control grid must be strictly increasing")
-        if self.y_d.horizon < self.horizon - 1e-12:
-            raise ValueError("demand must be defined on all of [0, horizon]")
-        if not 0.0 <= self.tracking_weight < np.inf:  # also rejects NaN
-            raise ValueError(f"tracking weight must be finite and nonnegative, "
-                             f"got {self.tracking_weight}")
+        covers(self.y_d, self.horizon, "demand")
+        finite_nonnegative(self.tracking_weight, "tracking weight")
+        finite_positive(self.solver_tol, "solver_tol")
+        count(self.knots_per_window, "knots_per_window")
 
     def control_from_values(self, values) -> ControlSignal:
         return ControlSignal(self.control_grid, np.asarray(values, dtype=float))
@@ -126,8 +126,7 @@ def minimize(problem: TrackingProblem, *, max_iters: int = 200, grad_tol: float 
     pool, which skips repeated starts. The best restart wins; ties go to the
     control with smaller L² norm.
     """
-    if not 0.0 <= grad_tol < np.inf:  # also rejects NaN
-        raise ValueError(f"grad_tol must be finite and nonnegative, got {grad_tol}")
+    finite_nonnegative(grad_tol, "grad_tol")
     guesses = _initial_guesses(problem, seed, extra_random_restarts, warm_starts)
     best, best_j, best_norm = None, np.inf, np.inf
     all_hist, all_gnorms, all_solves = [], [], []

@@ -17,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .laws import reciprocal
+from .rules import finite_nonnegative
 from .signals import ControlSignal, DensityProfile
 from .transport import Trajectory, simulate
 
@@ -156,11 +157,6 @@ class OptimalityCertificate:
     slack: float
 
 
-def _check_tol(tol: float):
-    if not 0.0 <= tol < np.inf:  # also rejects NaN
-        raise ValueError(f"certificate tol must be finite and nonnegative, got {tol}")
-
-
 def certify_trajectory(traj: Trajectory, rho_lo: float, rho_hi: float,
                        *, tol: float = 1e-6) -> OptimalityCertificate:
     """Evaluate the minimal-time lower bound on a simulated transfer.
@@ -169,7 +165,7 @@ def certify_trajectory(traj: Trajectory, rho_lo: float, rho_hi: float,
     its final slice equals rho_hi within ``_SLICE_TOL`` in L^1; ``tol`` (finite,
     nonnegative) is the slack below zero still counted as satisfied.
     """
-    _check_tol(tol)
+    finite_nonnegative(tol, "certificate tol")
     if rho_hi <= rho_lo:
         raise ValueError("certificate requires rho_hi > rho_lo; "
                          "equal equilibria need no transfer")
@@ -213,7 +209,7 @@ def check_lower_bound(u: ControlSignal | None, rho0: float, rho1: float,
     The control may be given as an influx signal u or as a prescribed
     boundary density (exactly one of the two).
     """
-    _check_tol(tol)  # before the solve
+    finite_nonnegative(tol, "certificate tol")  # before the solve
     traj = simulate(DensityProfile.constant(rho0), reciprocal(), T,
                     u=u, boundary_density=boundary_density)
     return certify_trajectory(traj, rho0, rho1, tol=tol)

@@ -374,6 +374,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="tol must be positive"):
             solve_xi(u, DensityProfile.constant(1.0), reciprocal(), 1.0, tol=float("nan"))
 
+    def test_rejects_infinite_tol(self):
+        # every window stopped after one map application: xi(2) was 5.8e-3 off
+        u, rho0 = ControlSignal.constant(1.0, 2.0), DensityProfile.constant(0.5)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            solve_xi(u, rho0, reciprocal(), 2.0, tol=float("inf"))
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            simulate(rho0, reciprocal(), 2.0, u=u, tol=float("inf"))
+
     @pytest.mark.parametrize("n", [-1, 0, True, 2.5, float("nan")])
     def test_rejects_knots_per_window_that_is_not_a_whole_count(self, n):
         # -1 used to fail in the knot merge, 0 gave the grid of 1, True was 1

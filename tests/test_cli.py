@@ -262,6 +262,16 @@ OPT_CFG = {
     ("optimize", dict(OPT_CFG, optimize={"grad_tol": float("inf")}), "optimize.grad_tol"),
     # 0 knots per window used to give the grid of 1
     ("simulate", dict(SIM_CFG, knots_per_window=0), "knots_per_window"),
+    # a NaN speed used to fail the solve with exit 3
+    ("simulate", dict(SIM_CFG, law={"kind": "tabulated", "grid": [0.0, 1.0],
+                                    "values": [1.0, float("nan")]}), "law"),
+    # each command rejects a root key it does not read; these used to exit 0
+    ("simulate", dict(SIM_CFG, tabc=1), "tabc"),
+    ("optimize", dict(OPT_CFG, knots_per_window=-5), "knots_per_window"),
+    ("verify", {"verify": {"rho_lo": 1.0, "rho_hi": 2.0, "horizon": 2.5,
+                           "boundary_density": {"constant": 2.0}}, "tol": float("nan")}, "tol"),
+    ("transfer", {"transfer": {"rho_lo": 0.0, "rho_hi": 2.0}, "horizon": 1.0}, "horizon"),
+    ("crosscheck", dict(CROSS_CFG, demand={"constant": 0.3}), "demand"),
 ])
 def test_invalid_count_exits_2_with_field_path(runner, tmp_path, command, cfg, field):
     path = write_config(tmp_path / "c.yaml", cfg)
@@ -298,6 +308,18 @@ def test_nan_tol_exits_2(runner, tmp_path):
     assert "tol must be positive" in json.loads(res.output)["message"]
 
 
+@pytest.mark.parametrize("cfg, options", [
+    (dict(SIM_CFG, tol=float("inf")), []), (SIM_CFG, ["--tol", "inf"]),
+])
+def test_infinite_tol_exits_2(runner, tmp_path, cfg, options):
+    # every window stopped after one map application, and the run exited 0
+    path = write_config(tmp_path / "c.yaml", cfg)
+    res = runner.invoke(main, ["simulate", "--config", path, "--out", str(tmp_path / "o"),
+                               *options])
+    assert res.exit_code == 2, res.output
+    assert "tol must be positive and finite" in json.loads(res.output)["message"]
+
+
 def test_window_below_knot_resolution_exits_3(runner, tmp_path):
     # so dense a boundary density that the cap-length trial is rejected and the
     # a-priori window is about 2.5e-14 long
@@ -325,12 +347,11 @@ def test_dense_initial_mass_is_solved_by_its_cap_length_trial(runner, tmp_path):
     assert np.max(np.abs(xi(t) - oracle)) <= 1e-12 * np.max(oracle)
 
 
-def test_resolved_config_echoes_keys_of_any_type(runner, tmp_path):
+def test_non_string_root_key_exits_2(runner, tmp_path):
     path = write_config(tmp_path / "c.yaml", "1: one\n" + yaml.safe_dump(SIM_CFG))
-    out = tmp_path / "o"
-    res = runner.invoke(main, ["simulate", "--config", path, "--out", str(out)])
-    assert res.exit_code == 0, res.output
-    assert json.loads((out / "resolved_config.json").read_text())["1"] == "one"
+    res = runner.invoke(main, ["simulate", "--config", path, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert json.loads(res.output)["field"] == "1"
 
 
 # -- fuzz: every config exits 0, 2 or 3, never with a traceback ------------------
@@ -353,9 +374,23 @@ def steps(end):
     return st.one_of(st.builds(dict, constant=values), cells)
 
 
+# the root keys each command reads
+TRAJECTORY_KEYS = ["law", "rho0", "control", "boundary_density", "horizon", "tol",
+                   "knots_per_window"]
+ROOT_KEYS = {
+    "simulate": TRAJECTORY_KEYS + ["demand", "trace_samples", "slice_samples"],
+    "optimize": ["law", "rho0", "horizon", "demand", "tol", "optimize"],
+    "transfer": ["transfer", "trace_samples"],
+    "verify": ["verify"],
+    "crosscheck": TRAJECTORY_KEYS + ["cells"],
+}
+
+
 @st.composite
 def cli_runs(draw):
-    """A command, a valid config with up to two fields junked or removed, options."""
+    """A command, a valid config of the root keys it reads with up to two fields
+    junked or removed, and options."""
+    command = draw(st.sampled_from(sorted(ROOT_KEYS)))
     T = draw(st.floats(0.1, 1.5))
     inflow = draw(st.sampled_from(["control", "boundary_density"]))
     transfers = st.lists(st.floats(0.0, 0.5), min_size=2, max_size=2).map(sorted)
@@ -375,7 +410,8 @@ def cli_runs(draw):
             "rho_lo": lh[0], "rho_hi": lh[1], "horizon": 1.0 + 0.5 * (lh[0] + lh[1]),
             "boundary_density": {"constant": lh[1]}}),
     })))
-    for _ in range(draw(st.integers(0, 2))):
+    cfg = {k: v for k, v in cfg.items() if k in ROOT_KEYS[command]}
+    for _ in range(draw(st.integers(0, min(2, len(cfg))))):  # never samples an empty cfg
         target = cfg
         key = draw(st.sampled_from(sorted(cfg)))
         if isinstance(cfg[key], dict) and cfg[key] and draw(st.booleans()):
@@ -386,8 +422,6 @@ def cli_runs(draw):
             target.pop(key, None)
         else:
             target[key] = value
-    command = draw(st.sampled_from(["simulate", "optimize", "transfer", "verify",
-                                    "crosscheck"]))
     options = []
     for name, values in (("--cells", [None, None, "0", "2"]),
                          ("--tol", [None, None, "nan", "1e-8"])):

@@ -73,6 +73,15 @@ class TestTabulated:
         with pytest.raises(ValueError, match="kind"):
             SpeedLaw(kind="cubic")
 
+    @pytest.mark.parametrize("grid, values", [
+        ([0.0, 1.0], [1.0, float("nan")]), ([0.0, float("nan")], [1.0, 0.5]),
+        ([0.0, float("inf")], [1.0, 0.5]), ([0.0, 1.0], [float("inf"), 0.5]),
+    ])
+    def test_rejects_tables_that_are_not_finite(self, grid, values):
+        # law(0.7) read NaN, and a solve failed later with "residual nan"
+        with pytest.raises(ValueError, match="finite"):
+            tabulated(grid, values)
+
 
 class TestSlope:
     """SpeedLaw.slope against one-sided differences of the law (from the right)."""

@@ -148,6 +148,13 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="tracking weight"):
             small_problem(tracking_weight=w)
 
+    @pytest.mark.parametrize("kw", [dict(solver_tol=float("inf")), dict(solver_tol=0.0),
+                                    dict(knots_per_window=0), dict(knots_per_window=True)])
+    def test_solver_settings_are_checked_when_built(self, kw):
+        # they used to be checked only by the first solve
+        with pytest.raises(ValueError, match="solver_tol|knots_per_window"):
+            small_problem(**kw)
+
     def test_demand_must_cover_horizon(self):
         with pytest.raises(ValueError, match="demand"):
             TrackingProblem(DensityProfile.constant(0.0),
