@@ -144,7 +144,7 @@ class CharacteristicCurve:
         """
         x = np.asarray(x, dtype=float)
         ts, xs, ss = self.times, self.values, self.slopes
-        if (x < xs[0] - 1e-12).any() or (x > xs[-1] + 1e-12).any():
+        if not ((x >= xs[0] - 1e-12) & (x <= xs[-1] + 1e-12)).all():  # also rejects NaN
             raise ValueError(f"positions [{x.min():g}, {x.max():g}] outside curve range "
                              f"[{xs[0]:g}, {xs[-1]:g}]")
         if ts.size == 1:

@@ -1,12 +1,13 @@
 """Command-line front end: run scenarios from YAML configs, emit CSV/JSON.
 
 Subcommands: simulate, optimize, transfer, verify, crosscheck. Each is a body
-``(cfg, out, seed, cells, tol) -> message`` registered by ``_command``, which
-keeps the exit-code contract in one place: 2 for a ValueError (a
-``ConfigError`` or malformed YAML among them), 3 for a ``SolverError``. Fields
-are read only through ``_get`` and ``_block``, so each error names its field:
-a root field by its bare key, a block field as ``block.key``, the file as
-``<root>``. Runs are deterministic for a fixed config and seed.
+``(cfg, out) -> message`` registered by ``_command``, which keeps the
+exit-code contract in one place: 2 for a ValueError (a ``ConfigError`` or
+malformed YAML among them), 3 for a ``SolverError``. The config is the whole
+input of a run: no option sets a value. Fields are read only through ``_get``
+and ``_block``, so each error names its field: a root field by its bare key, a
+block field as ``block.key``, the file as ``<root>``. Runs are deterministic
+for a fixed config.
 """
 
 from __future__ import annotations
@@ -124,12 +125,12 @@ def _inflow_from(cfg: dict, where: str, T: float) -> dict:
     return {_INFLOW_KEYS[keys[0]]: _steps_from(ControlSignal, cfg, keys[0], where, T)}
 
 
-def _build_trajectory(cfg: dict, tol: float | None):
+def _build_trajectory(cfg: dict):
     law = _law_from(cfg)
     rho0 = _steps_from(DensityProfile, cfg, "rho0", ROOT, 1.0)
-    T = _get(cfg, "horizon")
-    tol = _get(cfg, "tol", ROOT, finite_positive, 1e-10) if tol is None else tol
-    return run_simulation(rho0, law, T, **_inflow_from(cfg, ROOT, T), tol=tol,
+    T = _get(cfg, "horizon", ROOT, finite_positive)
+    return run_simulation(rho0, law, T, **_inflow_from(cfg, ROOT, T),
+                          tol=_get(cfg, "tol", ROOT, finite_positive, 1e-10),
                           knots_per_window=_get(cfg, "knots_per_window", ROOT, count, 256))
 
 
@@ -147,21 +148,19 @@ def main():
 
 
 def _command(*keys):
-    """Register ``body(cfg, out, seed, cells, tol) -> message`` as a subcommand
-    whose config is a mapping of the root ``keys``; any other root key is rejected.
+    """Register ``body(cfg, out) -> message`` as a subcommand whose config is a
+    mapping of the root ``keys``; any other root key is rejected.
 
     Parsing, computing and writing artifacts share one ``try``; a run that
-    succeeds also writes resolved_config.json and echoes the message.
+    succeeds also writes the parsed config to resolved_config.json and echoes
+    the message.
     """
     def register(body):
         @main.command(name=body.__name__, help=body.__doc__)
         @click.option("--config", "config_path", required=True,
                       type=click.Path(exists=True, dir_okay=False))
         @click.option("--out", "out_dir", default=".", type=click.Path(file_okay=False))
-        @click.option("--seed", default=0, type=int, show_default=True)
-        @click.option("--cells", default=None, type=int, help="override grid/cell counts")
-        @click.option("--tol", default=None, type=float, help="override solver tolerance")
-        def run(config_path, out_dir, seed, cells, tol):
+        def run(config_path, out_dir):
             out = Path(out_dir)
             out.mkdir(parents=True, exist_ok=True)
             try:
@@ -169,12 +168,11 @@ def _command(*keys):
                     # libyaml's scanner where present; the same safe constructor
                     cfg = yaml.load(f, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
                 # the whole file is the block at <root>
-                message = body(_block({ROOT: cfg}, ROOT, keys=keys), out, seed, cells, tol)
-                resolved = dict(cfg, _resolved={"seed": seed, "tol": tol, "cells": cells})
+                message = body(_block({ROOT: cfg}, ROOT, keys=keys), out)
                 with open(out / "resolved_config.json", "w") as f:
                     # not sort_keys: YAML keys need not be mutually comparable; no
                     # indent, which would force the pure-Python encoder
-                    f.write(json.dumps(resolved, default=str, skipkeys=True))
+                    f.write(json.dumps(cfg, default=str, skipkeys=True))
             except (ValueError, yaml.YAMLError) as e:
                 _fail("validation", e, 2)
             except SolverError as e:
@@ -185,38 +183,37 @@ def _command(*keys):
 
 
 @_command(*_TRAJECTORY_KEYS, "demand", "trace_samples", "slice_samples")
-def simulate(cfg, out, seed, cells, tol):
+def simulate(cfg, out):
     """Run one trajectory and write time-series and final-slice CSVs."""
     y_d = None
     if "demand" in cfg:
-        T = _get(cfg, "horizon")
+        T = _get(cfg, "horizon", ROOT, finite_positive)
         y_d = _built("demand", covers, _steps_from(ControlSignal, cfg, "demand", ROOT, T), T,
                      "demand")
     n_trace = _get(cfg, "trace_samples", parse=_count0, default=4096)
     n_slice = _get(cfg, "slice_samples", parse=_count0, default=1024)
-    traj = _build_trajectory(cfg, tol)
+    traj = _build_trajectory(cfg)
     traj.write_timeseries(out / "timeseries.csv", n=n_trace, y_d=y_d)
     traj.write_slice(out / "slice_final.csv", traj.horizon, n=n_slice)
     return f"wrote {out / 'timeseries.csv'} and {out / 'slice_final.csv'}"
 
 
 @_command("law", "rho0", "horizon", "demand", "tol", "optimize")
-def optimize(cfg, out, seed, cells, tol):
+def optimize(cfg, out):
     """Minimize the demand-tracking cost; write report JSON + history CSV."""
     law = _law_from(cfg)
     rho0 = _steps_from(DensityProfile, cfg, "rho0", ROOT, 1.0)
-    T = _get(cfg, "horizon")
+    T = _get(cfg, "horizon", ROOT, finite_positive)
     y_d = _steps_from(ControlSignal, cfg, "demand", ROOT, T)
     opt = _block(cfg, "optimize", default={}, keys=(
-        "control_cells", "tracking_weight", "max_iters", "grad_tol", "random_restarts"))
-    n_cells = (cells if cells is not None
-               else _get(opt, "control_cells", "optimize", count, 16))
+        "control_cells", "tracking_weight", "max_iters", "grad_tol", "random_restarts", "seed"))
+    n_cells = _get(opt, "control_cells", "optimize", count, 16)
     problem = TrackingProblem(
         rho0, y_d, law, T, np.linspace(0.0, T, n_cells + 1),
         tracking_weight=_get(opt, "tracking_weight", "optimize", finite_nonnegative, 1.0),
-        solver_tol=tol if tol is not None else _get(cfg, "tol", ROOT, finite_positive, 1e-9),
+        solver_tol=_get(cfg, "tol", ROOT, finite_positive, 1e-9),
     )
-    report = minimize(problem, seed=seed,
+    report = minimize(problem, seed=_get(opt, "seed", "optimize", _count0, 0),
                       max_iters=_get(opt, "max_iters", "optimize", _count0, 100),
                       grad_tol=_get(opt, "grad_tol", "optimize", finite_nonnegative, 1e-6),
                       extra_random_restarts=_get(opt, "random_restarts", "optimize", _count0, 0))
@@ -239,7 +236,7 @@ def optimize(cfg, out, seed, cells, tol):
 
 
 @_command("transfer", "trace_samples")
-def transfer(cfg, out, seed, cells, tol):
+def transfer(cfg, out):
     """Closed-form equilibrium transfer: diagnostics JSON + trace CSVs."""
     tcfg = _block(cfg, "transfer", keys=("rho_lo", "rho_hi"))
     sc = _built("transfer", TransferScenario, _get(tcfg, "rho_lo", "transfer"),
@@ -259,16 +256,16 @@ def transfer(cfg, out, seed, cells, tol):
 
 
 @_command("verify")
-def verify(cfg, out, seed, cells, tol):
+def verify(cfg, out):
     """Certify an admissible transfer against the minimal-time lower bound."""
-    vcfg = _block(cfg, "verify", keys=("rho_lo", "rho_hi", "horizon", *_INFLOW_KEYS))
+    vcfg = _block(cfg, "verify", keys=("rho_lo", "rho_hi", "horizon", "tol", *_INFLOW_KEYS))
     rho_lo = _get(vcfg, "rho_lo", "verify")
     rho_hi = _get(vcfg, "rho_hi", "verify")
-    T = _get(vcfg, "horizon", "verify")
+    T = _get(vcfg, "horizon", "verify", finite_positive)
     kw = _inflow_from(vcfg, "verify", T)
     cert = check_lower_bound(kw.get("u"), rho_lo, rho_hi, T,
                              boundary_density=kw.get("boundary_density"),
-                             tol=tol if tol is not None else 1e-6)
+                             tol=_get(vcfg, "tol", "verify", finite_nonnegative, 1e-6))
     payload = {"t0": cert.t0, "t1": cert.t1, "bound_value": cert.bound_value,
                "satisfied": cert.satisfied, "slack": cert.slack}
     with open(out / "certificate.json", "w") as f:
@@ -277,14 +274,12 @@ def verify(cfg, out, seed, cells, tol):
 
 
 @_command(*_TRAJECTORY_KEYS, "cells")
-def crosscheck(cfg, out, seed, cells, tol):
+def crosscheck(cfg, out):
     """Characteristic-vs-finite-volume grid study; error table CSV."""
     if "control" not in cfg:
         raise ConfigError(ROOT, "crosscheck requires flux-mode control")
-    # --cells replaces the config's list and is checked the same way
-    grid = _get(cfg if cells is None else {"cells": [cells]}, "cells",
-                parse=_cell_counts, default=[250, 1000, 4000])
-    traj = _build_trajectory(cfg, tol)
+    grid = _get(cfg, "cells", parse=_cell_counts, default=[250, 1000, 4000])
+    traj = _build_trajectory(cfg)
     rows = []
     for n in grid:
         state, _, _ = fv_solve(traj.rho0, traj.law, traj.inflow.signal, traj.horizon, n)

@@ -38,6 +38,7 @@ class TrackingProblem:
     knots_per_window: int = 256
 
     def __post_init__(self):
+        finite_positive(self.horizon, "horizon")
         grid = np.asarray(self.control_grid, dtype=float)
         object.__setattr__(self, "control_grid", grid)
         if grid.size < 2 or grid[0] != 0.0 or abs(grid[-1] - self.horizon) > 1e-12:

@@ -79,37 +79,28 @@ def closed_form_trajectory(scenario: TransferScenario,
     """
     lo, hi = scenario.rho_lo, scenario.rho_hi
     T = minimal_time(scenario)
-    if hi == lo:
-        lam = 1.0 / (1.0 + lo)
-        flux = lo * lam
-        return ClosedFormTransfer(
-            W=lambda t: np.full_like(np.asarray(t, dtype=float), lo),
-            xi=lambda t: np.asarray(t, dtype=float) * lam,
-            u=lambda t: np.full_like(np.asarray(t, dtype=float), flux),
-            y=lambda t: np.full_like(np.asarray(t, dtype=float), flux),
-            T=T,
-        )
-
-    def W(t):
-        return -1.0 + np.sqrt((1.0 + lo) ** 2 + 2.0 * np.asarray(t, dtype=float) * (hi - lo))
+    a, d = 1.0 + lo, hi - lo
 
     def xi(t):
-        return (np.sqrt((1.0 + lo) ** 2 + 2.0 * np.asarray(t, dtype=float) * (hi - lo))
-                - (1.0 + lo)) / (hi - lo)
+        """(sqrt(a² + 2dt) − a)/d, written without the cancellation when hi ≈ lo."""
+        t = np.asarray(t, dtype=float)
+        return 2.0 * t / (np.sqrt(a * a + 2.0 * d * t) + a)
+
+    def W(t):
+        return lo + d * xi(t)
 
     if not reverse:
-        return ClosedFormTransfer(
-            W=W,
-            xi=xi,
-            u=lambda t: hi / (1.0 + W(t)),
-            y=lambda t: lo / (1.0 + W(t)),
-            T=T,
-        )
+        return ClosedFormTransfer(W=W, xi=xi, u=lambda t: hi / (1.0 + W(t)),
+                                  y=lambda t: lo / (1.0 + W(t)), T=T)
+
+    def back(t):
+        return T - np.asarray(t, dtype=float)
+
     return ClosedFormTransfer(
-        W=lambda t: W(T - np.asarray(t, dtype=float)),
-        xi=lambda t: 1.0 - xi(T - np.asarray(t, dtype=float)),
-        u=lambda t: lo / (1.0 + W(T - np.asarray(t, dtype=float))),
-        y=lambda t: hi / (1.0 + W(T - np.asarray(t, dtype=float))),
+        W=lambda t: W(back(t)),
+        xi=lambda t: 1.0 - xi(back(t)),
+        u=lambda t: lo / (1.0 + W(back(t))),
+        y=lambda t: hi / (1.0 + W(back(t))),
         T=T,
     )
 

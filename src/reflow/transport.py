@@ -126,8 +126,12 @@ class Trajectory:
         return float(self.slice_values(t, np.array([x]))[0])
 
     def slice_values(self, t: float, x) -> np.ndarray:
-        """Density profile at time t evaluated on an array of positions."""
-        return self._density(self.xi(self._times(t)), np.atleast_1d(np.asarray(x, dtype=float)))
+        """Density profile at time t on an array of positions in [0, 1]; a
+        position outside it by more than 1e-12 raises ValueError."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if not np.all((x >= -1e-12) & (x <= 1.0 + 1e-12)):  # also rejects NaN
+            raise ValueError(f"positions must lie in [0, 1], got [{np.min(x):g}, {np.max(x):g}]")
+        return self._density(self.xi(self._times(t)), x)
 
     def _density(self, xi_t, x) -> np.ndarray:
         """Density at positions x where the curve is at xi_t (broadcast

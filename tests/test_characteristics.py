@@ -46,6 +46,14 @@ class TestCurveType:
         with pytest.raises(ValueError):
             xi.inverse(np.sinh(2.0) + 1.0)
 
+    @pytest.mark.parametrize("x", [float("nan"), np.array([0.5, float("nan")])])
+    def test_inverse_rejects_nan(self, x):
+        # a NaN target passed the range check and came back as NaN
+        t = np.linspace(0.0, 2.0, 9)
+        xi = CharacteristicCurve(t, np.sinh(t), np.cosh(t))
+        with pytest.raises(ValueError, match="outside curve range"):
+            xi.inverse(x)
+
     def test_inverse_of_no_targets_is_empty(self):
         t = np.linspace(0.0, 2.0, 9)
         xi = CharacteristicCurve(t, np.sinh(t), np.cosh(t))

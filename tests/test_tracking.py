@@ -155,6 +155,13 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="solver_tol|knots_per_window"):
             small_problem(**kw)
 
+    def test_nan_horizon_is_rejected_when_built(self):
+        # the grid and demand checks both passed NaN; the first solve failed
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            TrackingProblem(DensityProfile.constant(0.0),
+                            ControlSignal.constant(0.0, 1.0),
+                            reciprocal(), float("nan"), np.array([0.0, 1.0]))
+
     def test_demand_must_cover_horizon(self):
         with pytest.raises(ValueError, match="demand"):
             TrackingProblem(DensityProfile.constant(0.0),

@@ -1,5 +1,7 @@
 """Equilibrium transfer: closed forms, diagnostics, minimal-time certificate."""
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,20 @@ class TestClosedForms:
         cf = closed_form_trajectory(TransferScenario(1.0, 1.0))
         assert cf.W(0.7) == 1.0
         assert cf.u(0.3) == cf.y(0.9) == 0.5
+
+    def test_nearby_equilibria_keep_their_digits(self):
+        # (sqrt(a² + 2dt) − a)/d cancelled: xi(0.7) was off by 3.0e-4 relative
+        sc = TransferScenario(0.5, 0.5 + 1e-12)
+        cf, back = closed_form_trajectory(sc), closed_form_trajectory(sc, reverse=True)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            lo, d = Decimal(sc.rho_lo), Decimal(sc.rho_hi) - Decimal(sc.rho_lo)
+            for t in (0.1, 0.7, cf.T):
+                s = Decimal(t)
+                xi = 2 * s / (((1 + lo) ** 2 + 2 * d * s).sqrt() + 1 + lo)
+                assert abs(Decimal(float(cf.xi(t))) - xi) <= Decimal(1e-15) * xi
+                assert abs(Decimal(float(cf.W(t))) - (lo + d * xi)) <= Decimal(1e-15) * lo
+                assert abs(float(back.xi(cf.T - t)) - float(1 - xi)) <= 1e-15
 
     def test_monotone_mass_and_decreasing_speed(self):
         cf = closed_form_trajectory(TransferScenario(0.5, 2.5))

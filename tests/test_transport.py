@@ -69,6 +69,22 @@ class TestDensityBranches:
             elif x < c * t - 1e-9:
                 assert traj.rho_at(t, x) == pytest.approx(u(t - x / c) / c, abs=1e-11)
 
+    @pytest.mark.parametrize("x", [1.5, -0.5, float("nan"), np.array([0.5, 1.0 + 1e-9])])
+    def test_slice_rejects_positions_outside_the_segment(self, x):
+        # rho_at(1.0, 1.5) read clamped initial data (0.5); -0.5 and NaN raised
+        # the curve's range error and the time check instead
+        traj = simulate(DensityProfile(np.array([0.0, 0.5, 1.0]), np.array([1.0, 0.5])),
+                        reciprocal(), 2.0,
+                        u=ControlSignal(np.array([0.0, 1.0, 2.0]), np.array([0.8, 0.2])))
+        with pytest.raises(ValueError, match="positions must lie in"):
+            traj.slice_values(1.0, x)
+        if np.ndim(x) == 0:
+            with pytest.raises(ValueError, match="positions must lie in"):
+                traj.rho_at(1.0, x)
+        eps = 1e-13  # within the end tolerance 1e-12
+        assert traj.rho_at(1.0, -eps) == pytest.approx(traj.rho_at(1.0, 0.0), abs=1e-12)
+        assert traj.rho_at(1.0, 1.0 + eps) == pytest.approx(traj.rho_at(1.0, 1.0), abs=1e-12)
+
     def test_every_sampled_density_is_nonnegative(self):
         rng = np.random.default_rng(11)
         law = reciprocal()
