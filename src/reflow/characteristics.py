@@ -17,7 +17,8 @@ has a kink).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,6 +63,17 @@ _NEWTON_TOL = 1e-13  # time step at which Newton inversion stops
 _MAX_ITER = 80  # map applications allowed per window
 
 
+def _horner(d, coeffs):
+    """The polynomial in d with ``coeffs``, highest power first (degree >= 1);
+    one array is allocated and updated in place."""
+    out = coeffs[0] * d
+    for c in coeffs[1:-1]:
+        out += c
+        out *= d
+    out += coeffs[-1]
+    return out
+
+
 class SolverError(RuntimeError):
     """Fixed-point iteration failed to converge, or a curve failed to invert."""
 
@@ -72,12 +84,19 @@ class CharacteristicCurve:
 
     Between knots the curve is the cubic Hermite interpolant; slopes are the
     transport speed at the knot, so secants stay inside the speed envelope. A
-    single knot is the curve at one instant, as at the start of a solve.
+    single knot is the curve at one instant, as at the start of a solve. The
+    cubic of segment k is built once per curve, as x_k + d (s_k + d (a2_k +
+    d a3_k)) in the offset d = t - t_k; times outside the knots are clamped.
     """
 
     times: np.ndarray
     values: np.ndarray
     slopes: np.ndarray
+    # per segment: width, secant slope and the coefficients a2, a3
+    _widths: np.ndarray = field(init=False, repr=False, compare=False)
+    _secants: np.ndarray = field(init=False, repr=False, compare=False)
+    _a2: np.ndarray = field(init=False, repr=False, compare=False)
+    _a3: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ts = np.asarray(self.times, dtype=float)
@@ -85,14 +104,22 @@ class CharacteristicCurve:
         ss = np.asarray(self.slopes, dtype=float)
         if not (ts.shape == xs.shape == ss.shape) or ts.ndim != 1 or ts.size < 1:
             raise ValueError("knot arrays must share a 1-D shape of length >= 1")
-        # slice comparisons: every solver iterate is checked, so the cost shows
-        if (ts[1:] <= ts[:-1]).any() or (xs[1:] <= xs[:-1]).any():
-            raise ValueError("knot times and values must be strictly increasing")
-        if (ss <= 0).any():
-            raise ValueError("knot slopes must be positive")
-        object.__setattr__(self, "times", ts)
-        object.__setattr__(self, "values", xs)
-        object.__setattr__(self, "slopes", ss)
+        # every solver iterate is checked, so the checks reuse the diffs the
+        # coefficients need; a NaN fails each of them (min propagates it)
+        h, dx = ts[1:] - ts[:-1], xs[1:] - xs[:-1]
+        if not (np.minimum(h, dx).min(initial=np.inf) > 0 and math.isfinite(ts[0])
+                and math.isfinite(ts[-1]) and math.isfinite(xs[0]) and math.isfinite(xs[-1])):
+            raise ValueError("knot times and values must be finite and strictly increasing")
+        if not (ss.min() > 0 and ss.max() < np.inf):
+            raise ValueError("knot slopes must be positive and finite")
+        m = dx / h
+        q = ss[:-1] + ss[1:] - 2.0 * m  # a3 h^2; then a2 h = m - s_k - a3 h^2
+        a2, a3 = (m - ss[:-1] - q) / h, q / (h * h)
+        if ts.size == 1:  # one constant segment of width 0
+            a2 = a3 = np.zeros(1)
+        for name, value in (("times", ts), ("values", xs), ("slopes", ss),
+                            ("_widths", h), ("_secants", m), ("_a2", a2), ("_a3", a3)):
+            object.__setattr__(self, name, value)
 
     @property
     def t_end(self) -> float:
@@ -102,37 +129,22 @@ class CharacteristicCurve:
     def x_end(self) -> float:
         return float(self.values[-1])
 
-    def _locate(self, t):
-        """Segment index, width and offset in [0, 1] of each t, clamped to the knots."""
-        ts = self.times
-        idx = segment(ts, t)
-        h = ts[idx + 1] - ts[idx]
-        th = (np.minimum(np.maximum(t, ts[0]), ts[-1]) - ts[idx]) / h
-        return idx, h, th
-
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        xs, ss = self.values, self.slopes
-        if xs.size == 1:
-            out = np.full(t.shape, xs[0])
-        else:
-            idx, h, th = self._locate(t)
-            t2 = th * th
-            t3 = t2 * th
-            out = ((2 * t3 - 3 * t2 + 1) * xs[idx] + (t3 - 2 * t2 + th) * h * ss[idx]
-                   + (-2 * t3 + 3 * t2) * xs[idx + 1] + (t3 - t2) * h * ss[idx + 1])
+        ts = self.times
+        idx = segment(ts, t)
+        d = np.minimum(np.maximum(t, ts[0]), ts[-1]) - ts.take(idx)
+        out = _horner(d, (self._a3.take(idx), self._a2.take(idx), self.slopes.take(idx),
+                          self.values.take(idx)))
         return float(out) if t.ndim == 0 else out
 
     def slope(self, t):
         t = np.asarray(t, dtype=float)
-        xs, ss = self.values, self.slopes
-        if xs.size == 1:
-            out = np.full(t.shape, ss[0])
-        else:
-            idx, h, th = self._locate(t)
-            t2 = th * th
-            out = ((6 * t2 - 6 * th) * (xs[idx] - xs[idx + 1]) / h
-                   + (3 * t2 - 4 * th + 1) * ss[idx] + (3 * t2 - 2 * th) * ss[idx + 1])
+        ts = self.times
+        idx = segment(ts, t)
+        d = np.minimum(np.maximum(t, ts[0]), ts[-1]) - ts.take(idx)
+        out = _horner(d, (3.0 * self._a3.take(idx), 2.0 * self._a2.take(idx),
+                          self.slopes.take(idx)))
         return float(out) if t.ndim == 0 else out
 
     def inverse(self, x):
@@ -143,35 +155,34 @@ class CharacteristicCurve:
         unresolved raises SolverError naming its segment.
         """
         x = np.asarray(x, dtype=float)
-        ts, xs, ss = self.times, self.values, self.slopes
-        if not ((x >= xs[0] - 1e-12) & (x <= xs[-1] + 1e-12)).all():  # also rejects NaN
-            raise ValueError(f"positions [{x.min():g}, {x.max():g}] outside curve range "
+        ts, xs = self.times, self.values
+        lo, hi = x.min(initial=np.inf), x.max(initial=-np.inf)  # NaN if any x is NaN
+        if not (lo >= xs[0] - 1e-12 and hi <= xs[-1] + 1e-12):
+            raise ValueError(f"positions [{lo:g}, {hi:g}] outside curve range "
                              f"[{xs[0]:g}, {xs[-1]:g}]")
         if ts.size == 1:
             return float(ts[0]) if x.ndim == 0 else np.full(x.shape, ts[0])
-        idx = segment(xs, x)
-        h = ts[idx + 1] - ts[idx]
-        # the segment cubic x0 + th (c1 + th (c2 + th c3)) in the offset th
-        x0, x1 = xs[idx], xs[idx + 1]
-        c1, m1 = h * ss[idx], h * ss[idx + 1]
-        c2 = 3 * (x1 - x0) - 2 * c1 - m1
-        c3 = 2 * (x0 - x1) + c1 + m1
-        r = x0 - x
-        th = np.minimum(np.maximum(-r / (x1 - x0), 0.0), 1.0)
+        xv = np.atleast_1d(x)  # the Newton loop updates its arrays in place
+        idx = segment(xs, xv)
+        h = self._widths.take(idx)
+        r = xs.take(idx) - xv
+        s, a2, a3 = self.slopes.take(idx), self._a2.take(idx), self._a3.take(idx)
+        value, derivative = (a3, a2, s, r), (3.0 * a3, 2.0 * a2, s)
+        d = np.minimum(np.maximum(-r / self._secants.take(idx), 0.0), h)
         for _ in range(60):
-            f = r + th * (c1 + th * (c2 + th * c3))
-            d = c1 + th * (2 * c2 + 3 * c3 * th)
-            step = f / np.maximum(d, 1e-300)
-            th = np.minimum(np.maximum(th - step, 0.0), 1.0)
-            if np.max(np.abs(step) * h, initial=0.0) <= _NEWTON_TOL:  # initial: x may be empty
+            step = _horner(d, value)
+            fp = _horner(d, derivative)
+            step /= np.maximum(fp, 1e-300, out=fp)
+            d -= step
+            np.minimum(np.maximum(d, 0.0, out=d), h, out=d)
+            if np.max(np.abs(step), initial=0.0) <= _NEWTON_TOL:  # initial: x may be empty
                 break
-        f = r + th * (c1 + th * (c2 + th * c3))
-        bad = np.abs(f) > 1e-11 * max(1.0, xs[-1])
+        bad = np.abs(_horner(d, value)) > 1e-11 * max(1.0, xs[-1])
         if np.any(bad):
             i = np.ravel(idx)[np.argmax(bad)]
             raise SolverError(f"Newton inversion unresolved on segment [{ts[i]:g}, {ts[i + 1]:g}]")
-        out = ts[idx] + h * th
-        return float(out) if x.ndim == 0 else out
+        d += ts.take(idx)
+        return float(d[0]) if x.ndim == 0 else d
 
     def with_exits(self, times) -> np.ndarray:
         """Sorted ``times`` and every later time at which a particle that
@@ -597,12 +608,8 @@ class CurveTangent:
         t = np.asarray(t, dtype=float)
         j = segment(self.knots, t)
         th = ((t - self.knots[j]) / self.h[j])[:, None]
-        out = self.coeffs[j, 2] * th  # Horner, in place: the arrays are points x directions
-        for p in (1, 0):
-            out += self.coeffs[j, p]
-            out *= th
-        out += self.values[j]
-        return out
+        c = self.coeffs[j]  # in place: the arrays are points x directions
+        return _horner(th, (c[:, 2], c[:, 1], c[:, 0], self.values[j]))
 
     def mass(self, t) -> np.ndarray:
         """dW at the times t (1-D), one column per direction."""

@@ -13,8 +13,9 @@ __all__ = ["PiecewiseConstant", "DensityProfile", "ControlSignal", "segment"]
 
 def segment(grid, x, side="right"):
     """Index of the cell of the increasing ``grid`` holding each x, clamped to
-    the cells; ``side="left"`` puts a point on a breakpoint in the cell before it."""
-    return np.minimum(np.maximum(np.searchsorted(grid, x, side=side) - 1, 0), grid.size - 2)
+    the cells; ``side="left"`` puts a point on a breakpoint in the cell before it.
+    One search among the interior breakpoints gives the clamped index directly."""
+    return grid[1:-1].searchsorted(x, side)
 
 
 class PiecewiseConstant:
@@ -79,7 +80,7 @@ class PiecewiseConstant:
 
     def integrate(self, a: float, b: float) -> float:
         """Exact integral over ``[a, b]``; endpoints are clamped to the domain."""
-        if a > b:
+        if not a <= b:  # also rejects NaN
             raise ValueError(f"integrate requires a <= b, got a={a}, b={b}")
         return float(self.cumulative(b) - self.cumulative(a))
 

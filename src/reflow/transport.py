@@ -118,8 +118,12 @@ class Trajectory:
     def total_mass(self, t):
         """W(t), the mass currently inside [0, 1]."""
         ts = self._times(t)
-        W = self.inflow.mass(self.rho0, ts, self.xi(ts), self.boundary_mass)
+        W = self._mass(ts, self.xi(ts))
         return float(W[0]) if np.ndim(t) == 0 else W
+
+    def _mass(self, t, xi_t):
+        """W at times t where the curve is at the known positions xi_t."""
+        return self.inflow.mass(self.rho0, t, xi_t, self.boundary_mass)
 
     def rho_at(self, t: float, x: float) -> float:
         """Density at (t, x); the interface x = xi(t) takes the inflow branch."""
@@ -141,14 +145,18 @@ class Trajectory:
         init = behind < 0
         out[init] = self.rho0(-behind[init])
         if not np.all(init):
-            sigma = self.xi.inverse(behind[~init])
-            out[~init] = self.inflow.boundary_density(sigma, self.speed)
+            # the curve is at xi(sigma) = xi_t - x at the entry time sigma
+            entry = behind[~init]
+            sigma = self.xi.inverse(entry)
+            out[~init] = self.inflow.boundary_density(
+                sigma, lambda s: self.law(self._mass(s, entry)))
         return out
 
     def outflux(self, t):
         """y(t) = speed(W(t)) * rho(t, 1); the interface takes the inflow branch."""
         ts = self._times(t)
-        y = self.speed(ts) * self._density(self.xi(ts), 1.0)
+        xi_t = self.xi(ts)
+        y = self.law(self._mass(ts, xi_t)) * self._density(xi_t, 1.0)
         return float(y[0]) if np.ndim(t) == 0 else y
 
     def cumulative_outflux(self, t):
@@ -252,11 +260,11 @@ class Trajectory:
         t = (edges[:-1, None] + h[:, None] * _N5[None, :]).ravel()
         xi_t = xi(t)
         post = xi_t > 1.0
-        W = self.total_mass(t)
+        W = self._mass(t, xi_t)
         lam = law(W)
         rho1 = self.rho0(1.0 - xi_t)
         sigma = xi.inverse(xi_t[post] - 1.0)
-        W_s = self.total_mass(sigma)
+        W_s = self._mass(sigma, xi_t[post] - 1.0)
         lam_s, u_s = law(W_s), u(sigma)
         rho1[post] = u_s / lam_s
         dy = tangent.mass(t)

@@ -38,6 +38,24 @@ class TestCurveType:
             CharacteristicCurve(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
                                 np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("times, values, slopes", [
+        ([0.0, np.nan, 1.0], [0.0, 0.5, 1.0], [1.0, 1.0, 1.0]),
+        ([0.0, 0.5, np.inf], [0.0, 0.5, 1.0], [1.0, 1.0, 1.0]),
+        ([-np.inf, 0.5, 1.0], [0.0, 0.5, 1.0], [1.0, 1.0, 1.0]),
+        ([0.0, 0.5, 1.0], [0.0, np.nan, 1.0], [1.0, 1.0, 1.0]),
+        ([0.0, 0.5, 1.0], [0.0, 0.5, np.inf], [1.0, 1.0, 1.0]),
+        ([0.0, 0.5, 1.0], [0.0, 0.5, 1.0], [1.0, np.nan, 1.0]),
+        ([0.0, 0.5, 1.0], [0.0, 0.5, 1.0], [1.0, 1.0, np.inf]),
+        ([np.nan], [0.0], [1.0]),
+        ([0.0], [np.inf], [1.0]),
+        ([0.0], [0.0], [np.nan]),
+    ])
+    def test_rejects_nan_and_infinite_knots(self, times, values, slopes):
+        # NaN passed the old slice comparisons, and an infinite last time made
+        # inverse(0.75) NaN
+        with pytest.raises(ValueError, match="knot"):
+            CharacteristicCurve(np.array(times), np.array(values), np.array(slopes))
+
     def test_inverse_round_trip(self):
         t = np.linspace(0.0, 2.0, 9)
         xi = CharacteristicCurve(t, np.sinh(t), np.cosh(t))

@@ -132,6 +132,13 @@ class TestIntegrals:
         with pytest.raises(ValueError, match="a <= b"):
             f.integrate(0.7, 0.2)
 
+    @pytest.mark.parametrize("a, b", [(float("nan"), 1.0), (0.2, float("nan"))])
+    def test_integrate_rejects_nan_ends(self, a, b):
+        # a > b is False on NaN, so a NaN end came back as a NaN integral
+        f = PiecewiseConstant([0.0, 1.0], [1.0])
+        with pytest.raises(ValueError, match="a <= b"):
+            f.integrate(a, b)
+
     def test_lp_norms(self):
         f = PiecewiseConstant([0.0, 1.0, 3.0], [2.0, 1.0])
         assert f.lp_norm(1) == pytest.approx(4.0)
@@ -162,6 +169,18 @@ class TestLookup:
         assert segment(grid, 0.5, side="left") == 0
         assert np.array_equal(segment(grid, [-1.0, 0.0, 2.0, 5.0]), [0, 0, 2, 2])
         assert np.array_equal(segment(grid, [-1.0, 0.0, 2.0, 5.0], side="left"), [0, 0, 2, 2])
+
+    @given(st.lists(st.floats(-5, 5), min_size=2, max_size=8, unique=True),
+           st.lists(st.one_of(st.floats(-6, 6), st.sampled_from([np.nan, np.inf, -np.inf])),
+                    max_size=12),
+           st.sampled_from(["left", "right"]))
+    @settings(max_examples=200, deadline=None)
+    def test_segment_is_the_clamped_cell_index(self, grid, x, side):
+        # one search on the interior breakpoints gives the index of the
+        # search on the whole grid, clamped to the cells, for every x
+        grid, x = np.sort(grid), np.array(x)
+        clamped = np.clip(np.searchsorted(grid, x, side=side) - 1, 0, grid.size - 2)
+        assert np.array_equal(segment(grid, x, side=side), clamped)
 
     def test_left_limit(self):
         f = PiecewiseConstant([0.0, 0.5, 1.1, 2.0], [1.0, 3.0, 0.5])

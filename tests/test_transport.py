@@ -69,6 +69,33 @@ class TestDensityBranches:
             elif x < c * t - 1e-9:
                 assert traj.rho_at(t, x) == pytest.approx(u(t - x / c) / c, abs=1e-11)
 
+    def test_boundary_branch_is_the_solution_formula_at_the_entry_time(self):
+        # the trace-back takes the entry speed from the position it inverted
+        # for; with T = 3 some particles entered after the first exit
+        rho0 = DensityProfile([0.0, 0.3, 0.7, 1.0], [1.2, 0.4, 2.0])
+        u = ControlSignal(np.linspace(0.0, 3.0, 9), [0.8, 0.1, 1.5, 0.6, 0.0, 1.1, 0.9, 0.3])
+        traj = simulate(rho0, reciprocal(), 3.0, u=u)
+        late = 0
+        for t in (0.5, 1.5, 2.2, 3.0):
+            x = np.linspace(0.0, 1.0, 201)
+            x = x[x <= traj.xi(t)]
+            sigma = traj.xi.inverse(traj.xi(t) - x)
+            late += np.count_nonzero(sigma > traj.exit_time)
+            expected = u(sigma) / traj.speed(sigma)
+            assert np.all(np.abs(traj.slice_values(t, x) - expected) <= 1e-14 * expected)
+            assert traj.outflux(t) == pytest.approx(
+                traj.speed(t) * traj.slice_values(t, 1.0)[0], rel=1e-14, abs=0.0)
+        assert traj.xi.x_end > 1.0 and late > 0
+
+    def test_boundary_density_branch_is_the_prescribed_density(self):
+        b = ControlSignal(np.linspace(0.0, 3.0, 7), [1.5, 0.2, 0.9, 2.0, 0.4, 1.1])
+        traj = simulate(DensityProfile.constant(0.8), reciprocal(), 3.0, boundary_density=b)
+        for t in (1.0, 2.0, 3.0):
+            x = np.linspace(0.0, 1.0, 201)
+            x = x[x <= traj.xi(t)]
+            sigma = traj.xi.inverse(traj.xi(t) - x)
+            assert np.array_equal(traj.slice_values(t, x), b(sigma))
+
     @pytest.mark.parametrize("x", [1.5, -0.5, float("nan"), np.array([0.5, 1.0 + 1e-9])])
     def test_slice_rejects_positions_outside_the_segment(self, x):
         # rho_at(1.0, 1.5) read clamped initial data (0.5); -0.5 and NaN raised
