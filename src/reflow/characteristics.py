@@ -256,6 +256,14 @@ class Inflow:
             W[post] = entered[post] - B(xi_s[post] - 1.0)
         return W
 
+    def outflow(self, rho0: DensityProfile, x, B):
+        """Mass past x = 1 with the curve at the array of positions x; B is its boundary_mass."""
+        out = rho0.total_mass - rho0.cumulative(1.0 - x)
+        post = x > 1.0
+        if np.any(post):
+            out[post] += B(x[post] - 1.0)
+        return out
+
     # kink levels of the integrand in xi-space (see _window_knots)
     def xi_levels(self, rho0: DensityProfile, prefix: CharacteristicCurve):
         levels = [1.0 - rho0.breakpoints[1:-1], np.array([1.0])]
@@ -268,20 +276,6 @@ class Inflow:
     def time_knots(self, t_a, t_b):
         bp = self.signal.breakpoints
         return bp[(bp > t_a) & (bp < t_b)]
-
-    def slice_tail_mass(self, rho0: DensityProfile, prefix: CharacteristicCurve,
-                        width: float) -> float:
-        """Mass in [1 - width, 1] when the curve is at the end of ``prefix``."""
-        xa = prefix.x_end
-        total = rho0.integrate(
-            min(max(1.0 - xa - width, 0.0), 1.0), min(max(1.0 - xa, 0.0), 1.0)
-        )
-        z_lo = max(xa - 1.0, 0.0)
-        z_hi = min(max(xa - 1.0 + width, 0.0), xa)
-        if z_hi > z_lo:
-            B = self.boundary_mass(prefix)
-            total += float(B(z_hi) - B(z_lo))
-        return total
 
 
 class FluxInflow(Inflow):
@@ -447,17 +441,18 @@ def _choose_window(inflow, rho0, bounds, prefix, T):
     """A-priori window length at the current front time.
 
     ``bounds`` are the law's (inf speed, sup speed, sup |slope| > 0) over
-    masses in [0, M]. On windows of the returned length the tail-mass
-    criterion makes the window map a 1/2-contraction.
+    masses in [0, M]. On windows of the returned length, the cap halved as
+    few times as needed, the tail-mass criterion makes the window map a
+    1/2-contraction.
     """
     lam_tilde, lam_bar, d = bounds
-    delta = min(0.9 / lam_bar, T - prefix.t_end, inflow.window_cap(d))
-    threshold = 0.5 * lam_tilde / d
-    for _ in range(200):
-        if inflow.slice_tail_mass(rho0, prefix, lam_bar * delta) < 0.99 * threshold:
-            return delta
-        delta *= 0.5
-    raise SolverError("could not find an admissible window length")
+    deltas = min(0.9 / lam_bar, T - prefix.t_end, inflow.window_cap(d)) * 0.5 ** np.arange(200)
+    gone = inflow.outflow(rho0, prefix.x_end + lam_bar * np.append(0.0, deltas),
+                          inflow.boundary_mass(prefix))
+    ok = np.flatnonzero(gone[1:] - gone[0] < 0.99 * (0.5 * lam_tilde / d))
+    if not ok.size:
+        raise SolverError("could not find an admissible window length")
+    return float(deltas[ok[0]])
 
 
 def solve_xi(
@@ -535,36 +530,32 @@ class CurveTangent:
     """Derivatives of a flux-mode curve in the cell values of its influx.
 
     Direction k raises u by one on cell k of the grid ``cells``. The cell
-    values enter only through dU(s), the integral of du up to s, so the
-    tangent of every direction solves one linear delay equation, with
-    lam' = law.slope(W):
+    values enter only through dU(s), the integral of du up to s, and the
+    solution only through ``outlet`` (``Trajectory._outlet``): W, and rho(s, 1)
+    at x = 1. The tangent of every direction solves one linear delay
+    equation, with lam' = law.slope(W) and sig = xi^-1(xi(s) - 1):
 
-        dxi' = lam'(W) dW,   dW = dU(s) - rho0(1 - xi) dxi        before exit,
-                             dW = dU(s) - dU(sig) - u(sig) dsig   after,
+        dxi' = lam'(W) dW,   dW = dU(s) - rho(s, 1) dxi(s)
+                                  - [dU(sig) - rho(s, 1) dxi(sig)]   once xi(s) >= 1,
 
-    where sig = xi^-1(xi(s) - 1) is the entry time of the particle leaving at
-    s and dsig = (dxi(s) - dxi(sig)) / xi'(sig). The knots of ``xi``,
-    refined by the exit times of particles that entered at a knot, hold
-    every jump of dxi'. On each interval 3-stage Gauss collocation turns the
-    equation into dxi_{j+1} = R_j dxi_j + q_j, which one cumulative product
-    and sum solve for all knots and directions at once; the delayed values
-    are known from the pass before, so one pass per transit of [0, 1]
-    suffices. Values between knots come from the collocation polynomials.
+    as W = U(s) - U(sig) there and u(sig) dsig = rho(s, 1) (dxi(s) - dxi(sig)).
+    The knots of ``xi``, refined by the exit times of particles that entered
+    at a knot, hold every jump of dxi'. On each interval 3-stage Gauss
+    collocation turns the equation into dxi_{j+1} = R_j dxi_j + q_j, which
+    one cumulative product and sum solve for all knots and directions at
+    once; the delayed values are known from the pass before, so one pass per
+    transit of [0, 1] suffices. Between knots it is the collocation polynomial.
     """
 
-    def __init__(self, xi: CharacteristicCurve, inflow: Inflow, rho0: DensityProfile,
-                 law: SpeedLaw, cells):
-        if not isinstance(inflow, FluxInflow):
-            raise ValueError("the curve tangent needs a prescribed influx")
-        self.xi, self.u, self.rho0 = xi, inflow.signal, rho0
+    def __init__(self, xi: CharacteristicCurve, law: SpeedLaw, cells, outlet):
         self.cells = np.asarray(cells, dtype=float)
         self.knots = knots = xi.with_exits(xi.times)
         self.h = h = np.diff(knots)
         s = (knots[:-1, None] + h[:, None] * _G3_NODES).ravel()
-        k, post, sigma = self._mass_terms(s)
-        slope = law.slope(inflow.mass(rho0, s, xi(s), inflow.boundary_mass(xi)))
+        W, post, sigma, _, rho1 = outlet(s, xi(s))
+        slope = law.slope(W)
         # dxi' = a dxi + forcing, the forcing holding the delayed dxi(sig)
-        a = (slope * k).reshape(-1, 3)
+        a = (slope * -rho1).reshape(-1, 3)
         forcing = slope[:, None] * self._cell_mass(s)
         forcing[post] -= slope[post, None] * self._cell_mass(sigma)
         # stage slopes F solve (I - h a A) F = a dxi_j + forcing on each interval
@@ -576,7 +567,7 @@ class CurveTangent:
         self.coeffs = np.zeros((h.size, 3, n))  # of theta, theta^2, theta^3 per interval
         for _ in range(int(np.ceil(xi.x_end))):
             f = forcing.copy()
-            f[post] -= (slope * k)[post, None] * self(sigma)
+            f[post] -= a.ravel()[post, None] * self(sigma)
             f = f.reshape(-1, 3, n)
             q = np.einsum("ji,jin->jn", r, f)
             self.values = growth[:, None] * np.concatenate(
@@ -594,15 +585,6 @@ class CurveTangent:
         """du at the times t (1-D): 1 in the column of the cell holding t."""
         return (segment(self.cells, t)[:, None] == np.arange(self.cells.size - 1)).astype(float)
 
-    def _mass_terms(self, t):
-        """(k, post, sig) with dW = dU(t) + k dxi(t) - [dU(sig) + k dxi(sig)] after exit."""
-        xs = self.xi(t)
-        post = xs > 1.0
-        k = -self.rho0(1.0 - xs)
-        sigma = self.xi.inverse(xs[post] - 1.0)
-        k[post] = -self.u(sigma) / self.xi.slope(sigma)
-        return k, post, sigma
-
     def __call__(self, t) -> np.ndarray:
         """dxi at the times t (1-D), one column per direction."""
         t = np.asarray(t, dtype=float)
@@ -611,14 +593,14 @@ class CurveTangent:
         c = self.coeffs[j]  # in place: the arrays are points x directions
         return _horner(th, (c[:, 2], c[:, 1], c[:, 0], self.values[j]))
 
-    def mass(self, t) -> np.ndarray:
-        """dW at the times t (1-D), one column per direction."""
-        t = np.asarray(t, dtype=float)
-        k, post, sigma = self._mass_terms(t)
+    def mass(self, t, terms) -> np.ndarray:
+        """dW at the times t (1-D), one column per direction; ``terms`` are
+        what ``outlet`` gave at t."""
+        _, behind, sigma, _, rho1 = terms
         dW = self(t)
-        dW *= k[:, None]
+        dW *= -rho1[:, None]
         dW += self._cell_mass(t)
-        dW[post] -= self._cell_mass(sigma) + k[post, None] * self(sigma)
+        dW[behind] -= self._cell_mass(sigma) - rho1[behind, None] * self(sigma)
         return dW
 
 
@@ -628,8 +610,6 @@ def apply_F(
     rho0: DensityProfile,
     law: SpeedLaw,
     window: tuple[float, float],
-    *,
-    knots_per_window: int = 256,
 ) -> CharacteristicCurve:
     """One application of the integral map to ``xi`` on ``window``.
 
@@ -643,8 +623,7 @@ def apply_F(
     covers(u, t_b, "control")
     if t_b > xi.t_end + 1e-12:
         raise ValueError(f"window end {t_b} exceeds curve domain {xi.t_end}")
-    knots_per_window = count(knots_per_window, "knots_per_window")
     inflow = FluxInflow(u)
-    knots = _window_knots(inflow, rho0, xi, t_a, t_b, knots_per_window)(xi)
+    knots = _window_knots(inflow, rho0, xi, t_a, t_b, 256)(xi)  # solve_xi's default grid
     values, slopes, _ = _integrate_window(inflow, rho0, law, xi, xi, knots)
     return CharacteristicCurve(knots, values, slopes)

@@ -102,7 +102,8 @@ def _initial_guesses(problem: TrackingProblem, seed, extra_random: int, warm_sta
     rng = np.random.default_rng(seed)
     scale = max(float(np.max(problem.y_d.values, initial=0.0)), c * lam_c, 0.1)
     starts += [rng.uniform(0.0, scale, size=n) for _ in range(extra_random)]
-    starts += [np.maximum(resample_control(w, problem.control_grid), 0.0) for w in warm_starts]
+    starts += [np.maximum(resample_control(covers(w, problem.horizon, "warm start"),
+                                           problem.control_grid), 0.0) for w in warm_starts]
     guesses = []
     for g in starts:
         if all(np.max(np.abs(g - q)) > 1e-12 * max(1.0, np.max(np.abs(q))) for q in guesses):
@@ -128,6 +129,8 @@ def minimize(problem: TrackingProblem, *, max_iters: int = 200, grad_tol: float 
     control with smaller L² norm.
     """
     finite_nonnegative(grad_tol, "grad_tol")
+    max_iters, seed, extra_random_restarts = (count(v, name, minimum=0) for v, name in (
+        (max_iters, "max_iters"), (seed, "seed"), (extra_random_restarts, "extra_random_restarts")))
     guesses = _initial_guesses(problem, seed, extra_random_restarts, warm_starts)
     best, best_j, best_norm = None, np.inf, np.inf
     all_hist, all_gnorms, all_solves = [], [], []

@@ -10,13 +10,15 @@ exact up to the curve tolerance.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .characteristics import CharacteristicCurve, CurveTangent, Inflow, solve_xi
+from .characteristics import CharacteristicCurve, CurveTangent, FluxInflow, Inflow, solve_xi
 from .laws import SpeedLaw
+from .rules import finite_positive
 from .signals import ControlSignal, DensityProfile
 
 __all__ = ["Trajectory", "simulate"]
@@ -38,6 +40,14 @@ def _panels(end: float, breaks, max_width: float) -> np.ndarray:
         for a, b in zip(edges[:-1], edges[1:])
     ]
     return np.unique(np.concatenate(pieces))
+
+
+def _positions(x) -> np.ndarray:
+    """``x`` as a 1-D float array in [0, 1], within 1e-12 (ValueError otherwise)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all((x >= -1e-12) & (x <= 1.0 + 1e-12)):  # also rejects NaN
+        raise ValueError(f"positions must lie in [0, 1], got [{np.min(x):g}, {np.max(x):g}]")
+    return x
 
 
 def _gauss5(edges: np.ndarray, f) -> float:
@@ -70,14 +80,11 @@ class Trajectory:
     xi: CharacteristicCurve
     horizon: float
     inflow: Inflow
-    M: float = field(init=False)
     # B(z), the mass that entered while xi was below z; built once per curve
     boundary_mass: Callable = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "boundary_mass", self.inflow.boundary_mass(self.xi))
-        object.__setattr__(self, "M", float(self.cumulative_influx(self.horizon))
-                           + self.rho0.total_mass)
 
     # -- influx bookkeeping ----------------------------------------------
 
@@ -130,44 +137,42 @@ class Trajectory:
         return float(self.slice_values(t, np.array([x]))[0])
 
     def slice_values(self, t: float, x) -> np.ndarray:
-        """Density profile at time t on an array of positions in [0, 1]; a
-        position outside it by more than 1e-12 raises ValueError."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if not np.all((x >= -1e-12) & (x <= 1.0 + 1e-12)):  # also rejects NaN
-            raise ValueError(f"positions must lie in [0, 1], got [{np.min(x):g}, {np.max(x):g}]")
-        return self._density(self.xi(self._times(t)), x)
+        """Density profile at time t on an array of positions in [0, 1]."""
+        x = _positions(x)
+        return self._density(self.xi(self._times(t)), x)[0]
 
-    def _density(self, xi_t, x) -> np.ndarray:
-        """Density at positions x where the curve is at xi_t (broadcast
-        together); the interface x = xi_t takes the inflow branch."""
+    def _density(self, xi_t, x):
+        """(rho, sigma, W_sigma): density at positions x where the curve is at xi_t
+        (broadcast together); for the material behind the curve (x <= xi_t) its
+        entry times and the mass then, cached, never computed in density mode."""
         behind = xi_t - x
         out = np.empty_like(behind)
         init = behind < 0
         out[init] = self.rho0(-behind[init])
+        sigma, W_sigma = np.empty(0), None
         if not np.all(init):
-            # the curve is at xi(sigma) = xi_t - x at the entry time sigma
             entry = behind[~init]
             sigma = self.xi.inverse(entry)
-            out[~init] = self.inflow.boundary_density(
-                sigma, lambda s: self.law(self._mass(s, entry)))
-        return out
+            W_sigma = functools.cache(lambda: self._mass(sigma, entry))
+            out[~init] = self.inflow.boundary_density(sigma, lambda s: self.law(W_sigma()))
+        return out, sigma, W_sigma
+
+    def _outlet(self, t, xi_t):
+        """(W, behind, sigma, W_sigma, rho1) at times t where the curve is at
+        xi_t: the mass, the mask xi_t >= 1, ``_density`` at x = 1 there."""
+        rho1, sigma, W_sigma = self._density(xi_t, 1.0)
+        return self._mass(t, xi_t), xi_t >= 1.0, sigma, W_sigma, rho1
 
     def outflux(self, t):
         """y(t) = speed(W(t)) * rho(t, 1); the interface takes the inflow branch."""
         ts = self._times(t)
-        xi_t = self.xi(ts)
-        y = self.law(self._mass(ts, xi_t)) * self._density(xi_t, 1.0)
+        W, _, _, _, rho1 = self._outlet(ts, self.xi(ts))
+        y = self.law(W) * rho1
         return float(y[0]) if np.ndim(t) == 0 else y
 
     def cumulative_outflux(self, t):
         """Exact accumulated outflux: mass that has left through x = 1."""
-        xi_t = self.xi(self._times(t))
-        from_init = self.rho0.total_mass - self.rho0.cumulative(1.0 - xi_t)
-        from_boundary = np.zeros_like(xi_t)
-        post = xi_t > 1.0
-        if np.any(post):
-            from_boundary[post] = self.boundary_mass(xi_t[post] - 1.0)
-        out = from_init + from_boundary
+        out = self.inflow.outflow(self.rho0, self.xi(self._times(t)), self.boundary_mass)
         return float(out[0]) if np.ndim(t) == 0 else out
 
     def w_derivative(self, t):
@@ -206,9 +211,12 @@ class Trajectory:
 
     def l1_time_distance(self, x1: float, x2: float, *, max_width: float = 1e-3) -> float:
         """Hidden-regularity dual: integral over [0, T] of |rho(t,x1) - rho(t,x2)|."""
+        x1, x2 = _positions(x1), _positions(x2)
+        max_width = finite_positive(max_width, "max_width")
+
         def gap(ts):
             xi_t = self.xi(ts)
-            return np.abs(self._density(xi_t, x1) - self._density(xi_t, x2))
+            return np.abs(self._density(xi_t, x1)[0] - self._density(xi_t, x2)[0])
 
         return _gauss5(self.time_panels(max_width=max_width * self.horizon), gap)
 
@@ -228,8 +236,8 @@ class Trajectory:
         The outflux has kinks where W crosses a kink of the law and, once
         material that entered at a jump or kink leaves, at that exit.
         """
-        if max_width is None:
-            max_width = self.horizon / 512.0
+        max_width = (self.horizon / 512.0 if max_width is None
+                     else finite_positive(max_width, "max_width"))
         kinks = self.law.kinks
         if kinks.size:
             kinks = self.law.kink_times(self.xi.times, self.total_mass(self.xi.times))
@@ -253,26 +261,25 @@ class Trajectory:
         t_e) adds its jump of (y - y_d)^2 times its shift dt_e (S. Ulbrich,
         SIAM J. Control Optim. 41, 2002).
         """
+        if not isinstance(self.inflow, FluxInflow):
+            raise ValueError("the curve tangent needs a prescribed influx")
         u, xi, law = self.inflow.signal, self.xi, self.law
-        tangent = CurveTangent(xi, self.inflow, self.rho0, law, grid)
+        tangent = CurveTangent(xi, law, grid, self._outlet)
         edges = self.time_panels(extra=y_d.breakpoints)
         h = np.diff(edges)
         t = (edges[:-1, None] + h[:, None] * _N5[None, :]).ravel()
         xi_t = xi(t)
-        post = xi_t > 1.0
-        W = self._mass(t, xi_t)
+        terms = W, post, sigma, W_sigma, rho1 = self._outlet(t, xi_t)
         lam = law(W)
-        rho1 = self.rho0(1.0 - xi_t)
-        sigma = xi.inverse(xi_t[post] - 1.0)
-        W_s = self._mass(sigma, xi_t[post] - 1.0)
-        lam_s, u_s = law(W_s), u(sigma)
-        rho1[post] = u_s / lam_s
-        dy = tangent.mass(t)
+        dy = tangent.mass(t, terms)
         dy *= (law.slope(W) * rho1)[:, None]
         if np.any(post):
-            d_sigma = (tangent(t[post]) - tangent(sigma)) / xi.slope(sigma)[:, None]
-            dW_s = tangent.mass(sigma) + self.w_derivative(sigma)[:, None] * d_sigma
-            drho = tangent.influx(sigma) - (u_s * law.slope(W_s) / lam_s)[:, None] * dW_s
+            at_sigma = *_, rho1_s = self._outlet(sigma, xi_t[post] - 1.0)
+            u_s, lam_s = u(sigma), law(W_sigma())
+            # the particle entered at speed lam_s, and W'(sig) = u(sig) - y(sig)
+            d_sigma = (tangent(t[post]) - tangent(sigma)) / lam_s[:, None]
+            dW_s = tangent.mass(sigma, at_sigma) + (u_s - lam_s * rho1_s)[:, None] * d_sigma
+            drho = tangent.influx(sigma) - (u_s * law.slope(W_sigma()) / lam_s)[:, None] * dW_s
             dy[post] += (lam[post] / lam_s)[:, None] * drho
         weights = (h[:, None] * _W5).ravel()
         grad = (2.0 * weights * (lam * rho1 - y_d(t))) @ dy

@@ -146,7 +146,8 @@ def test_criterion_5_mass_balance_general_data(randomized_scenarios):
         t = np.linspace(0.0, 1.5, 100)
         resid = np.abs(traj.total_mass(t) - traj.total_mass(0.0)
                        - traj.cumulative_influx(t) + traj.cumulative_outflux(t))
-        worst = max(worst, float(np.max(resid)) / (1.0 + traj.M))
+        M = traj.rho0.total_mass + traj.cumulative_influx(1.5)
+        worst = max(worst, float(np.max(resid)) / (1.0 + M))
     ok = worst <= 1e-8
     report(ok, "criterion 5 (mass balance, general data)",
            f"50 scenarios x 100 times, max |residual|/(1+M) = {worst:.2e} (tol 1e-8)")
@@ -157,7 +158,8 @@ def test_criterion_6_slope_sandwich_and_nonnegativity(randomized_scenarios):
     law = reciprocal()
     worst_slope, worst_rho, worst_tv = 0.0, 0.0, -np.inf
     for traj in randomized_scenarios:
-        lam_lo, lam_hi, _ = law.bounds(traj.M)
+        M = traj.rho0.total_mass + traj.cumulative_influx(1.5)
+        lam_lo, lam_hi, _ = law.bounds(M)
         t = np.unique(np.concatenate((traj.xi.times, np.linspace(0.0, 1.5, 200))))
         slopes = traj.xi.slope(t)
         worst_slope = max(worst_slope,
@@ -169,7 +171,7 @@ def test_criterion_6_slope_sandwich_and_nonnegativity(randomized_scenarios):
         edges = traj.time_panels(max_width=1.5 / 4096.0)
         mids = 0.5 * (edges[:-1] + edges[1:])
         tv = float(np.sum(np.diff(edges) * np.abs(traj.w_derivative(mids))))
-        worst_tv = max(worst_tv, tv - traj.M)
+        worst_tv = max(worst_tv, tv - M)
     ok = worst_slope <= 1e-12 and worst_rho <= 0.0 and worst_tv <= 1e-8
     report(ok, "criterion 6 (slope sandwich, nonnegativity)",
            f"max slope excursion {worst_slope:.1e}, min density {-worst_rho:.1e}, "

@@ -117,20 +117,21 @@ class TestTangent:
         ts = np.linspace(0.0, T, 61)
 
         def solved(values):
-            inflow = FluxInflow(ControlSignal(grid, values))
-            xi = solve_xi(inflow.signal, rho0, law, T, tol=1e-12, knots_per_window=64)
-            return inflow, xi, inflow.mass(rho0, ts, xi(ts), inflow.boundary_mass(xi))
+            return simulate(rho0, law, T, u=ControlSignal(grid, values), tol=1e-12,
+                            knots_per_window=64)
 
-        inflow, xi, _ = solved(v)
+        traj = solved(v)
+        xi = traj.xi
         assert xi.x_end > 2.0  # the delay reaches back over a whole transit
-        tangent = CurveTangent(xi, inflow, rho0, law, grid)
+        tangent = CurveTangent(xi, law, grid, traj._outlet)
+        mass = tangent.mass(ts, traj._outlet(ts, xi(ts)))
         h = 1e-5
         for k in range(v.size):
-            (_, xp, Wp), (_, xm, Wm) = (solved(v + s * h * np.eye(v.size)[k]) for s in (1, -1))
-            dxi = (xp(ts) - xm(ts)) / (2 * h)
-            dW = (Wp - Wm) / (2 * h)
+            plus, minus = (solved(v + s * h * np.eye(v.size)[k]) for s in (1, -1))
+            dxi = (plus.xi(ts) - minus.xi(ts)) / (2 * h)
+            dW = (plus.total_mass(ts) - minus.total_mass(ts)) / (2 * h)
             assert np.max(np.abs(tangent(ts)[:, k] - dxi)) <= 1e-6 * np.max(np.abs(dxi))
-            assert np.max(np.abs(tangent.mass(ts)[:, k] - dW)) <= 1e-6 * np.max(np.abs(dW))
+            assert np.max(np.abs(mass[:, k] - dW)) <= 1e-6 * np.max(np.abs(dW))
 
     def test_with_exits_follows_material_over_every_transit(self):
         xi = solve_xi(ControlSignal.constant(0.2, 3.2), DensityProfile.constant(0.3),
@@ -244,6 +245,19 @@ def windows(monkeypatch):
     return calls
 
 
+def tail_mass(inflow, rho0, prefix, width):
+    """Mass in [1 - width, 1] when the curve is at the end of ``prefix``: the
+    initial data there plus the boundary mass that entered at those depths."""
+    xa = prefix.x_end
+    total = rho0.integrate(min(max(1.0 - xa - width, 0.0), 1.0), min(max(1.0 - xa, 0.0), 1.0))
+    z_lo = max(xa - 1.0, 0.0)
+    z_hi = min(max(xa - 1.0 + width, 0.0), xa)
+    if z_hi > z_lo:
+        B = inflow.boundary_mass(prefix)
+        total += float(B(z_hi) - B(z_lo))
+    return total
+
+
 class TestWindows:
     def test_a_priori_length_meets_tail_mass_criterion(self):
         rng = np.random.default_rng(7)
@@ -260,8 +274,30 @@ class TestWindows:
                 for prefix in prefixes:
                     delta = _choose_window(inflow, rho0, bounds, prefix, T)
                     assert 0.0 < delta <= T - prefix.t_end
-                    tail = inflow.slice_tail_mass(rho0, prefix, lam_bar * delta)
+                    tail = tail_mass(inflow, rho0, prefix, lam_bar * delta)
                     assert tail < 0.5 * lam_tilde / d
+
+    @pytest.mark.parametrize("mode", ["u", "boundary_density"])
+    def test_outflow_is_the_tail_mass_and_the_cumulative_outflux(self, mode):
+        # the mass that leaves while the curve moves from xi(t1) to xi(t2)
+        rng = np.random.default_rng(3)
+        T = 2.5
+        t = np.linspace(0.0, T, 11)
+        for _ in range(4):
+            u, rho0 = random_scenario(rng, horizon=T)
+            traj = simulate(rho0, reciprocal(), T, **{mode: u})
+            assert traj.xi.x_end > 1.0
+            inflow, xi = traj.inflow, traj.xi
+            out = traj.cumulative_outflux(t)
+            assert np.array_equal(out, inflow.outflow(rho0, xi(t), traj.boundary_mass))
+            for k in range(1, t.size - 1):
+                prefix = xi.restricted(t[k])
+                width = xi(t[k + 1]) - prefix.x_end
+                expected = tail_mass(inflow, rho0, prefix, width)
+                gone = inflow.outflow(rho0, prefix.x_end + np.array([0.0, width]),
+                                      inflow.boundary_mass(prefix))
+                assert abs(gone[1] - gone[0] - expected) <= 1e-14 * max(1.0, out[-1])
+                assert abs(out[k + 1] - out[k] - expected) <= 1e-14 * max(1.0, out[-1])
 
     def test_first_window_is_a_trial_at_the_cap_length(self, windows):
         rng = np.random.default_rng(5)
@@ -414,9 +450,6 @@ class TestValidation:
         u, rho0 = ControlSignal.constant(1.0, 1.0), DensityProfile.constant(1.0)
         with pytest.raises(ValueError, match="knots_per_window must be a whole number"):
             solve_xi(u, rho0, reciprocal(), 1.0, knots_per_window=n)
-        xi = solve_xi(u, rho0, reciprocal(), 1.0)
-        with pytest.raises(ValueError, match="knots_per_window must be a whole number"):
-            apply_F(xi, u, rho0, reciprocal(), (0.2, 0.4), knots_per_window=n)
 
     def test_horizon_below_end_tolerance_keeps_the_start_knot(self):
         # no window runs; the curve must still pass through (0, 0)

@@ -234,6 +234,27 @@ class TestMinimize:
         with pytest.raises(ValueError, match="grad_tol"):
             minimize(small_problem(), max_iters=1, grad_tol=grad_tol)
 
+    @pytest.mark.parametrize("kw", [dict(max_iters=-1), dict(max_iters=True), dict(max_iters=2.5),
+                                    dict(extra_random_restarts=-1),
+                                    dict(extra_random_restarts=2.5), dict(seed=-1),
+                                    dict(seed=float("nan"))])
+    def test_rejects_counts_that_are_not_whole_and_nonnegative(self, kw):
+        # max_iters=-1 ran no iteration, True one, and -1 random restarts were none
+        name = next(iter(kw))
+        with pytest.raises(ValueError, match=f"{name} must be a whole number >= 0"):
+            minimize(small_problem(), **kw)
+
+    def test_rejects_warm_start_shorter_than_the_horizon(self):
+        # it read as zero influx past its end: [0.4, 0.2, 0] on thirds of [0, 1]
+        short = ControlSignal.constant(0.4, 0.5)
+        with pytest.raises(ValueError, match="warm start horizon 0.5 shorter than T=1.0"):
+            minimize(small_problem(), max_iters=1, warm_starts=(short,))
+
+    def test_zero_iterations_report_the_starts(self):
+        report = minimize(small_problem(), max_iters=0)
+        assert all(len(h) == 1 for h in report.cost_history)
+        assert report.gradient_norm_history == [[]] * report.restarts
+
     def test_warm_start_caps_the_result(self):
         pr = small_problem()
         candidate = ControlSignal(np.array([0.0, 0.5, 1.0]), np.array([0.4, 0.2]))

@@ -29,7 +29,8 @@ class TestMassBalance:
             resid = traj.total_mass(t) - (traj.total_mass(0.0)
                                           + traj.cumulative_influx(t)
                                           - traj.cumulative_outflux(t))
-            assert np.max(np.abs(resid)) <= 1e-10 * (1.0 + traj.M)
+            M = rho0.total_mass + traj.cumulative_influx(1.5)
+            assert np.max(np.abs(resid)) <= 1e-10 * (1.0 + M)
 
     def test_initial_mass_is_profile_mass(self, step_fill):
         assert step_fill.total_mass(0.0) == pytest.approx(1.0, abs=1e-12)
@@ -212,6 +213,36 @@ class TestRegularityDiagnostics:
             expected = float(np.sum(h * (gap @ (0.5 * weights))))
             assert traj.l1_time_distance(x1, x2, max_width=0.05) == pytest.approx(
                 expected, rel=1e-12)
+
+
+class TestDiagnosticInputs:
+    """Positions and panel widths of the diagnostics are checked, not clamped."""
+
+    @pytest.fixture(scope="class")
+    def traj(self):
+        return simulate(DensityProfile([0.0, 0.5, 1.0], [1.0, 0.5]), reciprocal(), 2.0,
+                        u=ControlSignal([0.0, 1.0, 2.0], [0.8, 0.2]))
+
+    @pytest.mark.parametrize("x1, x2", [(2.0, 0.5), (-0.5, 0.5), (float("nan"), 0.5),
+                                        (0.5, 1.5)])
+    def test_l1_time_distance_rejects_positions_outside_the_segment(self, traj, x1, x2):
+        # (2, 0.5) read 1.5808 from clamped initial data; (-0.5, 0.5) and NaN
+        # failed in the curve's inverse with its own range message
+        with pytest.raises(ValueError, match=r"positions must lie in \[0, 1\]"):
+            traj.l1_time_distance(x1, x2)
+
+    @pytest.mark.parametrize("max_width", [-1.0, 0.0, float("nan"), float("inf"), True])
+    def test_max_width_must_be_positive_and_finite(self, traj, max_width):
+        # -1 kept only the break edges (1.4349 against 1.4054), 0 overflowed
+        # and NaN failed to convert to an integer
+        with pytest.raises(ValueError, match="max_width"):
+            traj.l1_time_distance(0.2, 0.9, max_width=max_width)
+        with pytest.raises(ValueError, match="max_width"):
+            traj.time_panels(max_width=max_width)
+
+    def test_positions_at_the_ends_are_accepted(self, traj):
+        assert traj.l1_time_distance(0.0, 1.0) == traj.l1_time_distance(1.0, 0.0) > 0.0
+        assert traj.l1_time_distance(0.2, 0.9) == pytest.approx(1.4054, abs=1e-4)
 
 
 class TestTimePanels:
