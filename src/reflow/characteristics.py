@@ -155,8 +155,10 @@ class CharacteristicCurve:
         unresolved raises SolverError naming its segment.
         """
         x = np.asarray(x, dtype=float)
+        if not x.size:
+            return np.empty(x.shape)
         ts, xs = self.times, self.values
-        lo, hi = x.min(initial=np.inf), x.max(initial=-np.inf)  # NaN if any x is NaN
+        lo, hi = x.min(), x.max()  # NaN if any x is NaN
         if not (lo >= xs[0] - 1e-12 and hi <= xs[-1] + 1e-12):
             raise ValueError(f"positions [{lo:g}, {hi:g}] outside curve range "
                              f"[{xs[0]:g}, {xs[-1]:g}]")
@@ -175,7 +177,7 @@ class CharacteristicCurve:
             step /= np.maximum(fp, 1e-300, out=fp)
             d -= step
             np.minimum(np.maximum(d, 0.0, out=d), h, out=d)
-            if np.max(np.abs(step), initial=0.0) <= _NEWTON_TOL:  # initial: x may be empty
+            if np.max(np.abs(step)) <= _NEWTON_TOL:
                 break
         bad = np.abs(_horner(d, value)) > 1e-11 * max(1.0, xs[-1])
         if np.any(bad):
@@ -264,18 +266,13 @@ class Inflow:
             out[post] += B(x[post] - 1.0)
         return out
 
-    # kink levels of the integrand in xi-space (see _window_knots)
-    def xi_levels(self, rho0: DensityProfile, prefix: CharacteristicCurve):
-        levels = [1.0 - rho0.breakpoints[1:-1], np.array([1.0])]
-        bp = self.signal.breakpoints
-        inside = bp[bp <= prefix.t_end]
-        if inside.size:
-            levels.append(1.0 + prefix(inside))
-        return np.concatenate(levels)
-
-    def time_knots(self, t_a, t_b):
-        bp = self.signal.breakpoints
-        return bp[(bp > t_a) & (bp < t_b)]
+    def labels(self, rho0: DensityProfile, xi: CharacteristicCurve, t: float) -> np.ndarray:
+        """Labels of the data jumps that have entered by time t: -beta for each
+        rho0 breakpoint beta < 1, then xi(tau) for each breakpoint tau in (0, t]
+        of the signal. At time s label z sits at x = xi(s) - z; it leaves x = 1
+        when xi = 1 + z."""
+        tau = self.signal.breakpoints
+        return np.concatenate((-rho0.breakpoints[:-1], xi(tau[(tau > 0.0) & (tau <= t)])))
 
 
 class FluxInflow(Inflow):
@@ -368,15 +365,14 @@ def _window_knots(inflow, rho0, prefix, t_a, t_b, n_uniform):
     if not t_b - t_a > res:
         raise SolverError(f"window [{t_a:g}, {t_b:g}] of length {t_b - t_a:.3g} is below "
                           f"the knot resolution {res:.3g}")
-    fixed = [np.linspace(t_a, t_b, n_uniform + 1), inflow.time_knots(t_a, t_b)]
-    all_levels = inflow.xi_levels(rho0, prefix)
+    bp = inflow.signal.breakpoints
+    fixed = [np.linspace(t_a, t_b, n_uniform + 1), bp[(bp > t_a) & (bp < t_b)]]
+    all_levels = 1.0 + inflow.labels(rho0, prefix, prefix.t_end)
 
     def knots(cand, kinks=()):
-        extra = fixed + [kinks]
         levels = all_levels[(all_levels > cand.values[0]) & (all_levels < cand.x_end)]
-        if levels.size:
-            extra.append(cand.inverse(levels))
-        grid = np.unique(np.concatenate(extra))  # t_a first: the uniform grid holds it
+        # t_a first: the uniform grid holds it
+        grid = np.unique(np.concatenate(fixed + [kinks, cand.inverse(levels)]))
         grid = grid[(grid >= t_a) & (grid < t_b - res)]
         return np.append(grid[np.concatenate(([True], np.diff(grid) > res))], t_b)
 

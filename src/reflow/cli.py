@@ -103,13 +103,15 @@ def _law_from(cfg: dict) -> SpeedLaw:
 
 
 def _steps_from(cls, cfg: dict, key: str, where: str, end: float):
-    """The step function ``cfg[key]``: a constant on [0, end], or breakpoints and values."""
+    """The step function ``cfg[key]``: a constant on [0, end], or breakpoints and
+    values; a ``ControlSignal`` must reach ``end``."""
     block = _block(cfg, key, where, keys=("constant", "breakpoints", "values"))
     path = _at(where, key)
     if "constant" in block:
         return _built(path, cls, [0.0, end], [_get(block, "constant", path)])
-    return _built(path, cls, _get(block, "breakpoints", path, _array),
-                  _get(block, "values", path, _array))
+    steps = _built(path, cls, _get(block, "breakpoints", path, _array),
+                   _get(block, "values", path, _array))
+    return _built(path, covers, steps, end, key) if cls is ControlSignal else steps
 
 
 # config key of each inflow mode -> its keyword in simulate/check_lower_bound
@@ -188,8 +190,7 @@ def simulate(cfg, out):
     y_d = None
     if "demand" in cfg:
         T = _get(cfg, "horizon", ROOT, finite_positive)
-        y_d = _built("demand", covers, _steps_from(ControlSignal, cfg, "demand", ROOT, T), T,
-                     "demand")
+        y_d = _steps_from(ControlSignal, cfg, "demand", ROOT, T)
     n_trace = _get(cfg, "trace_samples", parse=_count0, default=4096)
     n_slice = _get(cfg, "slice_samples", parse=_count0, default=1024)
     traj = _build_trajectory(cfg)
@@ -259,8 +260,8 @@ def transfer(cfg, out):
 def verify(cfg, out):
     """Certify an admissible transfer against the minimal-time lower bound."""
     vcfg = _block(cfg, "verify", keys=("rho_lo", "rho_hi", "horizon", "tol", *_INFLOW_KEYS))
-    rho_lo = _get(vcfg, "rho_lo", "verify")
-    rho_hi = _get(vcfg, "rho_hi", "verify")
+    rho_lo = _get(vcfg, "rho_lo", "verify", finite_nonnegative)
+    rho_hi = _get(vcfg, "rho_hi", "verify", finite_nonnegative)
     T = _get(vcfg, "horizon", "verify", finite_positive)
     kw = _inflow_from(vcfg, "verify", T)
     cert = check_lower_bound(kw.get("u"), rho_lo, rho_hi, T,

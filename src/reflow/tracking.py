@@ -41,10 +41,9 @@ class TrackingProblem:
         finite_positive(self.horizon, "horizon")
         grid = np.asarray(self.control_grid, dtype=float)
         object.__setattr__(self, "control_grid", grid)
-        if grid.size < 2 or grid[0] != 0.0 or abs(grid[-1] - self.horizon) > 1e-12:
+        self.control_from_values(np.zeros(grid[1:].size))  # the breakpoint rule of a control
+        if abs(grid[-1] - self.horizon) > 1e-12:
             raise ValueError("control grid must span [0, horizon]")
-        if np.any(np.diff(grid) <= 0):
-            raise ValueError("control grid must be strictly increasing")
         covers(self.y_d, self.horizon, "demand")
         finite_nonnegative(self.tracking_weight, "tracking weight")
         finite_positive(self.solver_tol, "solver_tol")

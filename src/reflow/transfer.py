@@ -148,6 +148,14 @@ class OptimalityCertificate:
     slack: float
 
 
+def _check_certificate_inputs(rho_lo, rho_hi, tol):
+    """Finite nonnegative equilibria with rho_hi > rho_lo, and a finite nonnegative tol."""
+    finite_nonnegative(tol, "certificate tol")
+    if not finite_nonnegative(rho_hi, "rho_hi") > finite_nonnegative(rho_lo, "rho_lo"):
+        raise ValueError("certificate requires rho_hi > rho_lo; "
+                         "equal equilibria need no transfer")
+
+
 def certify_trajectory(traj: Trajectory, rho_lo: float, rho_hi: float,
                        *, tol: float = 1e-6) -> OptimalityCertificate:
     """Evaluate the minimal-time lower bound on a simulated transfer.
@@ -156,10 +164,7 @@ def certify_trajectory(traj: Trajectory, rho_lo: float, rho_hi: float,
     its final slice equals rho_hi within ``_SLICE_TOL`` in L^1; ``tol`` (finite,
     nonnegative) is the slack below zero still counted as satisfied.
     """
-    finite_nonnegative(tol, "certificate tol")
-    if rho_hi <= rho_lo:
-        raise ValueError("certificate requires rho_hi > rho_lo; "
-                         "equal equilibria need no transfer")
+    _check_certificate_inputs(rho_lo, rho_hi, tol)
     T = traj.horizon
     edges = traj.slice_panels(T)
     mids = 0.5 * (edges[:-1] + edges[1:])
@@ -200,7 +205,7 @@ def check_lower_bound(u: ControlSignal | None, rho0: float, rho1: float,
     The control may be given as an influx signal u or as a prescribed
     boundary density (exactly one of the two).
     """
-    finite_nonnegative(tol, "certificate tol")  # before the solve
+    _check_certificate_inputs(rho0, rho1, tol)  # before the solve
     traj = simulate(DensityProfile.constant(rho0), reciprocal(), T,
                     u=u, boundary_density=boundary_density)
     return certify_trajectory(traj, rho0, rho1, tol=tol)

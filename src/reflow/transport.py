@@ -189,12 +189,7 @@ class Trajectory:
 
     def slice_panels(self, *times: float) -> np.ndarray:
         """Quadrature edges in [0, 1] aligned with the density jumps at the given times."""
-        taus = self.inflow.signal.breakpoints
-        breaks = []
-        for t in times:
-            xi_t = self.xi(t)
-            breaks += [[xi_t], xi_t + self.rho0.breakpoints,
-                       xi_t - np.asarray(self.xi(taus[taus <= t]), dtype=float)]
+        breaks = [self.xi(t) - self.inflow.labels(self.rho0, self.xi, t) for t in times]
         return _panels(1.0, np.concatenate(breaks), _SLICE_WIDTH)
 
     def l1_slice_distance(self, s: float, t: float) -> float:
@@ -224,8 +219,8 @@ class Trajectory:
 
     def outflux_breaks(self) -> np.ndarray:
         """Times in (0, T) where the outflux (or influx) can jump."""
-        levels = self.inflow.xi_levels(self.rho0, self.xi)
-        levels = levels[(levels > 0.0) & (levels < self.xi.x_end)]
+        levels = 1.0 + self.inflow.labels(self.rho0, self.xi, self.horizon)
+        levels = levels[levels < self.xi.x_end]
         ev = np.concatenate((self.xi.inverse(levels), self.inflow.signal.breakpoints))
         return np.unique(ev[(ev > 0.0) & (ev < self.horizon)])
 
@@ -284,13 +279,13 @@ class Trajectory:
         weights = (h[:, None] * _W5).ravel()
         grad = (2.0 * weights * (lam * rho1 - y_d(t))) @ dy
 
-        # moving jumps: rho0 breakpoint beta reaches x = 1 when xi = 1 - beta
-        # (beta = 0 at the exit time), the material that entered at control
-        # breakpoint tau when xi = 1 + xi(tau)
+        # moving jumps, in the order of their labels: rho0 breakpoint beta
+        # (beta = 0 at the exit time), then the material that entered at
+        # control breakpoint tau; one entering at T never reaches x = 1
         beta = self.rho0.breakpoints[:-1]
         tau = u.breakpoints[1:]
-        tau = tau[tau < self.horizon]
-        levels = np.concatenate((1.0 - beta, 1.0 + xi(tau)))
+        tau = tau[tau <= self.horizon]
+        levels = 1.0 + self.inflow.labels(self.rho0, xi, self.horizon)
         moving = levels < xi.x_end
         if np.any(moving):
             lam_tau = self.speed(tau)

@@ -466,3 +466,21 @@ class TestValidation:
         law = tabulated([0.0, 1.0, 2.0], [1.0, 0.5, 0.3])
         curve = solve_xi(DensityInflow(b), DensityProfile.constant(0.0), law, 1.0)
         assert curve.x_end == pytest.approx(1.0, abs=1e-12)
+
+    def test_window_that_runs_out_of_iterations_names_window_and_residual(self, monkeypatch):
+        monkeypatch.setattr(characteristics, "_MAX_ITER", 2)
+        u, rho0 = ControlSignal.constant(1.0, 2.0), DensityProfile.constant(0.5)
+        with pytest.raises(SolverError, match=r"window \[0, [0-9.e-]+\] did not converge: "
+                                              r"residual [0-9.e+-]+ after 2 iterations"):
+            solve_xi(u, rho0, reciprocal(), 2.0, tol=1e-12)
+
+
+class TestLabels:
+    def test_labels_of_initial_and_entered_jumps(self):
+        u = ControlSignal([0.0, 0.5, 1.0, 2.0], [1.0, 0.5, 1.5])
+        rho0 = DensityProfile([0.0, 0.25, 1.0], [1.0, 2.0])
+        xi = solve_xi(u, rho0, reciprocal(), 2.0)
+        z = FluxInflow(u).labels(rho0, xi, 1.0)
+        # -beta for beta in {0, 0.25}, then xi(tau) for tau in {0.5, 1.0}
+        assert np.array_equal(z, np.array([-0.0, -0.25, xi(0.5), xi(1.0)]))
+        assert FluxInflow(u).labels(rho0, xi, 0.0).tolist() == [-0.0, -0.25]

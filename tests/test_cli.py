@@ -207,6 +207,7 @@ OPT_CFG = {
     "horizon": 1.0,
     "optimize": {"control_cells": 3},
 }
+SHORT = {"breakpoints": [0.0, 0.5], "values": [0.5]}  # a step signal shorter than every horizon
 
 
 @pytest.mark.parametrize("command, cfg, field", [
@@ -277,6 +278,20 @@ OPT_CFG = {
     ("optimize", dict(OPT_CFG, horizon=float("inf")), "horizon"),
     ("verify", {"verify": {"rho_lo": 1.0, "rho_hi": 2.0, "horizon": float("nan"),
                            "boundary_density": {"constant": 2.0}}}, "verify.horizon"),
+    # a NaN equilibrium exited 0 with NaN in certificate.json; -1 named <root>
+    ("verify", {"verify": {"rho_lo": 1.0, "rho_hi": float("nan"), "horizon": 2.5,
+                           "boundary_density": {"constant": 2.0}}}, "verify.rho_hi"),
+    ("verify", {"verify": {"rho_lo": -1.0, "rho_hi": 2.0, "horizon": 2.5,
+                           "boundary_density": {"constant": 2.0}}}, "verify.rho_lo"),
+    ("simulate", dict(SIM_CFG, law={"kind": "foo"}), "law.kind"),
+    # a step signal that ends before T named <root>, except simulate's demand
+    ("simulate", {**{k: v for k, v in SIM_CFG.items() if k != "boundary_density"},
+                  "control": SHORT}, "control"),
+    ("simulate", dict(SIM_CFG, boundary_density=SHORT), "boundary_density"),
+    ("crosscheck", dict(CROSS_CFG, control=SHORT), "control"),
+    ("verify", {"verify": {"rho_lo": 1.0, "rho_hi": 2.0, "horizon": 2.5, "control": SHORT}},
+     "verify.control"),
+    ("optimize", dict(OPT_CFG, demand=SHORT), "demand"),
 ])
 def test_invalid_count_exits_2_with_field_path(runner, tmp_path, command, cfg, field):
     path = write_config(tmp_path / "c.yaml", cfg)

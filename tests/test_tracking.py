@@ -124,6 +124,19 @@ class TestGradient:
         W = traj.total_mass(np.linspace(0.0, T, 200))
         assert np.any((W.min() < law.kinks) & (law.kinks < W.max()))
 
+    def test_control_longer_than_the_horizon(self):
+        # its breakpoints past T enter no moving jump; one at T never moves
+        pr = exact_problem(DensityProfile([0.0, 0.4, 1.0], [0.3, 0.9]),
+                           ControlSignal([0.0, 1.0, 2.5], [0.3, 0.5]), reciprocal(), 2.5, 4)
+        values = np.array([0.5, 0.2, 0.6, 0.3])
+        traj = assert_matches_fd(pr, values)
+        longer = ControlSignal(np.append(pr.control_grid, [3.0, 4.0]), np.append(values, [0.9, 0.1]))
+        traj_long = simulate(pr.rho0, pr.law, 2.5, u=longer, tol=pr.solver_tol,
+                             knots_per_window=pr.knots_per_window)
+        grid = pr.control_grid
+        np.testing.assert_allclose(traj_long.tracking_gradient(pr.y_d, grid),
+                                   traj.tracking_gradient(pr.y_d, grid), rtol=1e-12, atol=0.0)
+
     def test_cell_at_zero(self):
         pr = exact_problem(DensityProfile([0.0, 0.4, 1.0], [0.3, 0.9]),
                            ControlSignal([0.0, 1.0, 2.5], [0.3, 0.5]), reciprocal(), 2.5, 4)
@@ -161,6 +174,18 @@ class TestProblemValidation:
             TrackingProblem(DensityProfile.constant(0.0),
                             ControlSignal.constant(0.0, 1.0),
                             reciprocal(), float("nan"), np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("grid, match", [
+        ([0.0, float("nan"), 1.0], "finite"),  # used to fail only in minimize
+        ([0.0, 0.7, 0.5, 1.0], "strictly increasing"),
+        ([0.5, 1.0], "start at t = 0"),
+        ([1.0], "at least two breakpoints"),
+    ])
+    def test_grid_takes_the_breakpoint_rule_of_a_control(self, grid, match):
+        with pytest.raises(ValueError, match=match):
+            TrackingProblem(DensityProfile.constant(0.0),
+                            ControlSignal.constant(0.0, 1.0),
+                            reciprocal(), 1.0, np.array(grid))
 
     def test_demand_must_cover_horizon(self):
         with pytest.raises(ValueError, match="demand"):

@@ -5,6 +5,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+from reflow import transfer
 from reflow.laws import reciprocal
 from reflow.signals import ControlSignal, DensityProfile
 from reflow.transfer import (TransferScenario, certify_trajectory,
@@ -181,6 +182,44 @@ class TestCertificate:
                         u=ControlSignal.constant(0.5, 1.0))
         with pytest.raises(ValueError, match="equal"):
             certify_trajectory(traj, 1.0, 1.0)
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, float("nan")), (float("nan"), 2.0),
+                                        (-1.0, 2.0), (1.0, float("inf"))])
+    def test_rejects_equilibria_that_are_not_finite_and_nonnegative(self, lo, hi):
+        # a NaN pair used to give slack nan and satisfied False without an error
+        traj = simulate(DensityProfile.constant(1.0), reciprocal(), 2.5,
+                        boundary_density=ControlSignal.constant(2.0, 2.5))
+        with pytest.raises(ValueError, match="rho_(lo|hi) must be finite and nonnegative"):
+            certify_trajectory(traj, lo, hi)
+
+    def test_pair_is_checked_before_the_solve(self, monkeypatch):
+        # a decreasing pair used to be rejected only after the whole solve
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before checking the pair")
+
+        monkeypatch.setattr(transfer, "simulate", no_solve)
+        b = ControlSignal.constant(2.0, 2.5)
+        with pytest.raises(ValueError, match="rho_hi > rho_lo"):
+            check_lower_bound(None, 2.0, 1.0, 2.5, boundary_density=b)
+        with pytest.raises(ValueError, match="rho_hi must be finite"):
+            check_lower_bound(None, 1.0, float("nan"), 2.5, boundary_density=b)
+
+    def test_late_onset_takes_the_second_bound(self):
+        # b = 0.5 until t = 2 > t1: the t = 0 characteristic has left before the
+        # final stretch starts, so the bound is 2 + (lo + hi) / 2
+        lo, hi, tau = 1.0, 2.0, 2.0
+        probe = simulate(DensityProfile.constant(lo), reciprocal(), 10.0,
+                         boundary_density=ControlSignal([0.0, tau, 10.0], [0.5, hi]))
+        T = float(probe.xi.inverse(1.0 + probe.xi(tau))) + 0.01
+        cert = check_lower_bound(None, lo, hi, T,
+                                 boundary_density=ControlSignal([0.0, tau, T], [0.5, hi]))
+        assert cert.t0 == tau
+        assert cert.t1 == pytest.approx(1.75, abs=1e-9)
+        assert cert.t0 >= cert.t1
+        assert cert.bound_value == 3.5
+        assert cert.slack == pytest.approx(T - 3.5)
+        assert cert.slack == pytest.approx(0.76, abs=0.01)
+        assert cert.satisfied
 
     def test_no_random_admissible_control_beats_the_bound(self):
         rng = np.random.default_rng(21)
