@@ -12,7 +12,9 @@ a-priori length. Integrals of the speed are evaluated by
 composite 3-point Gauss quadrature on a knot grid that tracks the kink
 locations of the integrand (data breakpoints composed with the curve, the
 instant the curve reaches x = 1, and the masses where a tabulated speed law
-has a kink).
+has a kink). Each map application evaluates the candidate once, on the knots
+and the Gauss nodes together. Iterates and the frozen prefix are built without
+the curve checks; the curve ``solve_xi`` returns is checked.
 """
 
 from __future__ import annotations
@@ -87,16 +89,20 @@ class CharacteristicCurve:
     single knot is the curve at one instant, as at the start of a solve. The
     cubic of segment k is built once per curve, as x_k + d (s_k + d (a2_k +
     d a3_k)) in the offset d = t - t_k; times outside the knots are clamped.
+
+    A curve holds one coefficient table whose rows run a3, a2, s, t_k, x_k,
+    h (the segment width) and the secant slope, one column per knot: the last
+    column completes the knot rows, which are the ``times``, ``values`` and
+    ``slopes`` fields, and gives a one-knot curve its constant segment.
+    Evaluation gathers the leading five rows, the slope four, inversion all.
+    The public constructor checks the knots; the solver builds its iterates
+    and frozen prefixes through ``_unchecked`` and checks the curve it returns.
     """
 
     times: np.ndarray
     values: np.ndarray
     slopes: np.ndarray
-    # per segment: width, secant slope and the coefficients a2, a3
-    _widths: np.ndarray = field(init=False, repr=False, compare=False)
-    _secants: np.ndarray = field(init=False, repr=False, compare=False)
-    _a2: np.ndarray = field(init=False, repr=False, compare=False)
-    _a3: np.ndarray = field(init=False, repr=False, compare=False)
+    _table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ts = np.asarray(self.times, dtype=float)
@@ -104,22 +110,36 @@ class CharacteristicCurve:
         ss = np.asarray(self.slopes, dtype=float)
         if not (ts.shape == xs.shape == ss.shape) or ts.ndim != 1 or ts.size < 1:
             raise ValueError("knot arrays must share a 1-D shape of length >= 1")
-        # every solver iterate is checked, so the checks reuse the diffs the
-        # coefficients need; a NaN fails each of them (min propagates it)
+        # the checks reuse the diffs the coefficients need; a NaN fails each
+        # of them (min propagates it)
         h, dx = ts[1:] - ts[:-1], xs[1:] - xs[:-1]
         if not (np.minimum(h, dx).min(initial=np.inf) > 0 and math.isfinite(ts[0])
                 and math.isfinite(ts[-1]) and math.isfinite(xs[0]) and math.isfinite(xs[-1])):
             raise ValueError("knot times and values must be finite and strictly increasing")
         if not (ss.min() > 0 and ss.max() < np.inf):
             raise ValueError("knot slopes must be positive and finite")
-        m = dx / h
-        q = ss[:-1] + ss[1:] - 2.0 * m  # a3 h^2; then a2 h = m - s_k - a3 h^2
-        a2, a3 = (m - ss[:-1] - q) / h, q / (h * h)
-        if ts.size == 1:  # one constant segment of width 0
-            a2 = a3 = np.zeros(1)
-        for name, value in (("times", ts), ("values", xs), ("slopes", ss),
-                            ("_widths", h), ("_secants", m), ("_a2", a2), ("_a3", a3)):
-            object.__setattr__(self, name, value)
+        self._fill(ts, xs, ss, h, dx)
+
+    @classmethod
+    def _unchecked(cls, ts, xs, ss) -> "CharacteristicCurve":
+        """The curve through float knot arrays the caller knows to be valid,
+        built without the checks: a window iterate's values are a cumulative
+        sum of positive increments, and its slopes are speeds."""
+        curve = object.__new__(cls)
+        curve._fill(ts, xs, ss, ts[1:] - ts[:-1], xs[1:] - xs[:-1])
+        return curve
+
+    def _fill(self, ts, xs, ss, h, dx):
+        """Build the coefficient table from the knots and their gaps h, dx."""
+        table = np.zeros((7, ts.size))
+        a3, a2, s, t, x, w, m = table
+        s[:], t[:], x[:], w[:-1] = ss, ts, xs, h
+        np.divide(dx, h, out=m[:-1])
+        q = ss[:-1] + ss[1:] - 2.0 * m[:-1]  # a3 h^2; then a2 h = m - s_k - a3 h^2
+        np.divide(m[:-1] - ss[:-1] - q, h, out=a2[:-1])
+        np.divide(q, h * h, out=a3[:-1])
+        # a frozen dataclass: the fields go into the instance dict directly
+        self.__dict__.update(times=t, values=x, slopes=s, _table=table)
 
     @property
     def t_end(self) -> float:
@@ -132,19 +152,17 @@ class CharacteristicCurve:
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         ts = self.times
-        idx = segment(ts, t)
-        d = np.minimum(np.maximum(t, ts[0]), ts[-1]) - ts.take(idx)
-        out = _horner(d, (self._a3.take(idx), self._a2.take(idx), self.slopes.take(idx),
-                          self.values.take(idx)))
+        a3, a2, s, t_k, x_k = self._table[:5].take(segment(ts, t), axis=1)
+        d = np.minimum(np.maximum(t, ts[0]), ts[-1]) - t_k
+        out = _horner(d, (a3, a2, s, x_k))
         return float(out) if t.ndim == 0 else out
 
     def slope(self, t):
         t = np.asarray(t, dtype=float)
         ts = self.times
-        idx = segment(ts, t)
-        d = np.minimum(np.maximum(t, ts[0]), ts[-1]) - ts.take(idx)
-        out = _horner(d, (3.0 * self._a3.take(idx), 2.0 * self._a2.take(idx),
-                          self.slopes.take(idx)))
+        a3, a2, s, t_k = self._table[:4].take(segment(ts, t), axis=1)
+        d = np.minimum(np.maximum(t, ts[0]), ts[-1]) - t_k
+        out = _horner(d, (3.0 * a3, 2.0 * a2, s))
         return float(out) if t.ndim == 0 else out
 
     def inverse(self, x):
@@ -166,24 +184,23 @@ class CharacteristicCurve:
             return float(ts[0]) if x.ndim == 0 else np.full(x.shape, ts[0])
         xv = np.atleast_1d(x)  # the Newton loop updates its arrays in place
         idx = segment(xs, xv)
-        h = self._widths.take(idx)
-        r = xs.take(idx) - xv
-        s, a2, a3 = self.slopes.take(idx), self._a2.take(idx), self._a3.take(idx)
+        a3, a2, s, t_k, x_k, h, m = self._table.take(idx, axis=1)
+        r = x_k - xv
         value, derivative = (a3, a2, s, r), (3.0 * a3, 2.0 * a2, s)
-        d = np.minimum(np.maximum(-r / self._secants.take(idx), 0.0), h)
+        d = np.minimum(np.maximum(-r / m, 0.0), h)
         for _ in range(60):
             step = _horner(d, value)
             fp = _horner(d, derivative)
             step /= np.maximum(fp, 1e-300, out=fp)
             d -= step
             np.minimum(np.maximum(d, 0.0, out=d), h, out=d)
-            if np.max(np.abs(step)) <= _NEWTON_TOL:
+            if np.abs(step).max() <= _NEWTON_TOL:
                 break
         bad = np.abs(_horner(d, value)) > 1e-11 * max(1.0, xs[-1])
-        if np.any(bad):
-            i = np.ravel(idx)[np.argmax(bad)]
+        if bad.any():
+            i = idx.ravel()[bad.argmax()]
             raise SolverError(f"Newton inversion unresolved on segment [{ts[i]:g}, {ts[i + 1]:g}]")
-        d += ts.take(idx)
+        d += t_k
         return float(d[0]) if x.ndim == 0 else d
 
     def with_exits(self, times) -> np.ndarray:
@@ -254,7 +271,7 @@ class Inflow:
         entered = self.entered(s, xi_s, B)
         W = entered + rho0.cumulative(1.0 - xi_s)
         post = xi_s > 1.0
-        if np.any(post):
+        if post.any():
             W[post] = entered[post] - B(xi_s[post] - 1.0)
         return W
 
@@ -262,7 +279,7 @@ class Inflow:
         """Mass past x = 1 with the curve at the array of positions x; B is its boundary_mass."""
         out = rho0.total_mass - rho0.cumulative(1.0 - x)
         post = x > 1.0
-        if np.any(post):
+        if post.any():
             out[post] += B(x[post] - 1.0)
         return out
 
@@ -316,7 +333,7 @@ class DensityInflow(Inflow):
         # breakpoints of b mapped to positions; a cell the curve has not crossed
         # yet has zero width and adds exactly 0; np.interp takes repeated abscissae
         z = np.maximum.accumulate((prefix if xi_of is None else xi_of)(self.signal.breakpoints))
-        mass = np.concatenate(([0.0], np.cumsum(self.signal.values * np.diff(z))))
+        mass = np.concatenate(([0.0], (self.signal.values * (z[1:] - z[:-1])).cumsum()))
         return lambda x: np.interp(x, z, mass)
 
     def entered(self, s, xi_s, B):
@@ -359,22 +376,30 @@ def _window_knots(inflow, rho0, prefix, t_a, t_b, n_uniform):
     crosses a level, and ``kinks``, extra knot times where the speed law has a
     kink. Both window ends are knots; a knot between them within the
     resolution of an end or of the knot below it is dropped, and a window
-    below the resolution raises.
+    below the resolution raises. The knot sources are merged by one sort:
+    that drop also removes repeated times.
     """
     res = 1e-13 * max(1.0, t_b)
     if not t_b - t_a > res:
         raise SolverError(f"window [{t_a:g}, {t_b:g}] of length {t_b - t_a:.3g} is below "
                           f"the knot resolution {res:.3g}")
     bp = inflow.signal.breakpoints
-    fixed = [np.linspace(t_a, t_b, n_uniform + 1), bp[(bp > t_a) & (bp < t_b)]]
+    fixed = np.concatenate((np.linspace(t_a, t_b, n_uniform + 1), bp[(bp > t_a) & (bp < t_b)]))
     all_levels = 1.0 + inflow.labels(rho0, prefix, prefix.t_end)
 
     def knots(cand, kinks=()):
-        levels = all_levels[(all_levels > cand.values[0]) & (all_levels < cand.x_end)]
-        # t_a first: the uniform grid holds it
-        grid = np.unique(np.concatenate(fixed + [kinks, cand.inverse(levels)]))
-        grid = grid[(grid >= t_a) & (grid < t_b - res)]
-        return np.append(grid[np.concatenate(([True], np.diff(grid) > res))], t_b)
+        xs = cand.values
+        levels = all_levels[(all_levels > xs[0]) & (all_levels < xs[-1])]
+        grid = np.concatenate((fixed, kinks, cand.inverse(levels) if levels.size else ()))
+        grid.sort()
+        # grid[lo:hi] is the part in [t_a, t_b - res): t_a first (the uniform
+        # grid holds it); grid[hi] exists, as t_b is in the grid, and becomes t_b
+        lo, hi = grid.searchsorted((t_a, t_b - res))
+        grid = grid[lo:hi + 1]
+        grid[-1] = t_b
+        keep = np.concatenate(([True], grid[1:] - grid[:-1] > res))
+        keep[-1] = True
+        return grid[keep]
 
     return knots
 
@@ -382,12 +407,14 @@ def _window_knots(inflow, rho0, prefix, t_a, t_b, n_uniform):
 def _integrate_window(inflow, rho0, law, prefix, cand, knots):
     """One application of the window map on the given knot grid.
 
-    Returns (values, slopes, W at knots) of the mapped curve.
+    The candidate is evaluated once, on the knots and the Gauss nodes
+    together. Returns (values, slopes, W at knots) of the mapped curve and
+    the candidate at the knots.
     """
-    x_a = cand(knots[0])
-    h = np.diff(knots)
-    nodes = (knots[:-1, None] + h[:, None] * _G3_NODES[None, :]).ravel()
-    xi_nodes = cand(nodes)
+    h = knots[1:] - knots[:-1]
+    nodes = (knots[:-1, None] + h[:, None] * _G3_NODES).ravel()
+    xi = cand(np.concatenate((knots, nodes)))
+    xi_knots, xi_nodes = xi[:knots.size], xi[knots.size:]
 
     def xi_of(t):
         return np.where(t <= prefix.t_end, prefix(t), cand(t))
@@ -396,9 +423,9 @@ def _integrate_window(inflow, rho0, law, prefix, cand, knots):
     W_nodes = inflow.mass(rho0, nodes, xi_nodes, B)
     g = law(W_nodes).reshape(-1, 3)
     increments = h * (g @ _G3_WEIGHTS)
-    values = x_a + np.concatenate(([0.0], np.cumsum(increments)))
+    values = xi_knots[0] + np.concatenate(([0.0], increments.cumsum()))
     W_knots = inflow.mass(rho0, knots, values, B)
-    return values, law(W_knots), W_knots
+    return values, law(W_knots), W_knots, xi_knots
 
 
 def _solve_window(inflow, rho0, law, prefix, t_a, t_b, tol, n_uniform, trial=False):
@@ -406,24 +433,31 @@ def _solve_window(inflow, rho0, law, prefix, t_a, t_b, tol, n_uniform, trial=Fal
 
     A ``trial`` window, whose length no a-priori bound backs, is given up
     (None is returned) as soon as a residual is more than half the one before:
-    the 1/2-contraction that bound would guarantee is not observed.
+    the 1/2-contraction that bound would guarantee is not observed. The
+    iterates are built unchecked, so a non-finite residual fails the window
+    at once: a trial is given up, any other window raises SolverError.
     """
     x_a = prefix.x_end
     s_a = prefix.slopes[-1]
-    cand = CharacteristicCurve(np.array([t_a, t_b]), np.array([x_a, x_a + s_a * (t_b - t_a)]),
-                               np.array([s_a, s_a]))
+    cand = CharacteristicCurve._unchecked(np.array([t_a, t_b]),
+                                          np.array([x_a, x_a + s_a * (t_b - t_a)]),
+                                          np.array([s_a, s_a]))
     window_knots = _window_knots(inflow, rho0, prefix, t_a, t_b, n_uniform)
     resid = np.inf
     kinks = ()  # unknown until W is known on a candidate
     for _ in range(_MAX_ITER):
         knots = window_knots(cand, kinks)
-        old = cand(knots)
-        values, slopes, W = _integrate_window(inflow, rho0, law, prefix, cand, knots)
-        new_resid = float(np.max(np.abs(values - old)))
+        values, slopes, W, old = _integrate_window(inflow, rho0, law, prefix, cand, knots)
+        new_resid = float(np.abs(values - old).max())
+        if not new_resid < np.inf:  # NaN or infinite: the iterate is no curve
+            if trial:
+                return None
+            raise SolverError(f"window [{t_a:g}, {t_b:g}]: the window map gave a "
+                              f"non-finite residual {new_resid}")
         if trial and new_resid > 0.5 * resid:
             return None
         resid = new_resid
-        cand = CharacteristicCurve(knots, values, slopes)
+        cand = CharacteristicCurve._unchecked(knots, values, slopes)
         kinks = law.kink_times(knots, W)
         if resid <= 0.5 * tol:
             return cand
@@ -486,7 +520,7 @@ def solve_xi(
     eps = 1e-12 * max(1.0, T)
     last = np.inf  # length of the last accepted window; the first trial takes the cap
     while ts[-1] < T - eps:
-        prefix = CharacteristicCurve(ts, xs, ss)
+        prefix = CharacteristicCurve._unchecked(ts, xs, ss)
         t_a = ts[-1]
         # one call per window although M is fixed: the benchmark counts windows by it
         bounds = law.bounds(M)
@@ -621,5 +655,5 @@ def apply_F(
         raise ValueError(f"window end {t_b} exceeds curve domain {xi.t_end}")
     inflow = FluxInflow(u)
     knots = _window_knots(inflow, rho0, xi, t_a, t_b, 256)(xi)  # solve_xi's default grid
-    values, slopes, _ = _integrate_window(inflow, rho0, law, xi, xi, knots)
+    values, slopes, _, _ = _integrate_window(inflow, rho0, law, xi, xi, knots)
     return CharacteristicCurve(knots, values, slopes)

@@ -83,10 +83,10 @@ def _block(cfg: dict, key: str, where: str = ROOT, keys=(), default=REQUIRED) ->
     return block
 
 
-def _built(path: str, build, *args):
-    """``build(*args)``, with a ValueError it raises reported at ``path``."""
+def _built(path: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with a ValueError it raises reported at ``path``."""
     try:
-        return build(*args)
+        return build(*args, **kwargs)
     except ValueError as e:
         raise ConfigError(path, str(e)) from e
 
@@ -264,9 +264,10 @@ def verify(cfg, out):
     rho_hi = _get(vcfg, "rho_hi", "verify", finite_nonnegative)
     T = _get(vcfg, "horizon", "verify", finite_positive)
     kw = _inflow_from(vcfg, "verify", T)
-    cert = check_lower_bound(kw.get("u"), rho_lo, rho_hi, T,
-                             boundary_density=kw.get("boundary_density"),
-                             tol=_get(vcfg, "tol", "verify", finite_nonnegative, 1e-6))
+    # a pair or horizon the certificate rejects names the whole block
+    cert = _built("verify", check_lower_bound, kw.get("u"), rho_lo, rho_hi, T,
+                  boundary_density=kw.get("boundary_density"),
+                  tol=_get(vcfg, "tol", "verify", finite_nonnegative, 1e-6))
     payload = {"t0": cert.t0, "t1": cert.t1, "bound_value": cert.bound_value,
                "satisfied": cert.satisfied, "slack": cert.slack}
     with open(out / "certificate.json", "w") as f:

@@ -32,14 +32,21 @@ _SLICE_WIDTH = 1e-3  # widest panel of the slice quadratures
 
 
 def _panels(end: float, breaks, max_width: float) -> np.ndarray:
-    """Edges in [0, end] at every break inside, refined to at most max_width."""
+    """Edges in [0, end] at every break inside, refined to at most max_width.
+
+    The piece [a, b] between breaks gets n = ceil((b - a) / max_width) equal
+    panels, with edges j (b - a) / n + a for j < n, linspace's arithmetic; its
+    last edge b is the next piece's first, or ``end``. All pieces are built in
+    one pass.
+    """
     breaks = breaks[(breaks > 0.0) & (breaks < end)]
     edges = np.unique(np.concatenate(([0.0, end], breaks)))
-    pieces = [
-        np.linspace(a, b, max(2, int(np.ceil((b - a) / max_width)) + 1))
-        for a, b in zip(edges[:-1], edges[1:])
-    ]
-    return np.unique(np.concatenate(pieces))
+    a = edges[:-1]
+    widths = edges[1:] - a
+    n = np.maximum(np.ceil(widths / max_width), 1.0).astype(np.intp)
+    first = n.cumsum() - n  # index of each piece's first edge
+    j = np.arange(first[-1] + n[-1]) - np.repeat(first, n)
+    return np.unique(np.concatenate((j * np.repeat(widths / n, n) + np.repeat(a, n), [end])))
 
 
 def _positions(x) -> np.ndarray:

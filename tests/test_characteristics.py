@@ -475,6 +475,51 @@ class TestValidation:
             solve_xi(u, rho0, reciprocal(), 2.0, tol=1e-12)
 
 
+class TestUncheckedIterates:
+    """Iterates and prefixes are built without the curve checks."""
+
+    STEEP = tabulated([0.0, 2.3, 2.35, 20.0], [1.0, 0.9, 0.1, 0.05])
+
+    @pytest.mark.parametrize("mode", [FluxInflow, DensityInflow])
+    @pytest.mark.parametrize("steep", [False, True])
+    def test_checked_build_gives_the_same_curve_bit_for_bit(self, monkeypatch, mode, steep):
+        if steep:
+            args = (ControlSignal.constant(0.05, 1.1), DensityProfile.constant(2.5),
+                    self.STEEP, 1.1)
+            tol = 1e-11
+        else:
+            u, rho0 = random_scenario(np.random.default_rng(11))
+            args, tol = (u, rho0, reciprocal(), 1.5), 1e-10
+        fast = solve_xi(mode(args[0]), *args[1:], tol=tol)
+        monkeypatch.setattr(CharacteristicCurve, "_unchecked",
+                            classmethod(lambda cls, ts, xs, ss: cls(ts, xs, ss)))
+        checked = solve_xi(mode(args[0]), *args[1:], tol=tol)
+        for name in ("times", "values", "slopes"):
+            assert np.array_equal(getattr(fast, name), getattr(checked, name))
+
+    def test_nan_window_map_fails_the_window_after_one_application(self, monkeypatch, windows):
+        calls = []
+        integrate = characteristics._integrate_window
+
+        def poisoned(*args):
+            calls.append(args[4].t_end)
+            values, slopes, W, old = integrate(*args)
+            values[-1] = np.nan
+            return values, slopes, W, old
+
+        monkeypatch.setattr(characteristics, "_integrate_window", poisoned)
+        u, rho0 = ControlSignal.constant(1.0, 2.0), DensityProfile.constant(0.5)
+        with pytest.raises(SolverError, match=r"window \[0, ([0-9.e-]+)\]: the window map "
+                                              r"gave a non-finite residual nan") as err:
+            solve_xi(u, rho0, reciprocal(), 2.0)
+        # the trial at the cap length is given up after one application, and
+        # the a-priori window that replaces it raises after one
+        (t_a, t_cap, trial, accepted), = windows
+        assert (t_a, trial, accepted) == (0.0, True, False)
+        assert len(calls) == 2 and calls[0] == t_cap
+        assert f"[0, {calls[1]:g}]" in str(err.value) and calls[1] < t_cap
+
+
 class TestLabels:
     def test_labels_of_initial_and_entered_jumps(self):
         u = ControlSignal([0.0, 0.5, 1.0, 2.0], [1.0, 0.5, 1.5])

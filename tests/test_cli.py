@@ -292,6 +292,11 @@ SHORT = {"breakpoints": [0.0, 0.5], "values": [0.5]}  # a step signal shorter th
     ("verify", {"verify": {"rho_lo": 1.0, "rho_hi": 2.0, "horizon": 2.5, "control": SHORT}},
      "verify.control"),
     ("optimize", dict(OPT_CFG, demand=SHORT), "demand"),
+    # a pair or a horizon the certificate rejects named <root>
+    ("verify", {"verify": {"rho_lo": 2.0, "rho_hi": 1.0, "horizon": 2.5,
+                           "boundary_density": {"constant": 1.0}}}, "verify"),
+    ("verify", {"verify": {"rho_lo": 1.0, "rho_hi": 2.0, "horizon": 1.0,
+                           "boundary_density": {"constant": 2.0}}}, "verify"),
 ])
 def test_invalid_count_exits_2_with_field_path(runner, tmp_path, command, cfg, field):
     path = write_config(tmp_path / "c.yaml", cfg)

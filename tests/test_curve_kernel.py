@@ -7,6 +7,8 @@ The curve builds each segment's coefficients once and runs Horner and Newton
 in the offset d = t - t_k; both must describe the same curve to rounding.
 """
 
+import dataclasses
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -166,3 +168,17 @@ class TestAgainstHermiteBasis:
         # one point may take fewer Newton steps than the batch it was part of
         one = curve.inverse(float(x[-1]))
         assert isinstance(one, float) and (abs(one - new[-1]) <= 1e-13 or not unique[-1])
+
+
+class TestUncheckedBuild:
+    @given(curves())
+    @example(ONE_KNOT)
+    @example(TWO_KNOTS)
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_the_checked_build_field_for_field(self, curve):
+        fast = CharacteristicCurve._unchecked(curve.times.copy(), curve.values.copy(),
+                                              curve.slopes.copy())
+        assert vars(fast).keys() == vars(curve).keys()
+        for f in dataclasses.fields(CharacteristicCurve):
+            a, b = getattr(fast, f.name), getattr(curve, f.name)
+            assert a.shape == b.shape and np.array_equal(a, b), f.name

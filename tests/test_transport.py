@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reflow.laws import reciprocal, tabulated
 from reflow.signals import ControlSignal, DensityProfile
-from reflow.transport import _gauss5, simulate
+from reflow.transport import _gauss5, _panels, simulate
 
 from test_characteristics import random_scenario
 
@@ -279,3 +281,32 @@ class TestExport:
         lines = path.read_text().splitlines()
         assert lines[0] == "# columns: x,rho"
         assert len(lines) == 9
+
+
+def loop_panels(end, breaks, max_width):
+    """Oracle: the per-piece linspace loop that ``_panels`` replaced."""
+    breaks = breaks[(breaks > 0.0) & (breaks < end)]
+    edges = np.unique(np.concatenate(([0.0, end], breaks)))
+    pieces = [np.linspace(a, b, max(2, int(np.ceil((b - a) / max_width)) + 1))
+              for a, b in zip(edges[:-1], edges[1:])]
+    return np.unique(np.concatenate(pieces))
+
+
+class TestPanels:
+    @settings(max_examples=300, deadline=None)
+    @given(end=st.floats(0.01, 10.0),
+           fractions=st.lists(st.one_of(st.floats(-0.5, 1.5), st.sampled_from([0.0, 1.0])),
+                              max_size=12),
+           repeats=st.integers(0, 4),
+           width_fraction=st.floats(1e-3, 2.0))
+    @example(end=3.0, fractions=[0.1, 0.1, 0.5, -0.2, 1.0, 1.3, 0.0], repeats=2,
+             width_fraction=1.0 / 512.0)
+    @example(end=1.0, fractions=[], repeats=0, width_fraction=2.0)
+    def test_equals_the_per_piece_linspace(self, end, fractions, repeats, width_fraction):
+        # breaks outside (0, end), on its ends and repeated are all allowed
+        breaks = np.array(fractions, dtype=float) * end
+        breaks = np.concatenate((breaks, breaks[:repeats]))
+        max_width = width_fraction * end
+        edges = _panels(end, breaks, max_width)
+        assert np.array_equal(edges, loop_panels(end, breaks, max_width))
+        assert edges[0] == 0.0 and edges[-1] == end
