@@ -8,7 +8,14 @@ rests on the whole-horizon mass bound and is mostly far too short, so each
 window first tries twice the last accepted length, capped at 0.9 / sup speed
 (the first window tries the cap itself), and keeps it while every map
 application at least halves the residual; otherwise it falls back to the
-a-priori length. Integrals of the speed are evaluated by
+a-priori length. A trial window's next candidate is the map's output F(c)
+plus a Newton correction e: the solution of the linearized window equation
+e' = a (e + r), e(t_a) = 0, with r = F(c) - c the knot residual and a =
+lam'(W) dW/dxi, kept only while its increments stay inside the speed
+envelope. e vanishes with r, so the fixed point, the stop rule (F(c) is
+returned once |F(c) - c| <= tol / 2) and the trial rule are the plain map's;
+the a-priori windows and ``apply_F`` apply the plain map, whose contraction
+the paper proves. Integrals of the speed are evaluated by
 composite 3-point Gauss quadrature on a knot grid that tracks the kink
 locations of the integrand (data breakpoints composed with the curve, the
 instant the curve reaches x = 1, and the masses where a tabulated speed law
@@ -265,15 +272,26 @@ class Inflow:
             raise ValueError("provide exactly one of u and boundary_density")
         return DensityInflow(boundary_density) if u is None else FluxInflow(u)
 
-    def mass(self, rho0: DensityProfile, s, xi_s, B):
-        """W at times s where the curve takes values xi_s; B is its boundary_mass."""
+    def mass(self, rho0: DensityProfile, s, xi_s, B, rate=False):
+        """W at times s where the curve takes values xi_s; B is its boundary_mass.
+
+        With ``rate``, (W, dW/dxi): the rate ``entered_rate`` at which E grows
+        with xi, less the density at x = 1, which after exit is read off the
+        entry times B finds for W.
+        """
         xi_s = np.asarray(xi_s, dtype=float)
         entered = self.entered(s, xi_s, B)
-        W = entered + rho0.cumulative(1.0 - xi_s)
+        depth = 1.0 - xi_s
+        W = entered + rho0.cumulative(depth)
+        rho1 = rho0(depth) if rate else None
         post = xi_s > 1.0
         if post.any():
-            W[post] = entered[post] - B(xi_s[post] - 1.0)
-        return W
+            if rate:
+                gone, rho1[post] = B(xi_s[post] - 1.0, density=True)
+            else:
+                gone = B(xi_s[post] - 1.0)
+            W[post] = entered[post] - gone
+        return (W, self.entered_rate(s) - rho1) if rate else W
 
     def outflow(self, rho0: DensityProfile, x, B):
         """Mass past x = 1 with the curve at the array of positions x; B is its boundary_mass."""
@@ -298,12 +316,21 @@ class FluxInflow(Inflow):
     what = "control"  # the signal's name in messages
 
     def boundary_mass(self, prefix, xi_of=None):
-        # the particle now at z entered at prefix^-1(z); window lengths below
-        # 1/sup-speed keep that in the frozen prefix (the inverse checks it)
-        return lambda z: self.signal.cumulative(prefix.inverse(z))
+        def B(z, density=False):
+            # the particle now at z entered at sigma = prefix^-1(z); window
+            # lengths below 1/sup-speed keep that in the frozen prefix (the
+            # inverse checks it); it entered with density u / prefix'
+            sigma = prefix.inverse(z)
+            mass = self.signal.cumulative(sigma)
+            return (mass, self.signal(sigma) / prefix.slope(sigma)) if density else mass
+        return B
 
     def entered(self, s, xi_s, B):
         return self.signal.cumulative(s)
+
+    def entered_rate(self, s):
+        """dE/dxi: the mass entered by time s does not depend on the curve."""
+        return 0.0
 
     def boundary_density(self, t, speed):
         """rho(t, 0) = u(t) / speed(t)."""
@@ -334,10 +361,20 @@ class DensityInflow(Inflow):
         # yet has zero width and adds exactly 0; np.interp takes repeated abscissae
         z = np.maximum.accumulate((prefix if xi_of is None else xi_of)(self.signal.breakpoints))
         mass = np.concatenate(([0.0], (self.signal.values * (z[1:] - z[:-1])).cumsum()))
-        return lambda x: np.interp(x, z, mass)
+
+        def B(x, density=False):
+            # the cell holding x entered at density b; a zero-width cell sits
+            # only at the top of z, and side="left" skips it
+            m = np.interp(x, z, mass)
+            return (m, self.signal.values[segment(z, x, "left")]) if density else m
+        return B
 
     def entered(self, s, xi_s, B):
         return B(xi_s)
+
+    def entered_rate(self, s):
+        """dE/dxi = b(s): E(s) = B(xi(s)), and b(s) is B's slope at xi(s)."""
+        return self.signal(s)
 
     def boundary_density(self, t, speed):
         return self.signal(t)
@@ -404,12 +441,14 @@ def _window_knots(inflow, rho0, prefix, t_a, t_b, n_uniform):
     return knots
 
 
-def _integrate_window(inflow, rho0, law, prefix, cand, knots):
+def _integrate_window(inflow, rho0, law, prefix, cand, knots, newton=False):
     """One application of the window map on the given knot grid.
 
     The candidate is evaluated once, on the knots and the Gauss nodes
-    together. Returns (values, slopes, W at knots) of the mapped curve and
-    the candidate at the knots.
+    together. Returns the mapped values and the candidate at the knots, the
+    boundary mass B of the candidate, and for a ``newton`` step the lumped
+    coefficient A_j = h_j sum_g w_g a(node g) of each knot interval, with
+    a = lam'(W) dW/dxi the linearized map's (None otherwise).
     """
     h = knots[1:] - knots[:-1]
     nodes = (knots[:-1, None] + h[:, None] * _G3_NODES).ravel()
@@ -417,25 +456,55 @@ def _integrate_window(inflow, rho0, law, prefix, cand, knots):
     xi_knots, xi_nodes = xi[:knots.size], xi[knots.size:]
 
     def xi_of(t):
-        return np.where(t <= prefix.t_end, prefix(t), cand(t))
+        # each breakpoint on one curve: the frozen prefix up to its end
+        k = t.searchsorted(prefix.t_end, "right")
+        return np.concatenate((prefix(t[:k]), cand(t[k:])))
 
     B = inflow.boundary_mass(prefix, xi_of)
-    W_nodes = inflow.mass(rho0, nodes, xi_nodes, B)
+    A = None
+    if newton:
+        W_nodes, rate = inflow.mass(rho0, nodes, xi_nodes, B, rate=True)
+        A = h * ((law.slope(W_nodes) * rate).reshape(-1, 3) @ _G3_WEIGHTS)
+    else:
+        W_nodes = inflow.mass(rho0, nodes, xi_nodes, B)
     g = law(W_nodes).reshape(-1, 3)
     increments = h * (g @ _G3_WEIGHTS)
     values = xi_knots[0] + np.concatenate(([0.0], increments.cumsum()))
-    W_knots = inflow.mass(rho0, knots, values, B)
-    return values, law(W_knots), W_knots, xi_knots
+    return values, xi_knots, B, A
 
 
-def _solve_window(inflow, rho0, law, prefix, t_a, t_b, tol, n_uniform, trial=False):
+def _newton_values(values, resid, A, h, speeds):
+    """The values F(c) + e of the Newton-corrected candidate at the knots.
+
+    e solves the linearized window equation e' = a (e + r), e(t_a) = 0, with r
+    = F(c) - c the knot residual, discretized per knot interval as e_{j+1} =
+    (1 + A_j) e_j + A_j (r_j + r_{j+1}) / 2: one cumulative product and one
+    cumulative sum. e vanishes with r, so the map's fixed point is kept (C. T.
+    Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM 1995,
+    ch. 5). If a corrected increment leaves [h inf speed, h sup speed] (a NaN
+    does), the plain F(c) is returned.
+    """
+    with np.errstate(all="ignore"):
+        growth = (1.0 + A).cumprod()
+        e = growth * (A * (resid[:-1] + resid[1:]) * 0.5 / growth).cumsum()
+        new = values + np.concatenate(([0.0], e))
+        rates = (new[1:] - new[:-1]) / h
+    return new if speeds[0] <= rates.min() and rates.max() <= speeds[1] else values
+
+
+def _solve_window(inflow, rho0, law, prefix, t_a, t_b, tol, n_uniform, trial=False,
+                  speeds=None):
     """Fixed-point iteration of the window map starting from the linear guess.
 
     A ``trial`` window, whose length no a-priori bound backs, is given up
     (None is returned) as soon as a residual is more than half the one before:
-    the 1/2-contraction that bound would guarantee is not observed. The
-    iterates are built unchecked, so a non-finite residual fails the window
-    at once: a trial is given up, any other window raises SolverError.
+    the 1/2-contraction that bound would guarantee is not observed. Its next
+    candidate is the map's output plus a Newton correction (``_newton_values``)
+    while the increments stay in the ``speeds`` (inf, sup) of the window; an
+    a-priori window iterates the plain map. Either stops once a residual is
+    at most tol / 2 and returns the map's output. The iterates are built
+    unchecked, so a non-finite residual fails the window at once: a trial is
+    given up, any other window raises SolverError.
     """
     x_a = prefix.x_end
     s_a = prefix.slopes[-1]
@@ -447,8 +516,9 @@ def _solve_window(inflow, rho0, law, prefix, t_a, t_b, tol, n_uniform, trial=Fal
     kinks = ()  # unknown until W is known on a candidate
     for _ in range(_MAX_ITER):
         knots = window_knots(cand, kinks)
-        values, slopes, W, old = _integrate_window(inflow, rho0, law, prefix, cand, knots)
-        new_resid = float(np.abs(values - old).max())
+        values, old, B, A = _integrate_window(inflow, rho0, law, prefix, cand, knots, trial)
+        r = values - old
+        new_resid = float(np.abs(r).max())
         if not new_resid < np.inf:  # NaN or infinite: the iterate is no curve
             if trial:
                 return None
@@ -457,7 +527,10 @@ def _solve_window(inflow, rho0, law, prefix, t_a, t_b, tol, n_uniform, trial=Fal
         if trial and new_resid > 0.5 * resid:
             return None
         resid = new_resid
-        cand = CharacteristicCurve._unchecked(knots, values, slopes)
+        if trial and resid > 0.5 * tol:
+            values = _newton_values(values, r, A, knots[1:] - knots[:-1], speeds)
+        W = inflow.mass(rho0, knots, values, B)
+        cand = CharacteristicCurve._unchecked(knots, values, law(W))
         kinks = law.kink_times(knots, W)
         if resid <= 0.5 * tol:
             return cand
@@ -534,7 +607,7 @@ def solve_xi(
         # time of every particle reaching x = 1 lies in the frozen prefix
         t_b = min(t_a + min(2.0 * last, 0.9 / bounds[1]), T)
         window = _solve_window(inflow, rho0, law, prefix, t_a, t_b, tol, knots_per_window,
-                               trial=True)
+                               trial=True, speeds=bounds[:2])
         if window is None:
             delta = _choose_window(inflow, rho0, bounds, prefix, T)
             window = _solve_window(inflow, rho0, law, prefix, t_a, min(t_a + delta, T),
@@ -655,5 +728,5 @@ def apply_F(
         raise ValueError(f"window end {t_b} exceeds curve domain {xi.t_end}")
     inflow = FluxInflow(u)
     knots = _window_knots(inflow, rho0, xi, t_a, t_b, 256)(xi)  # solve_xi's default grid
-    values, slopes, _, _ = _integrate_window(inflow, rho0, law, xi, xi, knots)
-    return CharacteristicCurve(knots, values, slopes)
+    values, _, B, _ = _integrate_window(inflow, rho0, law, xi, xi, knots)
+    return CharacteristicCurve(knots, values, law(inflow.mass(rho0, knots, values, B)))

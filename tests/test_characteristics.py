@@ -503,9 +503,9 @@ class TestUncheckedIterates:
 
         def poisoned(*args):
             calls.append(args[4].t_end)
-            values, slopes, W, old = integrate(*args)
+            values, *rest = integrate(*args)
             values[-1] = np.nan
-            return values, slopes, W, old
+            return values, *rest
 
         monkeypatch.setattr(characteristics, "_integrate_window", poisoned)
         u, rho0 = ControlSignal.constant(1.0, 2.0), DensityProfile.constant(0.5)
@@ -518,6 +518,85 @@ class TestUncheckedIterates:
         assert (t_a, trial, accepted) == (0.0, True, False)
         assert len(calls) == 2 and calls[0] == t_cap
         assert f"[0, {calls[1]:g}]" in str(err.value) and calls[1] < t_cap
+
+
+def density_ode_oracle(b, rho0, law, T, t_eval):
+    """Density-mode curve from solve_ivp, through one exit at most (xi(T) < 2).
+
+    Before exit x' = lam(W), E' = b(t) x' and W = E + R0(1 - x). After it the
+    material at x = 1 entered at sigma, with x(sigma) = x - 1, so W = E -
+    E(sigma) and sigma' = x'(t) / x'(sigma); sigma lies in the first phase,
+    read from its dense output.
+    """
+    opts = dict(rtol=1e-12, atol=1e-13, max_step=1e-2)
+
+    def pre(t, y):
+        lam = float(law(y[1] + rho0.cumulative(1.0 - y[0])))
+        return [lam, b(t) * lam]
+
+    def exits(t, y):
+        return y[0] - 1.0
+    exits.terminal = True
+
+    first = solve_ivp(pre, (0.0, T), [0.0, 0.0], events=exits, dense_output=True, **opts)
+    t_exit = first.t[-1]
+    x = np.empty_like(t_eval)
+    early = t_eval <= t_exit
+    x[early] = first.sol(t_eval[early])[0]
+    if t_exit >= T:
+        return x
+
+    def post(t, y):
+        x_s, E_s = first.sol(y[2])
+        lam = float(law(y[1] - E_s))
+        lam_s = float(law(E_s + rho0.cumulative(1.0 - x_s)))
+        return [lam, b(t) * lam, lam / lam_s]
+
+    late = ~early
+    second = solve_ivp(post, (t_exit, T), [1.0, first.y[1, -1], 0.0], t_eval=t_eval[late],
+                       **opts)
+    x[late] = second.y[0]
+    return x
+
+
+class TestNewtonWindows:
+    """Trial windows iterate the map's output plus a Newton correction; they
+    need about half the map applications of the plain map, and keep its
+    fixed point."""
+
+    RHO0 = DensityProfile([0.0, 0.4, 1.0], [0.3, 0.8])
+
+    @pytest.fixture
+    def applications(self, monkeypatch):
+        calls = []
+        integrate = characteristics._integrate_window
+
+        def counting(*args):
+            calls.append(args[4].t_end)
+            return integrate(*args)
+
+        monkeypatch.setattr(characteristics, "_integrate_window", counting)
+        return calls
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-11])
+    def test_smooth_flux_input_takes_four_applications(self, applications, tol):
+        # the plain map takes 8 and 9
+        u = ControlSignal([0.0, 0.3, 0.7, 1.0], [1.0, 0.2, 0.6])
+        xi = solve_xi(u, self.RHO0, reciprocal(), 0.9, tol=tol)
+        assert len(applications) <= 4
+        t = np.linspace(0.0, 0.9, 200)
+        assert np.max(np.abs(xi(t) - ode_oracle(u, self.RHO0, reciprocal(), 0.9, t))) <= 100 * tol
+
+    def test_boundary_density_input_takes_at_most_thirteen_applications(self, applications):
+        # the plain map takes 18; three windows, the curve leaves x = 1 in the last
+        b = ControlSignal([0.0, 0.2, 0.5, 2.0], [1.5, 0.4, 1.2])
+        tol = 1e-10
+        xi = solve_xi(DensityInflow(b), self.RHO0, reciprocal(), 2.0, tol=tol)
+        assert len(applications) <= 13
+        assert 1.0 < xi.x_end < 2.0
+        t = np.linspace(0.0, 2.0, 200)
+        assert np.max(np.abs(xi(t) - density_ode_oracle(b, self.RHO0, reciprocal(), 2.0, t))) \
+            <= 100 * tol
 
 
 class TestLabels:
