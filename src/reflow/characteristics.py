@@ -684,10 +684,6 @@ class CurveTangent:
         d = t[:, None] - g[:-1]
         return np.clip(d, 0.0, np.diff(g), out=d)
 
-    def influx(self, t) -> np.ndarray:
-        """du at the times t (1-D): 1 in the column of the cell holding t."""
-        return (segment(self.cells, t)[:, None] == np.arange(self.cells.size - 1)).astype(float)
-
     def __call__(self, t) -> np.ndarray:
         """dxi at the times t (1-D), one column per direction."""
         t = np.asarray(t, dtype=float)
@@ -696,15 +692,29 @@ class CurveTangent:
         c = self.coeffs[j]  # in place: the arrays are points x directions
         return _horner(th, (c[:, 2], c[:, 1], c[:, 0], self.values[j]))
 
-    def mass(self, t, terms) -> np.ndarray:
-        """dW at the times t (1-D), one column per direction; ``terms`` are
-        what ``outlet`` gave at t."""
-        _, behind, sigma, _, rho1 = terms
-        dW = self(t)
-        dW *= -rho1[:, None]
-        dW += self._cell_mass(t)
-        dW[behind] -= self._cell_mass(sigma) - rho1[behind, None] * self(sigma)
-        return dW
+    def contract(self, t, a, b, e) -> np.ndarray:
+        """The sum over the times t (1-D) of a dxi(t) + b dU(t) + e du(t), one
+        entry per direction, in O(t.size + knots n): the weights a, b and e are
+        binned before the tangent is read. dxi is a cubic in theta on each knot
+        interval, so four moments of a per interval give its sum exactly. dU(t)
+        is the part of each cell before t (``_cell_mass``): the whole cell for
+        the t after it, t - g_k for the t inside. du(t) is 1 in the column of
+        the cell holding t."""
+        j = segment(self.knots, t)
+        th = (t - self.knots[j]) / self.h[j]
+        m = self.h.size
+        out = np.bincount(j, a, m) @ self.values[:-1]
+        for q in range(3):
+            a = a * th
+            out += np.bincount(j, a, m) @ self.coeffs[:, q]
+        g = self.cells
+        n = g.size - 1
+        k = g.searchsorted(t, "right")  # 0 before the grid, n + 1 after it; cell k - 1
+        inside = np.bincount(k, b * (t - g[np.clip(k - 1, 0, n)]), n + 2)
+        after = np.cumsum(np.bincount(k, b, n + 2)[::-1])[::-1]  # of b over cells >= k - 1
+        out += inside[1:-1] + np.diff(g) * after[2:]
+        out += np.bincount(segment(g, t), e, n)
+        return out
 
 
 def apply_F(

@@ -3,8 +3,9 @@
 The control is a piecewise-constant influx on a fixed breakpoint grid. The
 cost is evaluated through the characteristic solver, so each evaluation is an
 exact (up to solver tolerance) trajectory. The gradient in all cell values
-comes from the same trajectory, without another solve: one forward-tangent
-sweep along its curve (``Trajectory.tracking_gradient``). Descent is
+comes from the same trajectory and the quadrature nodes of its cost, without
+another solve: one forward-tangent sweep along its curve, contracted with the
+nodes' weights (``Trajectory.tracking_gradient``). Descent is
 projected gradient with Armijo backtracking, restarted from a few structured
 initial guesses.
 """
@@ -18,7 +19,7 @@ import numpy as np
 from .laws import SpeedLaw
 from .rules import count, covers, finite_nonnegative, finite_positive
 from .signals import ControlSignal, DensityProfile
-from .transport import simulate
+from .transport import _TrackingQuadrature, simulate
 
 __all__ = ["TrackingProblem", "OptimizationReport", "cost", "minimize",
            "resample_control"]
@@ -66,14 +67,15 @@ class OptimizationReport:
 
 
 def _evaluate(problem: TrackingProblem, u: ControlSignal):
-    """J(u) and the trajectory it was read from."""
+    """J(u) and the tracking quadrature it was read from, whose nodes and
+    trajectory its gradient reuses."""
     if np.any(u.values < 0):
         raise ValueError("tracking cost is defined for nonnegative controls only")
     traj = simulate(problem.rho0, problem.law, problem.horizon, u=u,
                     tol=problem.solver_tol,
                     knots_per_window=problem.knots_per_window)
-    return (u.lp_norm(2) ** 2
-            + problem.tracking_weight * traj.tracking_error_sq(problem.y_d)), traj
+    quad = _TrackingQuadrature(traj, problem.y_d)
+    return u.lp_norm(2) ** 2 + problem.tracking_weight * quad.error_sq(), quad
 
 
 def cost(problem: TrackingProblem, u: ControlSignal) -> float:
@@ -81,12 +83,11 @@ def cost(problem: TrackingProblem, u: ControlSignal) -> float:
     return _evaluate(problem, u)[0]
 
 
-def _projected_gradient(problem: TrackingProblem, values: np.ndarray, traj):
-    """∇J at the cell values, from their trajectory, and its projection:
-    descent directions blocked at v = 0 do not count."""
+def _projected_gradient(problem: TrackingProblem, values: np.ndarray, quad):
+    """∇J at the cell values, from the tracking quadrature of their cost, and
+    its projection: descent directions blocked at v = 0 do not count."""
     grid = problem.control_grid
-    grad = (2.0 * values * np.diff(grid)
-            + problem.tracking_weight * traj.tracking_gradient(problem.y_d, grid))
+    grad = 2.0 * values * np.diff(grid) + problem.tracking_weight * quad.gradient(grid)
     return grad, np.where((values <= 0.0) & (grad > 0.0), 0.0, grad)
 
 
@@ -135,12 +136,12 @@ def minimize(problem: TrackingProblem, *, max_iters: int = 200, grad_tol: float 
     all_hist, all_gnorms, all_solves = [], [], []
     for values in guesses:
         values = values.copy()
-        j, traj = _evaluate(problem, problem.control_from_values(values))
+        j, quad = _evaluate(problem, problem.control_from_values(values))
         hist, gnorms, solves = [j], [], 1
         converged = False
         step = _STEP_SIZE
         for _ in range(max_iters):
-            grad, pg = _projected_gradient(problem, values, traj)
+            grad, pg = _projected_gradient(problem, values, quad)
             gnorm = float(np.linalg.norm(pg))
             gnorms.append(gnorm)
             if gnorm <= grad_tol:
@@ -149,10 +150,10 @@ def minimize(problem: TrackingProblem, *, max_iters: int = 200, grad_tol: float 
             accepted = False
             while step > 1e-14:
                 trial = np.maximum(values - step * grad, 0.0)
-                jt, traj_t = _evaluate(problem, problem.control_from_values(trial))
+                jt, quad_t = _evaluate(problem, problem.control_from_values(trial))
                 solves += 1
                 if jt <= j - 1e-4 * float(np.dot(grad, values - trial)):
-                    values, j, traj = trial, jt, traj_t
+                    values, j, quad = trial, jt, quad_t
                     accepted = True
                     step = min(step * 2.0, 1e3)
                     break
@@ -165,8 +166,8 @@ def minimize(problem: TrackingProblem, *, max_iters: int = 200, grad_tol: float 
         all_solves.append(solves)
         unorm = float(np.linalg.norm(values))
         if j < best_j - 1e-14 or (abs(j - best_j) <= 1e-14 and unorm < best_norm):
-            best, best_j, best_norm = (values, traj, converged), j, unorm
-    values, traj, converged = best
+            best, best_j, best_norm = (values, quad, converged), j, unorm
+    values, quad, converged = best
     return OptimizationReport(
         best_control=problem.control_from_values(values),
         best_cost=best_j,
@@ -174,6 +175,6 @@ def minimize(problem: TrackingProblem, *, max_iters: int = 200, grad_tol: float 
         gradient_norm_history=all_gnorms,
         restarts=len(guesses),
         converged=converged,
-        kkt_residual=float(np.linalg.norm(_projected_gradient(problem, values, traj)[1])),
+        kkt_residual=float(np.linalg.norm(_projected_gradient(problem, values, quad)[1])),
         solves=all_solves,
     )

@@ -57,10 +57,15 @@ def _positions(x) -> np.ndarray:
     return x
 
 
+def _nodes5(edges: np.ndarray):
+    """(h, nodes): the panel widths and the 5-point Gauss nodes of the panels ``edges``."""
+    h = np.diff(edges)
+    return h, (edges[:-1, None] + h[:, None] * _N5[None, :]).ravel()
+
+
 def _gauss5(edges: np.ndarray, f) -> float:
     """Composite 5-point Gauss-Legendre integral of f over the panels ``edges``."""
-    h = np.diff(edges)
-    nodes = (edges[:-1, None] + h[:, None] * _N5[None, :]).ravel()
+    h, nodes = _nodes5(edges)
     return float(np.sum(h * (f(nodes).reshape(-1, 5) @ _W5)))
 
 
@@ -249,64 +254,12 @@ class Trajectory:
 
     def tracking_error_sq(self, y_d: ControlSignal) -> float:
         """Integral over [0, T] of (y - y_d)^2, panel-exact Gauss quadrature."""
-        return _gauss5(self.time_panels(extra=y_d.breakpoints),
-                       lambda t: (self.outflux(t) - y_d(t)) ** 2)
+        return _TrackingQuadrature(self, y_d).error_sq()
 
     def tracking_gradient(self, y_d: ControlSignal, grid) -> np.ndarray:
-        """Gradient of ``tracking_error_sq(y_d)`` in the influx values on the cells of ``grid``.
-
-        Exact for the solved curve, from its ``CurveTangent``: between jumps,
-        y = lam(W) rho(t, 1) changes by dy = lam'(W) dW rho(t, 1) + lam(W) drho,
-        where drho = 0 before exit and, after it, rho(t, 1) = u(sig) / lam(W(sig))
-        changes with du(sig) and with W(sig), by dW(sig) + W'(sig) dsig. A jump
-        of y that moves with u (a rho0 or control breakpoint reaching x = 1 at
-        t_e) adds its jump of (y - y_d)^2 times its shift dt_e (S. Ulbrich,
-        SIAM J. Control Optim. 41, 2002).
-        """
-        if not isinstance(self.inflow, FluxInflow):
-            raise ValueError("the curve tangent needs a prescribed influx")
-        u, xi, law = self.inflow.signal, self.xi, self.law
-        tangent = CurveTangent(xi, law, grid, self._outlet)
-        edges = self.time_panels(extra=y_d.breakpoints)
-        h = np.diff(edges)
-        t = (edges[:-1, None] + h[:, None] * _N5[None, :]).ravel()
-        xi_t = xi(t)
-        terms = W, post, sigma, W_sigma, rho1 = self._outlet(t, xi_t)
-        lam = law(W)
-        dy = tangent.mass(t, terms)
-        dy *= (law.slope(W) * rho1)[:, None]
-        if np.any(post):
-            at_sigma = *_, rho1_s = self._outlet(sigma, xi_t[post] - 1.0)
-            u_s, lam_s = u(sigma), law(W_sigma())
-            # the particle entered at speed lam_s, and W'(sig) = u(sig) - y(sig)
-            d_sigma = (tangent(t[post]) - tangent(sigma)) / lam_s[:, None]
-            dW_s = tangent.mass(sigma, at_sigma) + (u_s - lam_s * rho1_s)[:, None] * d_sigma
-            drho = tangent.influx(sigma) - (u_s * law.slope(W_sigma()) / lam_s)[:, None] * dW_s
-            dy[post] += (lam[post] / lam_s)[:, None] * drho
-        weights = (h[:, None] * _W5).ravel()
-        grad = (2.0 * weights * (lam * rho1 - y_d(t))) @ dy
-
-        # moving jumps, in the order of their labels: rho0 breakpoint beta
-        # (beta = 0 at the exit time), then the material that entered at
-        # control breakpoint tau; one entering at T never reaches x = 1
-        beta = self.rho0.breakpoints[:-1]
-        tau = u.breakpoints[1:]
-        tau = tau[tau <= self.horizon]
-        levels = 1.0 + self.inflow.labels(self.rho0, xi, self.horizon)
-        moving = levels < xi.x_end
-        if np.any(moving):
-            lam_tau = self.speed(tau)
-            before = np.concatenate((self.rho0(beta), u.left_limit(tau) / lam_tau))
-            after = np.concatenate((self.rho0.left_limit(beta), u(tau) / lam_tau))
-            after[0] = u(0.0) / self.speed(0.0)  # beta = 0: the first boundary material
-            entry = np.concatenate((np.zeros((beta.size, tangent.cells.size - 1)), tangent(tau)))
-            e = xi.inverse(levels[moving])
-            lam_e = self.speed(e)
-            f_before = (lam_e * before[moving] - y_d.left_limit(e)) ** 2
-            f_after = (lam_e * after[moving] - y_d(e)) ** 2
-            shift = (entry[moving] - tangent(e)) / xi.slope(e)[:, None]
-            grad += (f_before - f_after) @ shift
-        return grad
+        """Gradient of ``tracking_error_sq(y_d)`` in the influx values on the cells
+        of ``grid``; see ``_TrackingQuadrature.gradient``."""
+        return _TrackingQuadrature(self, y_d).gradient(grid)
 
     def influx_l2_sq(self) -> float:
         """Integral over [0, T] of u^2, panel-exact Gauss quadrature."""
@@ -335,3 +288,85 @@ class Trajectory:
         x = np.linspace(0.0, 1.0, n)
         data = np.column_stack((x, self.slice_values(t, x)))
         np.savetxt(path, data, delimiter=",", header="columns: x,rho")
+
+
+class _TrackingQuadrature:
+    """The one build of the Gauss nodes of ``Trajectory.tracking_error_sq`` on
+    ``time_panels``, for its cost and its gradient: panel widths h, nodes t,
+    xi(t), ``_outlet``'s terms there (W, post, sigma, W_sigma, rho1) and the
+    residual y - y_d."""
+
+    def __init__(self, traj: Trajectory, y_d: ControlSignal):
+        self.traj, self.y_d = traj, y_d
+        self.h, self.t = _nodes5(traj.time_panels(extra=y_d.breakpoints))
+        self.xi_t = traj.xi(self.t)
+        self.terms = traj._outlet(self.t, self.xi_t)
+        self.residual = traj.law(self.terms[0]) * self.terms[4] - y_d(self.t)
+
+    def error_sq(self) -> float:
+        """Integral over [0, T] of (y - y_d)^2."""
+        return float(np.sum(self.h * ((self.residual ** 2).reshape(-1, 5) @ _W5)))
+
+    def gradient(self, grid) -> np.ndarray:
+        """Gradient of ``error_sq`` in the influx values on the cells of ``grid``.
+
+        Exact for the solved curve, from its ``CurveTangent``: between jumps,
+        y = lam(W) rho(t, 1) changes by dy = lam'(W) dW rho(t, 1) + lam(W) drho,
+        where dW = dU(t) - rho(t, 1) dxi(t) - [dU(sig) - rho(t, 1) dxi(sig)]
+        once xi(t) >= 1, drho = 0 before exit and, after it,
+        rho(t, 1) = u(sig) / lam(W(sig)) changes with du(sig) and with W(sig), by
+        dW(sig) + W'(sig) dsig. Each node's term is linear in dxi, dU and du at
+        the node t, its entry time sig and, once xi(sig) >= 1, the entry time
+        of sig. So the scalar Gauss weights 2 w (y - y_d) are applied first,
+        and the sums over those times are read off the tangent once
+        (``CurveTangent.contract``). A jump of y that moves with u (a rho0 or
+        control breakpoint reaching x = 1 at t_e) adds its jump of (y - y_d)^2
+        times its shift dt_e (S. Ulbrich, SIAM J. Control Optim. 41, 2002).
+        """
+        traj, y_d = self.traj, self.y_d
+        if not isinstance(traj.inflow, FluxInflow):
+            raise ValueError("the curve tangent needs a prescribed influx")
+        u, xi, law = traj.inflow.signal, traj.xi, traj.law
+        tangent = CurveTangent(xi, law, grid, traj._outlet)
+        W, post, sigma, _, rho1 = self.terms
+        c = 2.0 * (self.h[:, None] * _W5).ravel() * self.residual
+        # c dy at the node t is alpha dW(t), plus kappa du(sig) + mu dW(sig) after exit
+        alpha = c * law.slope(W) * rho1
+        times, a, b, e = [self.t], [-alpha * rho1], [alpha], [np.zeros(self.t.size)]
+        if np.any(post):
+            W_s, post_s, sigma_s, _, rho1_s = traj._outlet(sigma, self.xi_t[post] - 1.0)
+            u_s, lam_s = u(sigma), law(W_s)
+            # the particle entered at speed lam_s, so dsig = (dxi(t) - dxi(sig)) / lam_s,
+            # and W'(sig) = u(sig) - y(sig): mu dW(sig) holds nu (dxi(t) - dxi(sig))
+            kappa = c[post] * law(W[post]) / lam_s
+            mu = -kappa * u_s * law.slope(W_s) / lam_s
+            nu = mu * (u_s - lam_s * rho1_s) / lam_s
+            alpha_p = alpha[post]
+            a[0][post] += nu
+            times += [sigma, sigma_s]
+            a += [alpha_p * rho1[post] - mu * rho1_s - nu, (mu * rho1_s)[post_s]]
+            b += [mu - alpha_p, -mu[post_s]]
+            e += [kappa, np.zeros(sigma_s.size)]
+        grad = tangent.contract(*(np.concatenate(v) for v in (times, a, b, e)))
+
+        # moving jumps, in the order of their labels: rho0 breakpoint beta
+        # (beta = 0 at the exit time), then the material that entered at
+        # control breakpoint tau; one entering at T never reaches x = 1
+        beta = traj.rho0.breakpoints[:-1]
+        tau = u.breakpoints[1:]
+        tau = tau[tau <= traj.horizon]
+        levels = 1.0 + traj.inflow.labels(traj.rho0, xi, traj.horizon)
+        moving = levels < xi.x_end
+        if np.any(moving):
+            lam_tau = traj.speed(tau)
+            before = np.concatenate((traj.rho0(beta), u.left_limit(tau) / lam_tau))
+            after = np.concatenate((traj.rho0.left_limit(beta), u(tau) / lam_tau))
+            after[0] = u(0.0) / traj.speed(0.0)  # beta = 0: the first boundary material
+            entry = np.concatenate((np.zeros((beta.size, tangent.cells.size - 1)), tangent(tau)))
+            t_e = xi.inverse(levels[moving])
+            lam_e = traj.speed(t_e)
+            f_before = (lam_e * before[moving] - y_d.left_limit(t_e)) ** 2
+            f_after = (lam_e * after[moving] - y_d(t_e)) ** 2
+            shift = (entry[moving] - tangent(t_e)) / xi.slope(t_e)[:, None]
+            grad += (f_before - f_after) @ shift
+        return grad

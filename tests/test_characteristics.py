@@ -8,7 +8,7 @@ from reflow import characteristics
 from reflow.characteristics import (CharacteristicCurve, CurveTangent, DensityInflow, FluxInflow,
                                     SolverError, _choose_window, apply_F, solve_xi)
 from reflow.laws import reciprocal, tabulated
-from reflow.signals import ControlSignal, DensityProfile
+from reflow.signals import ControlSignal, DensityProfile, segment
 from reflow.transport import simulate
 
 
@@ -103,6 +103,22 @@ class TestCurveType:
             CharacteristicCurve(np.empty(0), np.empty(0), np.empty(0))
 
 
+def tangent_influx(tangent, t):
+    """du at the times t (1-D): 1 in the column of the cell holding t."""
+    return (segment(tangent.cells, t)[:, None] == np.arange(tangent.cells.size - 1)).astype(float)
+
+
+def tangent_mass(tangent, t, terms):
+    """dW at the times t (1-D), one column per direction of ``tangent``;
+    ``terms`` are what ``Trajectory._outlet`` gave at t."""
+    _, behind, sigma, _, rho1 = terms
+    dW = tangent(t)
+    dW *= -rho1[:, None]
+    dW += tangent._cell_mass(t)
+    dW[behind] -= tangent._cell_mass(sigma) - rho1[behind, None] * tangent(sigma)
+    return dW
+
+
 class TestTangent:
     """CurveTangent against central differences of solved curves."""
 
@@ -124,7 +140,7 @@ class TestTangent:
         xi = traj.xi
         assert xi.x_end > 2.0  # the delay reaches back over a whole transit
         tangent = CurveTangent(xi, law, grid, traj._outlet)
-        mass = tangent.mass(ts, traj._outlet(ts, xi(ts)))
+        mass = tangent_mass(tangent, ts, traj._outlet(ts, xi(ts)))
         h = 1e-5
         for k in range(v.size):
             plus, minus = (solved(v + s * h * np.eye(v.size)[k]) for s in (1, -1))
@@ -132,6 +148,21 @@ class TestTangent:
             dW = (plus.total_mass(ts) - minus.total_mass(ts)) / (2 * h)
             assert np.max(np.abs(tangent(ts)[:, k] - dxi)) <= 1e-6 * np.max(np.abs(dxi))
             assert np.max(np.abs(mass[:, k] - dW)) <= 1e-6 * np.max(np.abs(dW))
+
+    @pytest.mark.parametrize("cells", [np.linspace(0.0, 2.5, 6), np.array([0.3, 0.6, 1.5, 2.0])])
+    def test_contract_equals_the_dense_sums(self, cells):
+        # the second grid leaves out [0, 0.3) and (2.0, 2.5]; times on every
+        # knot, cell edge and end included
+        traj = simulate(DensityProfile([0.0, 0.4, 1.0], [0.3, 0.9]), reciprocal(), 2.5,
+                        u=ControlSignal([0.0, 1.0, 2.5], [0.3, 0.5]), tol=1e-10,
+                        knots_per_window=32)
+        tangent = CurveTangent(traj.xi, traj.law, cells, traj._outlet)
+        rng = np.random.default_rng(7)
+        t = np.concatenate((rng.uniform(0.0, 2.5, 300), tangent.knots, cells, [0.0, 2.5]))
+        a, b, e = rng.normal(size=(3, t.size))
+        dense = a @ tangent(t) + b @ tangent._cell_mass(t) + e @ tangent_influx(tangent, t)
+        scale = np.abs(a) @ np.abs(tangent(t)) + np.abs(b) @ tangent._cell_mass(t) + np.sum(np.abs(e))
+        assert np.all(np.abs(tangent.contract(t, a, b, e) - dense) <= 1e-13 * scale)
 
     def test_with_exits_follows_material_over_every_transit(self):
         xi = solve_xi(ControlSignal.constant(0.2, 3.2), DensityProfile.constant(0.3),

@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
+from reflow import transport
+from reflow.characteristics import CurveTangent, FluxInflow
 from reflow.laws import reciprocal, tabulated
 from reflow.signals import ControlSignal, DensityProfile
 from reflow.tracking import (TrackingProblem, _projected_gradient, cost, minimize,
                              resample_control)
-from reflow.transport import simulate
+from reflow.transport import _N5, _W5, simulate
+
+from test_characteristics import tangent_influx, tangent_mass
 
 
 def small_problem(**kw):
@@ -74,17 +78,69 @@ def fd_gradient(problem, values, rel_h=1e-5):
     return grad
 
 
+def nodewise_gradient(traj, y_d, grid):
+    """The oracle of ``Trajectory.tracking_gradient``: the same formula, with
+    dy of every direction built at each Gauss node (``tangent_mass`` at the
+    node t and at its entry time sig) and then weighted by 2 w (y - y_d)."""
+    assert isinstance(traj.inflow, FluxInflow)
+    u, xi, law = traj.inflow.signal, traj.xi, traj.law
+    tangent = CurveTangent(xi, law, grid, traj._outlet)
+    edges = traj.time_panels(extra=y_d.breakpoints)
+    h = np.diff(edges)
+    t = (edges[:-1, None] + h[:, None] * _N5[None, :]).ravel()
+    xi_t = xi(t)
+    terms = W, post, sigma, W_sigma, rho1 = traj._outlet(t, xi_t)
+    lam = law(W)
+    dy = tangent_mass(tangent, t, terms)
+    dy *= (law.slope(W) * rho1)[:, None]
+    if np.any(post):
+        at_sigma = *_, rho1_s = traj._outlet(sigma, xi_t[post] - 1.0)
+        u_s, lam_s = u(sigma), law(W_sigma())
+        d_sigma = (tangent(t[post]) - tangent(sigma)) / lam_s[:, None]
+        dW_s = tangent_mass(tangent, sigma, at_sigma) + (u_s - lam_s * rho1_s)[:, None] * d_sigma
+        drho = tangent_influx(tangent, sigma) - (u_s * law.slope(W_sigma()) / lam_s)[:, None] * dW_s
+        dy[post] += (lam[post] / lam_s)[:, None] * drho
+    weights = (h[:, None] * _W5).ravel()
+    grad = (2.0 * weights * (lam * rho1 - y_d(t))) @ dy
+
+    beta = traj.rho0.breakpoints[:-1]
+    tau = u.breakpoints[1:]
+    tau = tau[tau <= traj.horizon]
+    levels = 1.0 + traj.inflow.labels(traj.rho0, xi, traj.horizon)
+    moving = levels < xi.x_end
+    if np.any(moving):
+        lam_tau = traj.speed(tau)
+        before = np.concatenate((traj.rho0(beta), u.left_limit(tau) / lam_tau))
+        after = np.concatenate((traj.rho0.left_limit(beta), u(tau) / lam_tau))
+        after[0] = u(0.0) / traj.speed(0.0)
+        entry = np.concatenate((np.zeros((beta.size, tangent.cells.size - 1)), tangent(tau)))
+        e = xi.inverse(levels[moving])
+        lam_e = traj.speed(e)
+        f_before = (lam_e * before[moving] - y_d.left_limit(e)) ** 2
+        f_after = (lam_e * after[moving] - y_d(e)) ** 2
+        shift = (entry[moving] - tangent(e)) / xi.slope(e)[:, None]
+        grad += (f_before - f_after) @ shift
+    return grad
+
+
 def tangent_gradient(problem, values):
     traj = simulate(problem.rho0, problem.law, problem.horizon,
                     u=problem.control_from_values(values), tol=problem.solver_tol,
                     knots_per_window=problem.knots_per_window)
-    return _projected_gradient(problem, values, traj)[0], traj
+    return _projected_gradient(problem, values, transport._TrackingQuadrature(traj, problem.y_d))[0], traj
+
+
+def assert_matches_nodewise(problem, traj):
+    grad = traj.tracking_gradient(problem.y_d, problem.control_grid)
+    oracle = nodewise_gradient(traj, problem.y_d, problem.control_grid)
+    assert np.max(np.abs(grad - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
 def assert_matches_fd(problem, values):
     grad, traj = tangent_gradient(problem, values)
     fd = fd_gradient(problem, values)
     assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
+    assert_matches_nodewise(problem, traj)
     return traj
 
 
@@ -137,6 +193,17 @@ class TestGradient:
         np.testing.assert_allclose(traj_long.tracking_gradient(pr.y_d, grid),
                                    traj.tracking_gradient(pr.y_d, grid), rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("T", [1.0, 4.5])
+    def test_fine_grid_matches_the_nodewise_oracle(self, T):
+        # 64 cells; at T = 4.5 nodes lie behind the exit and so do their entry times
+        pr = exact_problem(DensityProfile([0.0, 0.4, 1.0], [0.3, 0.9]),
+                           ControlSignal([0.0, 0.5, T], [0.3, 0.5]), reciprocal(), T, 64)
+        values = np.random.default_rng(64).uniform(0.05, 0.8, 64)
+        traj = simulate(pr.rho0, pr.law, T, u=pr.control_from_values(values),
+                        tol=pr.solver_tol, knots_per_window=pr.knots_per_window)
+        assert (traj.xi.x_end > 2.0) == (T == 4.5)
+        assert_matches_nodewise(pr, traj)
+
     def test_cell_at_zero(self):
         pr = exact_problem(DensityProfile([0.0, 0.4, 1.0], [0.3, 0.9]),
                            ControlSignal([0.0, 1.0, 2.5], [0.3, 0.5]), reciprocal(), 2.5, 4)
@@ -147,6 +214,28 @@ class TestGradient:
                         boundary_density=ControlSignal.constant(1.0, 1.0))
         with pytest.raises(ValueError, match="prescribed influx"):
             traj.tracking_gradient(ControlSignal.constant(0.5, 1.0), np.array([0.0, 1.0]))
+
+
+class TestOptimizerPath:
+    """``minimize`` takes the same path with the nodewise oracle patched in."""
+
+    @pytest.mark.parametrize("problem", [
+        small_problem(),
+        exact_problem(DensityProfile([0.0, 0.4, 1.0], [0.3, 0.9]),
+                      ControlSignal([0.0, 1.0, 2.5], [0.3, 0.5]), reciprocal(), 2.5, 5,
+                      tracking_weight=2.0),
+        exact_problem(DensityProfile([0.0, 0.5, 1.0], [0.4, 0.8]),
+                      ControlSignal([0.0, 0.6, 1.0], [0.3, 0.5]),
+                      tabulated([0.0, 0.5, 1.0, 2.0, 4.0], [1.0, 0.8, 0.5, 0.35, 0.2]), 1.0, 4),
+    ])
+    def test_same_solves_and_costs(self, problem, monkeypatch):
+        contracted = minimize(problem, max_iters=3, grad_tol=1e-5)
+        monkeypatch.setattr(transport._TrackingQuadrature, "gradient",
+                            lambda quad, grid: nodewise_gradient(quad.traj, quad.y_d, grid))
+        nodewise = minimize(problem, max_iters=3, grad_tol=1e-5)
+        assert contracted.solves == nodewise.solves
+        for a, b in zip(contracted.cost_history, nodewise.cost_history, strict=True):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
 
 
 class TestProblemValidation:
