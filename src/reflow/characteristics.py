@@ -33,9 +33,9 @@ import numpy as np
 
 from .laws import SpeedLaw
 from .rules import count, covers, finite_positive
-from .signals import ControlSignal, DensityProfile, segment
+from .signals import ControlSignal, DensityProfile, PiecewiseConstant, segment
 
-__all__ = ["CharacteristicCurve", "CurveTangent", "DensityInflow", "FluxInflow", "Inflow",
+__all__ = ["CharacteristicCurve", "CurveAdjoint", "DensityInflow", "FluxInflow", "Inflow",
            "SolverError", "apply_F", "solve_xi"]
 
 # nodes/weights of 3-point Gauss-Legendre on [0, 1]
@@ -629,14 +629,16 @@ def solve_xi(
     return CharacteristicCurve(ts, xs, ss)
 
 
-class CurveTangent:
-    """Derivatives of a flux-mode curve in the cell values of its influx.
+class CurveAdjoint:
+    """Weighted sums of the derivatives of a flux-mode curve in the cell values
+    of its influx, by the transposed tangent recurrence.
 
-    Direction k raises u by one on cell k of the grid ``cells``. The cell
-    values enter only through dU(s), the integral of du up to s, and the
-    solution only through ``outlet`` (``Trajectory._outlet``): W, and rho(s, 1)
-    at x = 1. The tangent of every direction solves one linear delay
-    equation, with lam' = law.slope(W) and sig = xi^-1(xi(s) - 1):
+    Direction k raises u by one on cell k of the grid ``cells`` (the
+    breakpoint rule of a step function: finite, strictly increasing, two or
+    more). The cell values enter only through dU(s), the integral of du up
+    to s, and the solution only through ``outlet`` (``Trajectory._outlet``):
+    W, and rho(s, 1) at x = 1. The tangent of every direction solves one
+    linear delay equation, with lam' = law.slope(W) and sig = xi^-1(xi(s) - 1):
 
         dxi' = lam'(W) dW,   dW = dU(s) - rho(s, 1) dxi(s)
                                   - [dU(sig) - rho(s, 1) dxi(sig)]   once xi(s) >= 1,
@@ -644,77 +646,70 @@ class CurveTangent:
     as W = U(s) - U(sig) there and u(sig) dsig = rho(s, 1) (dxi(s) - dxi(sig)).
     The knots of ``xi``, refined by the exit times of particles that entered
     at a knot, hold every jump of dxi'. On each interval 3-stage Gauss
-    collocation turns the equation into dxi_{j+1} = R_j dxi_j + q_j, which
-    one cumulative product and sum solve for all knots and directions at
-    once; the delayed values are known from the pass before, so one pass per
-    transit of [0, 1] suffices. Between knots it is the collocation polynomial.
+    collocation turns the equation into dxi_{j+1} = R_j dxi_j + r_j . f_j, with
+    f the forcing at the nodes, which holds dU and the delayed dxi(sig); the
+    delay is met by one pass per transit of [0, 1]. The tangent itself is
+    never built: ``contract`` runs that recurrence backwards for one set of
+    weights (M. B. Giles and N. A. Pierce, Flow Turbul. Combust. 65, 2000),
+    so the n cells appear only in its final sums.
     """
 
     def __init__(self, xi: CharacteristicCurve, law: SpeedLaw, cells, outlet):
-        self.cells = np.asarray(cells, dtype=float)
+        self.cells = PiecewiseConstant(cells, np.zeros(np.size(cells) - 1)).breakpoints
         self.knots = knots = xi.with_exits(xi.times)
         self.h = h = np.diff(knots)
-        s = (knots[:-1, None] + h[:, None] * _G3_NODES).ravel()
-        W, post, sigma, _, rho1 = outlet(s, xi(s))
-        slope = law.slope(W)
-        # dxi' = a dxi + forcing, the forcing holding the delayed dxi(sig)
-        a = (slope * -rho1).reshape(-1, 3)
-        forcing = slope[:, None] * self._cell_mass(s)
-        forcing[post] -= slope[post, None] * self._cell_mass(sigma)
-        # stage slopes F solve (I - h a A) F = a dxi_j + forcing on each interval
-        inv = _inverse3(np.eye(3) - h[:, None, None] * a[:, :, None] * _G3_COLLOCATION)
-        r = h[:, None] * (_G3_WEIGHTS @ inv)
-        growth = np.concatenate(([1.0], np.cumprod(1.0 + np.sum(r * a, axis=1))))
-        n = self.cells.size - 1
-        self.values = np.zeros((knots.size, n))
-        self.coeffs = np.zeros((h.size, 3, n))  # of theta, theta^2, theta^3 per interval
-        for _ in range(int(np.ceil(xi.x_end))):
-            f = forcing.copy()
-            f[post] -= a.ravel()[post, None] * self(sigma)
-            f = f.reshape(-1, 3, n)
-            q = np.einsum("ji,jin->jn", r, f)
-            self.values = growth[:, None] * np.concatenate(
-                (np.zeros((1, n)), np.cumsum(q / growth[1:, None], axis=0)))
-            stages = np.einsum("jgi,jin->jgn", inv, a[:, :, None] * self.values[:-1, None, :] + f)
-            self.coeffs = h[:, None, None] * np.einsum("pi,jin->jpn", _G3_INTEGRATED, stages)
+        self.nodes = s = (knots[:-1, None] + h[:, None] * _G3_NODES).ravel()
+        W, self.post, self.sigma, _, rho1 = outlet(s, xi(s))
+        self.slope = law.slope(W)
+        # dxi' = a dxi + forcing; stage slopes F solve (I - h a A) F = a dxi_j + forcing
+        self.a = a = (self.slope * -rho1).reshape(-1, 3)
+        self.inv = _inverse3(np.eye(3) - h[:, None, None] * a[:, :, None] * _G3_COLLOCATION)
+        self.r = r = h[:, None] * (_G3_WEIGHTS @ self.inv)
+        self.growth = np.concatenate(([1.0], np.cumprod(1.0 + np.sum(r * a, axis=1))))
+        self.passes = int(np.ceil(xi.x_end))
 
-    def _cell_mass(self, t):
-        """dU(t) of every direction: the part of each cell before t, (t.size, n)."""
-        g = self.cells
-        d = t[:, None] - g[:-1]
-        return np.clip(d, 0.0, np.diff(g), out=d)
-
-    def __call__(self, t) -> np.ndarray:
-        """dxi at the times t (1-D), one column per direction."""
-        t = np.asarray(t, dtype=float)
+    def _moments(self, t, w):
+        """Sums of w theta^q per knot interval, q = 0..3, for weights w at the
+        times t, theta the offset of t in its interval over the width."""
         j = segment(self.knots, t)
-        th = ((t - self.knots[j]) / self.h[j])[:, None]
-        c = self.coeffs[j]  # in place: the arrays are points x directions
-        return _horner(th, (c[:, 2], c[:, 1], c[:, 0], self.values[j]))
+        th = (t - self.knots[j]) / self.h[j]
+        out = np.empty((4, self.h.size))
+        for q in range(4):
+            out[q] = np.bincount(j, w, self.h.size)
+            w = w * th
+        return out
 
     def contract(self, t, a, b, e) -> np.ndarray:
         """The sum over the times t (1-D) of a dxi(t) + b dU(t) + e du(t), one
-        entry per direction, in O(t.size + knots n): the weights a, b and e are
-        binned before the tangent is read. dxi is a cubic in theta on each knot
-        interval, so four moments of a per interval give its sum exactly. dU(t)
-        is the part of each cell before t (``_cell_mass``): the whole cell for
-        the t after it, t - g_k for the t inside. du(t) is 1 in the column of
-        the cell holding t."""
-        j = segment(self.knots, t)
-        th = (t - self.knots[j]) / self.h[j]
-        m = self.h.size
-        out = np.bincount(j, a, m) @ self.values[:-1]
-        for q in range(3):
-            a = a * th
-            out += np.bincount(j, a, m) @ self.coeffs[:, q]
+        entry per direction, in O(t.size + knots + n). dxi is a cubic in theta
+        on each knot interval, so four moments m0..m3 of a per interval give
+        its sum: beta_j = h_j (m1, m2, m3) _G3_INTEGRATED inv_j weighs the
+        stage slopes and alpha_j = m0_j + beta_j . a_j the value at knot j.
+        One reversed cumulative sum, mu_i = sum_{j > i} alpha_j g_j / g_{i+1}
+        with g the cumulative product of R, gives zeta = mu r + beta, the
+        weight of the forcing at each node. The forcing's delayed dxi(sig)
+        turns it into the weights -zeta a at sig, which join a in the next
+        pass, and its dU terms join b: zeta lam' at the nodes, -zeta lam' at
+        sig. dU(t) is the part of each cell before t: the whole cell for the t
+        after it, t - g_k for the t inside; du(t) is 1 in the column of the
+        cell holding t."""
+        fixed = self._moments(t, a)
+        zeta = np.zeros_like(self.a)
+        for _ in range(self.passes):
+            m = fixed + self._moments(self.sigma, -(zeta * self.a).ravel()[self.post])
+            beta = self.h[:, None] * np.einsum("ji,jik->jk", m[1:].T @ _G3_INTEGRATED, self.inv)
+            alpha_g = (m[0] + np.sum(beta * self.a, axis=1)) * self.growth[:-1]
+            tail = np.cumsum(alpha_g[::-1])[::-1]  # over the intervals >= i
+            zeta = beta + (np.append(tail[1:], 0.0) / self.growth[1:])[:, None] * self.r
+        w = zeta.ravel() * self.slope
+        times = np.concatenate((t, self.nodes, self.sigma))
+        b = np.concatenate((b, w, -w[self.post]))
         g = self.cells
         n = g.size - 1
-        k = g.searchsorted(t, "right")  # 0 before the grid, n + 1 after it; cell k - 1
-        inside = np.bincount(k, b * (t - g[np.clip(k - 1, 0, n)]), n + 2)
+        k = g.searchsorted(times, "right")  # 0 before the grid, n + 1 after it; cell k - 1
+        inside = np.bincount(k, b * (times - g[np.clip(k - 1, 0, n)]), n + 2)
         after = np.cumsum(np.bincount(k, b, n + 2)[::-1])[::-1]  # of b over cells >= k - 1
-        out += inside[1:-1] + np.diff(g) * after[2:]
-        out += np.bincount(segment(g, t), e, n)
-        return out
+        return inside[1:-1] + np.diff(g) * after[2:] + np.bincount(segment(g, t), e, n)
 
 
 def apply_F(

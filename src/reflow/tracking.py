@@ -4,8 +4,8 @@ The control is a piecewise-constant influx on a fixed breakpoint grid. The
 cost is evaluated through the characteristic solver, so each evaluation is an
 exact (up to solver tolerance) trajectory. The gradient in all cell values
 comes from the same trajectory and the quadrature nodes of its cost, without
-another solve: one forward-tangent sweep along its curve, contracted with the
-nodes' weights (``Trajectory.tracking_gradient``). Descent is
+another solve: one adjoint sweep along its curve, seeded with the nodes'
+weights (``Trajectory.tracking_gradient``). Descent is
 projected gradient with Armijo backtracking, restarted from a few structured
 initial guesses.
 """
@@ -19,7 +19,7 @@ import numpy as np
 from .laws import SpeedLaw
 from .rules import count, covers, finite_nonnegative, finite_positive
 from .signals import ControlSignal, DensityProfile
-from .transport import _TrackingQuadrature, simulate
+from .transport import TrackingQuadrature, simulate
 
 __all__ = ["TrackingProblem", "OptimizationReport", "cost", "minimize",
            "resample_control"]
@@ -74,7 +74,7 @@ def _evaluate(problem: TrackingProblem, u: ControlSignal):
     traj = simulate(problem.rho0, problem.law, problem.horizon, u=u,
                     tol=problem.solver_tol,
                     knots_per_window=problem.knots_per_window)
-    quad = _TrackingQuadrature(traj, problem.y_d)
+    quad = TrackingQuadrature(traj, problem.y_d)
     return u.lp_norm(2) ** 2 + problem.tracking_weight * quad.error_sq(), quad
 
 

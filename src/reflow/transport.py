@@ -16,12 +16,12 @@ from typing import Callable
 
 import numpy as np
 
-from .characteristics import CharacteristicCurve, CurveTangent, FluxInflow, Inflow, solve_xi
+from .characteristics import CharacteristicCurve, CurveAdjoint, FluxInflow, Inflow, solve_xi
 from .laws import SpeedLaw
-from .rules import finite_positive
+from .rules import covers, finite_positive
 from .signals import ControlSignal, DensityProfile
 
-__all__ = ["Trajectory", "simulate"]
+__all__ = ["TrackingQuadrature", "Trajectory", "simulate"]
 
 # 5-point Gauss-Legendre on [0, 1]
 _N5 = np.array([0.04691007703066800, 0.23076534494715845, 0.5,
@@ -254,12 +254,12 @@ class Trajectory:
 
     def tracking_error_sq(self, y_d: ControlSignal) -> float:
         """Integral over [0, T] of (y - y_d)^2, panel-exact Gauss quadrature."""
-        return _TrackingQuadrature(self, y_d).error_sq()
+        return TrackingQuadrature(self, y_d).error_sq()
 
     def tracking_gradient(self, y_d: ControlSignal, grid) -> np.ndarray:
         """Gradient of ``tracking_error_sq(y_d)`` in the influx values on the cells
-        of ``grid``; see ``_TrackingQuadrature.gradient``."""
-        return _TrackingQuadrature(self, y_d).gradient(grid)
+        of ``grid``; see ``TrackingQuadrature.gradient``."""
+        return TrackingQuadrature(self, y_d).gradient(grid)
 
     def influx_l2_sq(self) -> float:
         """Integral over [0, T] of u^2, panel-exact Gauss quadrature."""
@@ -290,14 +290,14 @@ class Trajectory:
         np.savetxt(path, data, delimiter=",", header="columns: x,rho")
 
 
-class _TrackingQuadrature:
+class TrackingQuadrature:
     """The one build of the Gauss nodes of ``Trajectory.tracking_error_sq`` on
     ``time_panels``, for its cost and its gradient: panel widths h, nodes t,
     xi(t), ``_outlet``'s terms there (W, post, sigma, W_sigma, rho1) and the
-    residual y - y_d."""
+    residual y - y_d against a demand that covers the horizon."""
 
     def __init__(self, traj: Trajectory, y_d: ControlSignal):
-        self.traj, self.y_d = traj, y_d
+        self.traj, self.y_d = traj, covers(y_d, traj.horizon, "demand")
         self.h, self.t = _nodes5(traj.time_panels(extra=y_d.breakpoints))
         self.xi_t = traj.xi(self.t)
         self.terms = traj._outlet(self.t, self.xi_t)
@@ -310,24 +310,25 @@ class _TrackingQuadrature:
     def gradient(self, grid) -> np.ndarray:
         """Gradient of ``error_sq`` in the influx values on the cells of ``grid``.
 
-        Exact for the solved curve, from its ``CurveTangent``: between jumps,
+        Exact for the solved curve, from its ``CurveAdjoint``: between jumps,
         y = lam(W) rho(t, 1) changes by dy = lam'(W) dW rho(t, 1) + lam(W) drho,
         where dW = dU(t) - rho(t, 1) dxi(t) - [dU(sig) - rho(t, 1) dxi(sig)]
         once xi(t) >= 1, drho = 0 before exit and, after it,
         rho(t, 1) = u(sig) / lam(W(sig)) changes with du(sig) and with W(sig), by
         dW(sig) + W'(sig) dsig. Each node's term is linear in dxi, dU and du at
         the node t, its entry time sig and, once xi(sig) >= 1, the entry time
-        of sig. So the scalar Gauss weights 2 w (y - y_d) are applied first,
-        and the sums over those times are read off the tangent once
-        (``CurveTangent.contract``). A jump of y that moves with u (a rho0 or
-        control breakpoint reaching x = 1 at t_e) adds its jump of (y - y_d)^2
-        times its shift dt_e (S. Ulbrich, SIAM J. Control Optim. 41, 2002).
+        of sig. A jump of y that moves with u (a rho0 or control breakpoint
+        reaching x = 1 at t_e) adds its jump of (y - y_d)^2 times its shift
+        dt_e = (dxi(tau) - dxi(t_e)) / xi'(t_e), tau the control breakpoint
+        (dxi = 0 for a rho0 one; S. Ulbrich, SIAM J. Control Optim. 41, 2002).
+        So all the weights are applied first, 2 w (y - y_d) at the nodes, and
+        the sums are one ``CurveAdjoint.contract`` call.
         """
         traj, y_d = self.traj, self.y_d
         if not isinstance(traj.inflow, FluxInflow):
-            raise ValueError("the curve tangent needs a prescribed influx")
+            raise ValueError("the gradient needs a prescribed influx")
         u, xi, law = traj.inflow.signal, traj.xi, traj.law
-        tangent = CurveTangent(xi, law, grid, traj._outlet)
+        adjoint = CurveAdjoint(xi, law, grid, traj._outlet)
         W, post, sigma, _, rho1 = self.terms
         c = 2.0 * (self.h[:, None] * _W5).ravel() * self.residual
         # c dy at the node t is alpha dW(t), plus kappa du(sig) + mu dW(sig) after exit
@@ -347,7 +348,6 @@ class _TrackingQuadrature:
             a += [alpha_p * rho1[post] - mu * rho1_s - nu, (mu * rho1_s)[post_s]]
             b += [mu - alpha_p, -mu[post_s]]
             e += [kappa, np.zeros(sigma_s.size)]
-        grad = tangent.contract(*(np.concatenate(v) for v in (times, a, b, e)))
 
         # moving jumps, in the order of their labels: rho0 breakpoint beta
         # (beta = 0 at the exit time), then the material that entered at
@@ -362,11 +362,14 @@ class _TrackingQuadrature:
             before = np.concatenate((traj.rho0(beta), u.left_limit(tau) / lam_tau))
             after = np.concatenate((traj.rho0.left_limit(beta), u(tau) / lam_tau))
             after[0] = u(0.0) / traj.speed(0.0)  # beta = 0: the first boundary material
-            entry = np.concatenate((np.zeros((beta.size, tangent.cells.size - 1)), tangent(tau)))
             t_e = xi.inverse(levels[moving])
             lam_e = traj.speed(t_e)
             f_before = (lam_e * before[moving] - y_d.left_limit(t_e)) ** 2
             f_after = (lam_e * after[moving] - y_d(t_e)) ** 2
-            shift = (entry[moving] - tangent(t_e)) / xi.slope(t_e)[:, None]
-            grad += (f_before - f_after) @ shift
-        return grad
+            jump = np.zeros(levels.size)
+            jump[moving] = (f_before - f_after) / xi.slope(t_e)
+            times += [t_e, tau]
+            a += [-jump[moving], jump[beta.size:]]
+            b += [np.zeros(t_e.size + tau.size)]
+            e += [np.zeros(t_e.size + tau.size)]
+        return adjoint.contract(*(np.concatenate(v) for v in (times, a, b, e)))

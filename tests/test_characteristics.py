@@ -5,8 +5,10 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from reflow import characteristics
-from reflow.characteristics import (CharacteristicCurve, CurveTangent, DensityInflow, FluxInflow,
-                                    SolverError, _choose_window, apply_F, solve_xi)
+from reflow.characteristics import (_G3_COLLOCATION, _G3_INTEGRATED, _G3_NODES, _G3_WEIGHTS,
+                                    CharacteristicCurve, CurveAdjoint, DensityInflow, FluxInflow,
+                                    SolverError, _choose_window, _horner, _inverse3, apply_F,
+                                    solve_xi)
 from reflow.laws import reciprocal, tabulated
 from reflow.signals import ControlSignal, DensityProfile, segment
 from reflow.transport import simulate
@@ -103,6 +105,62 @@ class TestCurveType:
             CharacteristicCurve(np.empty(0), np.empty(0), np.empty(0))
 
 
+class CurveTangent:
+    """The forward tangent: the derivatives of a flux-mode curve in the cell
+    values of its influx, every direction at once, as the oracle of
+    ``CurveAdjoint``.
+
+    Direction k raises u by one on cell k of the grid ``cells``. The tangent
+    solves the linear delay equation of ``CurveAdjoint``'s docstring on the
+    same knots by the same 3-stage Gauss collocation: dxi_{j+1} = R_j dxi_j +
+    q_j, one cumulative product and sum for all knots and directions at once;
+    the delayed values are known from the pass before, so one pass per
+    transit of [0, 1] suffices. Between knots it is the collocation polynomial.
+    """
+
+    def __init__(self, xi, law, cells, outlet):
+        self.cells = np.asarray(cells, dtype=float)
+        self.knots = knots = xi.with_exits(xi.times)
+        self.h = h = np.diff(knots)
+        s = (knots[:-1, None] + h[:, None] * _G3_NODES).ravel()
+        W, post, sigma, _, rho1 = outlet(s, xi(s))
+        slope = law.slope(W)
+        # dxi' = a dxi + forcing, the forcing holding the delayed dxi(sig)
+        a = (slope * -rho1).reshape(-1, 3)
+        forcing = slope[:, None] * self._cell_mass(s)
+        forcing[post] -= slope[post, None] * self._cell_mass(sigma)
+        # stage slopes F solve (I - h a A) F = a dxi_j + forcing on each interval
+        inv = _inverse3(np.eye(3) - h[:, None, None] * a[:, :, None] * _G3_COLLOCATION)
+        r = h[:, None] * (_G3_WEIGHTS @ inv)
+        growth = np.concatenate(([1.0], np.cumprod(1.0 + np.sum(r * a, axis=1))))
+        n = self.cells.size - 1
+        self.values = np.zeros((knots.size, n))
+        self.coeffs = np.zeros((h.size, 3, n))  # of theta, theta^2, theta^3 per interval
+        for _ in range(int(np.ceil(xi.x_end))):
+            f = forcing.copy()
+            f[post] -= a.ravel()[post, None] * self(sigma)
+            f = f.reshape(-1, 3, n)
+            q = np.einsum("ji,jin->jn", r, f)
+            self.values = growth[:, None] * np.concatenate(
+                (np.zeros((1, n)), np.cumsum(q / growth[1:, None], axis=0)))
+            stages = np.einsum("jgi,jin->jgn", inv, a[:, :, None] * self.values[:-1, None, :] + f)
+            self.coeffs = h[:, None, None] * np.einsum("pi,jin->jpn", _G3_INTEGRATED, stages)
+
+    def _cell_mass(self, t):
+        """dU(t) of every direction: the part of each cell before t, (t.size, n)."""
+        g = self.cells
+        d = t[:, None] - g[:-1]
+        return np.clip(d, 0.0, np.diff(g), out=d)
+
+    def __call__(self, t):
+        """dxi at the times t (1-D), one column per direction."""
+        t = np.asarray(t, dtype=float)
+        j = segment(self.knots, t)
+        th = ((t - self.knots[j]) / self.h[j])[:, None]
+        c = self.coeffs[j]  # in place: the arrays are points x directions
+        return _horner(th, (c[:, 2], c[:, 1], c[:, 0], self.values[j]))
+
+
 def tangent_influx(tangent, t):
     """du at the times t (1-D): 1 in the column of the cell holding t."""
     return (segment(tangent.cells, t)[:, None] == np.arange(tangent.cells.size - 1)).astype(float)
@@ -120,7 +178,8 @@ def tangent_mass(tangent, t, terms):
 
 
 class TestTangent:
-    """CurveTangent against central differences of solved curves."""
+    """The forward tangent against central differences of solved curves, and
+    the adjoint's contraction against the tangent's dense sums."""
 
     @pytest.mark.parametrize("law", [reciprocal(), tabulated([0.0, 0.5, 1.0, 2.0],
                                                              [1.0, 0.7, 0.5, 0.4])])
@@ -157,12 +216,13 @@ class TestTangent:
                         u=ControlSignal([0.0, 1.0, 2.5], [0.3, 0.5]), tol=1e-10,
                         knots_per_window=32)
         tangent = CurveTangent(traj.xi, traj.law, cells, traj._outlet)
+        adjoint = CurveAdjoint(traj.xi, traj.law, cells, traj._outlet)
         rng = np.random.default_rng(7)
         t = np.concatenate((rng.uniform(0.0, 2.5, 300), tangent.knots, cells, [0.0, 2.5]))
         a, b, e = rng.normal(size=(3, t.size))
         dense = a @ tangent(t) + b @ tangent._cell_mass(t) + e @ tangent_influx(tangent, t)
         scale = np.abs(a) @ np.abs(tangent(t)) + np.abs(b) @ tangent._cell_mass(t) + np.sum(np.abs(e))
-        assert np.all(np.abs(tangent.contract(t, a, b, e) - dense) <= 1e-13 * scale)
+        assert np.all(np.abs(adjoint.contract(t, a, b, e) - dense) <= 1e-13 * scale)
 
     def test_with_exits_follows_material_over_every_transit(self):
         xi = solve_xi(ControlSignal.constant(0.2, 3.2), DensityProfile.constant(0.3),

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from reflow import transport
-from reflow.characteristics import CurveTangent, FluxInflow
+from reflow.characteristics import FluxInflow
 from reflow.laws import reciprocal, tabulated
 from reflow.signals import ControlSignal, DensityProfile
 from reflow.tracking import (TrackingProblem, _projected_gradient, cost, minimize,
                              resample_control)
 from reflow.transport import _N5, _W5, simulate
 
-from test_characteristics import tangent_influx, tangent_mass
+from test_characteristics import CurveTangent, tangent_influx, tangent_mass
 
 
 def small_problem(**kw):
@@ -127,7 +127,7 @@ def tangent_gradient(problem, values):
     traj = simulate(problem.rho0, problem.law, problem.horizon,
                     u=problem.control_from_values(values), tol=problem.solver_tol,
                     knots_per_window=problem.knots_per_window)
-    return _projected_gradient(problem, values, transport._TrackingQuadrature(traj, problem.y_d))[0], traj
+    return _projected_gradient(problem, values, transport.TrackingQuadrature(traj, problem.y_d))[0], traj
 
 
 def assert_matches_nodewise(problem, traj):
@@ -193,12 +193,13 @@ class TestGradient:
         np.testing.assert_allclose(traj_long.tracking_gradient(pr.y_d, grid),
                                    traj.tracking_gradient(pr.y_d, grid), rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("T", [1.0, 4.5])
-    def test_fine_grid_matches_the_nodewise_oracle(self, T):
-        # 64 cells; at T = 4.5 nodes lie behind the exit and so do their entry times
+    @pytest.mark.parametrize("T, n", [pytest.param(1.0, 64, id="1.0"), pytest.param(4.5, 64, id="4.5"),
+                                      pytest.param(4.5, 512, id="4.5-512")])
+    def test_fine_grid_matches_the_nodewise_oracle(self, T, n):
+        # at T = 4.5 nodes lie behind the exit and so do their entry times
         pr = exact_problem(DensityProfile([0.0, 0.4, 1.0], [0.3, 0.9]),
-                           ControlSignal([0.0, 0.5, T], [0.3, 0.5]), reciprocal(), T, 64)
-        values = np.random.default_rng(64).uniform(0.05, 0.8, 64)
+                           ControlSignal([0.0, 0.5, T], [0.3, 0.5]), reciprocal(), T, n)
+        values = np.random.default_rng(n).uniform(0.05, 0.8, n)
         traj = simulate(pr.rho0, pr.law, T, u=pr.control_from_values(values),
                         tol=pr.solver_tol, knots_per_window=pr.knots_per_window)
         assert (traj.xi.x_end > 2.0) == (T == 4.5)
@@ -208,6 +209,27 @@ class TestGradient:
         pr = exact_problem(DensityProfile([0.0, 0.4, 1.0], [0.3, 0.9]),
                            ControlSignal([0.0, 1.0, 2.5], [0.3, 0.5]), reciprocal(), 2.5, 4)
         assert_matches_fd(pr, np.array([0.5, 0.0, 0.6, 0.3]))
+
+    @pytest.mark.parametrize("grid, match", [
+        ([0.0, 0.7, 0.5, 1.0], "strictly increasing"),  # gave a wrong gradient
+        ([0.0, float("nan"), 1.0], "finite"),  # gave NaN
+        ([0.0], "at least two breakpoints"),  # failed in a numpy reshape
+    ])
+    def test_grid_takes_the_breakpoint_rule_of_a_step_function(self, grid, match):
+        traj = simulate(DensityProfile.constant(0.5), reciprocal(), 1.0,
+                        u=ControlSignal.constant(0.3, 1.0))
+        with pytest.raises(ValueError, match=match):
+            traj.tracking_gradient(ControlSignal.constant(0.2, 1.0), np.array(grid))
+
+    def test_demand_shorter_than_the_horizon_is_refused(self):
+        # it read as clamped past its end, and gave the cost of a demand on [0, 1]
+        traj = simulate(DensityProfile.constant(0.5), reciprocal(), 1.0,
+                        u=ControlSignal.constant(0.3, 1.0))
+        short = ControlSignal.constant(0.2, 0.5)
+        with pytest.raises(ValueError, match="demand horizon 0.5 shorter than T=1.0"):
+            traj.tracking_error_sq(short)
+        with pytest.raises(ValueError, match="demand horizon 0.5 shorter than T=1.0"):
+            traj.tracking_gradient(short, np.array([0.0, 1.0]))
 
     def test_density_mode_trajectory_is_refused(self):
         traj = simulate(DensityProfile.constant(1.0), reciprocal(), 1.0,
@@ -230,7 +252,7 @@ class TestOptimizerPath:
     ])
     def test_same_solves_and_costs(self, problem, monkeypatch):
         contracted = minimize(problem, max_iters=3, grad_tol=1e-5)
-        monkeypatch.setattr(transport._TrackingQuadrature, "gradient",
+        monkeypatch.setattr(transport.TrackingQuadrature, "gradient",
                             lambda quad, grid: nodewise_gradient(quad.traj, quad.y_d, grid))
         nodewise = minimize(problem, max_iters=3, grad_tol=1e-5)
         assert contracted.solves == nodewise.solves
