@@ -45,8 +45,12 @@ _G3_WEIGHTS = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
 
 def _inverse3(m):
     """Inverses of a stack of 3 x 3 matrices, from their cofactors (no LAPACK)."""
-    cof = np.stack((np.cross(m[:, 1], m[:, 2]), np.cross(m[:, 2], m[:, 0]),
-                    np.cross(m[:, 0], m[:, 1])), axis=-1)
+    a, b, c = m[:, 0].T, m[:, 1].T, m[:, 2].T  # the rows, component first
+    cof = np.empty(m.shape)
+    for k, (p, q) in enumerate(((b, c), (c, a), (a, b))):  # column k is p x q
+        cof[:, 0, k] = p[1] * q[2] - p[2] * q[1]
+        cof[:, 1, k] = p[2] * q[0] - p[0] * q[2]
+        cof[:, 2, k] = p[0] * q[1] - p[1] * q[0]
     return cof / np.einsum("ji,ji->j", m[:, 0], cof[:, :, 0])[:, None, None]
 
 

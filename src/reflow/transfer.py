@@ -19,7 +19,7 @@ import numpy as np
 from .laws import reciprocal
 from .rules import finite_nonnegative
 from .signals import ControlSignal, DensityProfile
-from .transport import Trajectory, simulate
+from .transport import Trajectory, abs_integral, simulate
 
 __all__ = [
     "TransferScenario",
@@ -166,10 +166,7 @@ def certify_trajectory(traj: Trajectory, rho_lo: float, rho_hi: float,
     """
     _check_certificate_inputs(rho_lo, rho_hi, tol)
     T = traj.horizon
-    edges = traj.slice_panels(T)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    dist = float(np.sum(np.diff(edges)
-                        * np.abs(traj.slice_values(T, mids) - rho_hi)))
+    dist = abs_integral(traj.slice_panels(T), lambda x: traj.slice_values(T, x) - rho_hi)
     if dist > _SLICE_TOL:
         raise ValueError(
             f"trajectory does not reach the target equilibrium: "

@@ -21,14 +21,34 @@ from .laws import SpeedLaw
 from .rules import covers, finite_positive
 from .signals import ControlSignal, DensityProfile
 
-__all__ = ["TrackingQuadrature", "Trajectory", "simulate"]
+__all__ = ["TrackingQuadrature", "Trajectory", "abs_integral", "simulate"]
 
 # 5-point Gauss-Legendre on [0, 1]
 _N5 = np.array([0.04691007703066800, 0.23076534494715845, 0.5,
                 0.76923465505284155, 0.95308992296933200])
 _W5 = np.array([0.11846344252809454, 0.23931433524968324, 0.28444444444444444,
                 0.23931433524968324, 0.11846344252809454])
-_SLICE_WIDTH = 1e-3  # widest panel of the slice quadratures
+
+
+def _lagrange_rows(nodes):
+    """Row i: the coefficients, highest power first, of the polynomial that is 1
+    at nodes[i] and 0 at the other nodes. Plain float arithmetic: numpy's
+    polynomial helpers or a first matmul at import would raise the peak memory
+    of every command."""
+    rows = []
+    for yi in nodes:
+        row = [1.0]
+        for yk in nodes:
+            if yk != yi:  # times (y - yk) / (yi - yk)
+                row = [(a - yk * b) / (yi - yk) for a, b in zip(row + [0.0], [0.0] + row)]
+        rows.append(row)
+    return np.array(rows)
+
+
+# (d[:, :, None] * _QUARTIC).sum(1): the coefficients in y = 2 theta - 1 of the
+# quartics through the values d at a panel's Gauss nodes (no matmul, as above)
+_QUARTIC = _lagrange_rows((2.0 * _N5 - 1.0).tolist())
+_SAMPLE = np.linspace(-1.0, 1.0, 17)  # where the quartics' sign changes are looked for
 
 
 def _panels(end: float, breaks, max_width: float) -> np.ndarray:
@@ -67,6 +87,56 @@ def _gauss5(edges: np.ndarray, f) -> float:
     """Composite 5-point Gauss-Legendre integral of f over the panels ``edges``."""
     h, nodes = _nodes5(edges)
     return float(np.sum(h * (f(nodes).reshape(-1, 5) @ _W5)))
+
+
+def _quartic_roots(c):
+    """(row, y): the sign changes in [-1, 1] of the quartics whose coefficient
+    rows (highest power first) are c. They are bracketed on the 16 intervals of
+    ``_SAMPLE`` and polished by Newton's method on the quartic alone, with a
+    bisection step wherever Newton would leave the bracket or the slope is 0.
+    An identically zero quartic has none."""
+    neg = np.polyval(c.T[:, :, None], _SAMPLE) < 0.0
+    row, j = np.nonzero(neg[:, 1:] != neg[:, :-1])
+    p = c[row].T
+    dp = p[:-1] * np.array([4.0, 3.0, 2.0, 1.0])[:, None]
+    a, b, neg_a = _SAMPLE[j], _SAMPLE[j + 1], neg[row, j]
+    y = 0.5 * (a + b)
+    for _ in range(60):
+        v, slope = np.polyval(p, y), np.polyval(dp, y)
+        ahead = (v < 0.0) == neg_a  # y is on a's side, so the root is in [y, b]
+        a, b = np.where(ahead, y, a), np.where(ahead, b, y)
+        new = y - np.divide(v, slope, out=np.full(v.shape, np.inf), where=slope != 0.0)
+        new = np.where((new >= a) & (new <= b), new, 0.5 * (a + b))
+        step, y = np.abs(new - y).max(initial=0.0), new
+        if step <= 1e-14:
+            break
+    return row, y
+
+
+def abs_integral(edges: np.ndarray, f) -> float:
+    """Integral of |f| over the panels ``edges``, f smooth on each panel.
+
+    Composite 5-point Gauss-Legendre, one call of f for all the nodes. On each
+    panel the quartic through f's five Gauss values stands in for f; a panel on
+    which it changes sign is split at its roots, and the pieces take their own
+    Gauss nodes in one more call of f. So |f| is smooth on every piece, and
+    finding the roots costs no further evaluation of f.
+    """
+    h, nodes = _nodes5(edges)
+    d = f(nodes).reshape(-1, 5)
+    part = h * (np.abs(d) * _W5).sum(axis=1)
+    row, y = _quartic_roots((d[:, :, None] * _QUARTIC).sum(axis=1))
+    if not row.size:
+        return float(part.sum())
+    split = np.unique(row)
+    cuts = np.unique(np.concatenate((edges[split], edges[split + 1],
+                                     edges[row] + h[row] * (0.5 + 0.5 * y))))
+    # the pieces between consecutive cuts that lie in a split panel
+    inside = np.isin(np.searchsorted(edges, 0.5 * (cuts[:-1] + cuts[1:])) - 1, split)
+    a, w = cuts[:-1][inside], np.diff(cuts)[inside]
+    sub = f((a[:, None] + w[:, None] * _N5).ravel()).reshape(-1, 5)
+    part[split] = 0.0
+    return float(part.sum() + np.sum(w * (np.abs(sub) * _W5).sum(axis=1)))
 
 
 def simulate(
@@ -200,14 +270,36 @@ class Trajectory:
     # -- regularity diagnostics -------------------------------------------
 
     def slice_panels(self, *times: float) -> np.ndarray:
-        """Quadrature edges in [0, 1] aligned with the density jumps at the given times."""
-        breaks = [self.xi(t) - self.inflow.labels(self.rho0, self.xi, t) for t in times]
-        return _panels(1.0, np.concatenate(breaks), _SLICE_WIDTH)
+        """Quadrature edges in [0, 1], at every jump and kink of the density
+        profiles at the given times, and no panel wider than 1/32.
+
+        At time t the profile jumps at xi(t) - z for each jump label z
+        (``Inflow.labels``), and has a kink at xi(t) - xi(tau) for each break
+        time tau of the outflux (``time_panels``): the material there entered
+        when W, so the entry density u / lam(W), had a kink or a jump. Between
+        these edges the profile is smooth. A label or break time later than t
+        gives a position below 0, which is dropped.
+        """
+        ts = self._times(times)
+        z = np.concatenate((self.inflow.labels(self.rho0, self.xi, ts.max()), self._breaks[1]))
+        return _panels(1.0, (self.xi(ts)[:, None] - z).ravel(), 1.0 / 32.0)
 
     def l1_slice_distance(self, s: float, t: float) -> float:
-        """Integral over [0, 1] of |rho(s, x) - rho(t, x)|."""
-        return _gauss5(self.slice_panels(s, t),
-                       lambda x: np.abs(self.slice_values(s, x) - self.slice_values(t, x)))
+        """Integral over [0, 1] of |rho(s, x) - rho(t, x)|.
+
+        The panels are ``slice_panels(s, t)``, so the difference is smooth on
+        each; both profiles come from one ``_density`` call at all the Gauss
+        nodes. ``abs_integral`` splits a panel where the quartic through the
+        difference's Gauss values changes sign, at its roots, and evaluates the
+        pieces in one more call.
+        """
+        xi_st = self.xi(self._times([s, t]))[:, None]
+
+        def gap(x):
+            rho = self._density(xi_st, x)[0]
+            return rho[0] - rho[1]
+
+        return abs_integral(self.slice_panels(s, t), gap)
 
     def slice_lp_norm(self, t: float, p: int) -> float:
         """L^p norm of the density profile at time t (p in {1, 2})."""
@@ -245,12 +337,19 @@ class Trajectory:
         """
         max_width = (self.horizon / 512.0 if max_width is None
                      else finite_positive(max_width, "max_width"))
+        return _panels(self.horizon, np.concatenate((self._breaks[0],
+                                                     np.asarray(extra, dtype=float))),
+                       max_width)
+
+    @functools.cached_property
+    def _breaks(self):
+        """(tau, xi(tau)): the sorted times at which the outflux or influx jumps or
+        has a kink, and the curve there; built once per trajectory."""
         kinks = self.law.kinks
         if kinks.size:
             kinks = self.law.kink_times(self.xi.times, self.total_mass(self.xi.times))
-        breaks = self.xi.with_exits(np.concatenate((self.outflux_breaks(), kinks)))
-        return _panels(self.horizon, np.concatenate((breaks, np.asarray(extra, dtype=float))),
-                       max_width)
+        tau = self.xi.with_exits(np.concatenate((self.outflux_breaks(), kinks)))
+        return tau, self.xi(tau)
 
     def tracking_error_sq(self, y_d: ControlSignal) -> float:
         """Integral over [0, T] of (y - y_d)^2, panel-exact Gauss quadrature."""

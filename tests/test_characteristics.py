@@ -699,3 +699,15 @@ class TestLabels:
         # -beta for beta in {0, 0.25}, then xi(tau) for tau in {0.5, 1.0}
         assert np.array_equal(z, np.array([-0.0, -0.25, xi(0.5), xi(1.0)]))
         assert FluxInflow(u).labels(rho0, xi, 0.0).tolist() == [-0.0, -0.25]
+
+
+class TestInverse3:
+    def test_equals_the_cross_product_cofactors_and_inverts(self):
+        rng = np.random.default_rng(11)
+        m = rng.normal(size=(600, 3, 3)) + 3.0 * np.eye(3)
+        cof = np.stack((np.cross(m[:, 1], m[:, 2]), np.cross(m[:, 2], m[:, 0]),
+                        np.cross(m[:, 0], m[:, 1])), axis=-1)
+        det = np.einsum("ji,ji->j", m[:, 0], cof[:, :, 0])
+        inv = _inverse3(m)
+        assert np.array_equal(inv, cof / det[:, None, None])
+        assert np.allclose(inv @ m, np.eye(3), rtol=0.0, atol=1e-12)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from reflow.laws import reciprocal, tabulated
 from reflow.signals import ControlSignal, DensityProfile
@@ -215,6 +216,102 @@ class TestRegularityDiagnostics:
             expected = float(np.sum(h * (gap @ (0.5 * weights))))
             assert traj.l1_time_distance(x1, x2, max_width=0.05) == pytest.approx(
                 expected, rel=1e-12)
+
+
+def l1_reference(traj, s, t, width=2e-4):
+    """Brute force for ``l1_slice_distance``: (the integral, the roots found).
+
+    Edges at every jump and at xi(r) - xi(tau) for every edge tau of
+    ``time_panels`` and every curve knot, a superset of the kinks; Gauss-5
+    panels ``width`` wide, split at the brentq roots of the exact difference
+    wherever it changes sign on a 9-point sample of a panel.
+    """
+    xi = traj.xi
+    taus = np.concatenate((traj.time_panels(), xi.times))
+    breaks = [xi(r) - np.concatenate((traj.inflow.labels(traj.rho0, xi, r), xi(taus[taus <= r])))
+              for r in (s, t)]
+    edges = _panels(1.0, np.concatenate(breaks), width)
+
+    def d(x):
+        return traj.slice_values(s, x) - traj.slice_values(t, x)
+
+    theta = np.linspace(0.0, 1.0, 9)
+    theta[[0, -1]] = 1e-9, 1.0 - 1e-9  # one-sided at the jumps
+    xs = edges[:-1, None] + np.diff(edges)[:, None] * theta
+    v = d(xs.ravel()).reshape(xs.shape)
+    roots = [brentq(lambda x: d(x)[0], xs[i, j], xs[i, j + 1], xtol=1e-16)
+             for i, j in zip(*np.nonzero(v[:, :-1] * v[:, 1:] < 0.0))]
+    return _gauss5(np.unique(np.concatenate((edges, roots))), lambda x: np.abs(d(x))), len(roots)
+
+
+@pytest.fixture(scope="module")
+def slice_cases():
+    """Flux mode, density mode and a tabulated law whose kinks W crosses at
+    t = 0.24 and 1.11; "sign" is a flux-mode input on which rho(s, .) - rho(t, .)
+    changes sign inside smooth stretches."""
+    rho0 = DensityProfile([0.0, 0.3, 0.7, 1.0], [1.2, 0.4, 2.0])
+    signal = ControlSignal(np.linspace(0.0, 2.0, 5), [0.8, 0.1, 1.5, 0.6])
+    law = tabulated([0.0, 0.5, 1.0, 2.0, 4.0], [1.0, 0.8, 0.5, 0.35, 0.2])
+    return {
+        "flux": simulate(rho0, reciprocal(), 2.0, u=signal),
+        "density": simulate(rho0, reciprocal(), 2.0, boundary_density=signal),
+        "tabulated": simulate(DensityProfile([0.0, 0.5, 1.0], [0.4, 0.8]), law, 2.5,
+                              u=ControlSignal(np.linspace(0.0, 2.5, 5), [0.2, 0.7, 0.4, 0.5])),
+        "sign": simulate(
+            DensityProfile([0.0, 0.45, 0.47, 1.0], [1.15, 0.86, 0.95]), reciprocal(), 3.0,
+            u=ControlSignal([0.0, 0.51, 1.22, 1.56, 2.41, 2.45, 2.64, 2.83, 3.0],
+                            [0.87, 0.43, 0.62, 0.68, 0.96, 1.07, 0.45, 0.53])),
+    }
+
+
+class TestSliceQuadrature:
+    @pytest.mark.parametrize("case, s, t, roots", [
+        ("flux", 0.3, 0.31, 0), ("flux", 1.2, 1.25, 0), ("flux", 1.9, 1.99, 0),
+        ("flux", 0.5, 1.9, 0),
+        ("density", 0.8, 1.1, 0), ("density", 1.5, 1.8, 0), ("density", 0.5, 1.9, 0),
+        ("tabulated", 1.2, 1.25, 0), ("tabulated", 1.5, 1.8, 0), ("tabulated", 0.5, 1.9, 0),
+        ("sign", 2.4, 2.41, 2), ("sign", 2.4, 2.5, 1), ("sign", 2.2, 2.21, 1),
+    ])
+    def test_l1_slice_distance_matches_brute_force(self, slice_cases, case, s, t, roots):
+        # fixed 1e-3-wide panels, which missed the kinks, were up to 2.7e-7 off here
+        traj = slice_cases[case]
+        expected, found = l1_reference(traj, s, t)
+        assert found == roots
+        assert traj.l1_slice_distance(s, t) == pytest.approx(expected, rel=1e-12)
+        assert traj.l1_slice_distance(t, s) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("t", [0.3, 1.2, 1.9])
+    def test_slice_lp_norms_of_a_piecewise_constant_slice(self, slice_cases, t):
+        # in density mode the slice is rho0 shifted by xi(t) ahead of the curve
+        # and b(tau) on [xi(t) - xi(tau'), xi(t) - xi(tau)] for each cell
+        # [tau, tau'] of b behind it
+        traj = slice_cases["density"]
+        xi_t, b, rho0 = traj.xi(t), traj.inflow.signal, traj.rho0
+        tau = np.minimum(b.breakpoints, t)
+        lo = np.concatenate((rho0.breakpoints[:-1] + xi_t, xi_t - traj.xi(tau[1:])))
+        hi = np.concatenate((rho0.breakpoints[1:] + xi_t, xi_t - traj.xi(tau[:-1])))
+        values = np.concatenate((rho0.values, b.values))
+        length = np.clip(hi, 0.0, 1.0) - np.clip(lo, 0.0, 1.0)
+        assert traj.slice_lp_norm(t, 1) == pytest.approx(np.sum(values * length), rel=1e-13)
+        assert traj.slice_lp_norm(t, 2) == pytest.approx(
+            np.sqrt(np.sum(values ** 2 * length)), rel=1e-13)
+
+    @pytest.mark.parametrize("case", ["flux", "density", "tabulated", "sign"])
+    def test_slice_panels_hold_every_jump_and_kink(self, slice_cases, case):
+        traj = slice_cases[case]
+        law, xi = traj.law, traj.xi
+        kinks = law.kink_times(xi.times, traj.total_mass(xi.times)) if law.kinks.size else []
+        tau = xi.with_exits(np.concatenate((traj.outflux_breaks(), kinks)))
+        for times in [(0.0,), (0.45,), (1.3,), (traj.horizon,), (0.9, 1.7)]:
+            edges = traj.slice_panels(*times)
+            for t in times:
+                z = np.concatenate((traj.inflow.labels(traj.rho0, xi, t), xi(tau[tau <= t])))
+                x = xi(t) - z
+                x = x[(x > 0.0) & (x < 1.0)]
+                assert np.all(np.min(np.abs(edges[:, None] - x), axis=0) <= 1e-15)
+            assert edges[0] == 0.0 and edges[-1] == 1.0
+            assert np.all(np.diff(edges) > 0.0) and np.diff(edges).max() <= 1.0 / 32.0 + 1e-16
+            assert traj.l1_slice_distance(times[0], times[0]) == 0.0
 
 
 class TestDiagnosticInputs:
