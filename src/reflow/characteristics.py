@@ -663,7 +663,7 @@ class CurveAdjoint:
         self.knots = knots = xi.with_exits(xi.times)
         self.h = h = np.diff(knots)
         self.nodes = s = (knots[:-1, None] + h[:, None] * _G3_NODES).ravel()
-        W, self.post, self.sigma, _, rho1 = outlet(s, xi(s))
+        W, self.post, self.sigma, rho1 = outlet(s, xi(s))
         self.slope = law.slope(W)
         # dxi' = a dxi + forcing; stage slopes F solve (I - h a A) F = a dxi_j + forcing
         self.a = a = (self.slope * -rho1).reshape(-1, 3)

@@ -3,6 +3,8 @@ checked value or raises ValueError naming the input; every range rule rejects Na
 
 import math
 
+import numpy as np
+
 
 def number(x, name: str) -> float:
     """``float(x)`` of a number that is not a boolean: YAML's ``true`` is not 1."""
@@ -31,6 +33,15 @@ def count(x, name: str, minimum: int = 1) -> int:
     if not (v >= minimum and v.is_integer()):
         raise ValueError(f"{name} must be a whole number >= {minimum}, got {x!r}")
     return int(v)
+
+
+def interval(x, hi: float, name: str) -> np.ndarray:
+    """``x`` as a 1-D float array in [0, hi], within 1e-12 max(1, hi)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    eps = 1e-12 * max(1.0, hi)
+    if not np.all((x >= -eps) & (x <= hi + eps)):  # also rejects NaN
+        raise ValueError(f"{name} must lie in [0, {hi:g}], got [{np.min(x):g}, {np.max(x):g}]")
+    return x
 
 
 def covers(signal, T: float, name: str):

@@ -11,14 +11,13 @@ exact up to the curve tolerance.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .characteristics import CharacteristicCurve, CurveAdjoint, FluxInflow, Inflow, solve_xi
 from .laws import SpeedLaw
-from .rules import covers, finite_positive
+from .rules import covers, finite_positive, interval
 from .signals import ControlSignal, DensityProfile
 
 __all__ = ["TrackingQuadrature", "Trajectory", "abs_integral", "simulate"]
@@ -67,14 +66,6 @@ def _panels(end: float, breaks, max_width: float) -> np.ndarray:
     first = n.cumsum() - n  # index of each piece's first edge
     j = np.arange(first[-1] + n[-1]) - np.repeat(first, n)
     return np.unique(np.concatenate((j * np.repeat(widths / n, n) + np.repeat(a, n), [end])))
-
-
-def _positions(x) -> np.ndarray:
-    """``x`` as a 1-D float array in [0, 1], within 1e-12 (ValueError otherwise)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all((x >= -1e-12) & (x <= 1.0 + 1e-12)):  # also rejects NaN
-        raise ValueError(f"positions must lie in [0, 1], got [{np.min(x):g}, {np.max(x):g}]")
-    return x
 
 
 def _nodes5(edges: np.ndarray):
@@ -162,23 +153,18 @@ class Trajectory:
     xi: CharacteristicCurve
     horizon: float
     inflow: Inflow
-    # B(z), the mass that entered while xi was below z; built once per curve
-    boundary_mass: Callable = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "boundary_mass", self.inflow.boundary_mass(self.xi))
 
     # -- influx bookkeeping ----------------------------------------------
 
+    @functools.cached_property
+    def boundary_mass(self):
+        """B(z), the mass that entered while xi was below z; built once per curve."""
+        return self.inflow.boundary_mass(self.xi)
+
     def _times(self, t) -> np.ndarray:
-        """``t`` as a 1-D float array; a time outside [0, T] raises ValueError,
-        since the curve and the influx would be clamped there differently."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        eps = 1e-12 * max(1.0, self.horizon)
-        if not np.all((t >= -eps) & (t <= self.horizon + eps)):  # also rejects NaN
-            raise ValueError(f"times must lie in [0, {self.horizon:g}], got "
-                             f"[{np.min(t):g}, {np.max(t):g}]")
-        return t
+        """``t`` as a 1-D float array in [0, T]: past it the curve and the influx
+        would be clamped differently."""
+        return interval(t, self.horizon, "times")
 
     def speed(self, t):
         """Transport speed lambda(W(t))."""
@@ -220,35 +206,35 @@ class Trajectory:
 
     def slice_values(self, t: float, x) -> np.ndarray:
         """Density profile at time t on an array of positions in [0, 1]."""
-        x = _positions(x)
+        x = interval(x, 1.0, "positions")
         return self._density(self.xi(self._times(t)), x)[0]
 
     def _density(self, xi_t, x):
-        """(rho, sigma, W_sigma): density at positions x where the curve is at xi_t
-        (broadcast together); for the material behind the curve (x <= xi_t) its
-        entry times and the mass then, cached, never computed in density mode."""
+        """(rho, sigma): density at positions x where the curve is at xi_t
+        (broadcast together), and for the material behind the curve
+        (x <= xi_t) its entry times; the mass then is computed in flux mode only."""
         behind = xi_t - x
         out = np.empty_like(behind)
         init = behind < 0
         out[init] = self.rho0(-behind[init])
-        sigma, W_sigma = np.empty(0), None
+        sigma = np.empty(0)
         if not np.all(init):
             entry = behind[~init]
             sigma = self.xi.inverse(entry)
-            W_sigma = functools.cache(lambda: self._mass(sigma, entry))
-            out[~init] = self.inflow.boundary_density(sigma, lambda s: self.law(W_sigma()))
-        return out, sigma, W_sigma
+            out[~init] = self.inflow.boundary_density(
+                sigma, lambda s: self.law(self._mass(s, entry)))
+        return out, sigma
 
     def _outlet(self, t, xi_t):
-        """(W, behind, sigma, W_sigma, rho1) at times t where the curve is at
-        xi_t: the mass, the mask xi_t >= 1, ``_density`` at x = 1 there."""
-        rho1, sigma, W_sigma = self._density(xi_t, 1.0)
-        return self._mass(t, xi_t), xi_t >= 1.0, sigma, W_sigma, rho1
+        """(W, behind, sigma, rho1) at times t where the curve is at xi_t: the
+        mass, the mask xi_t >= 1, ``_density`` at x = 1 there."""
+        rho1, sigma = self._density(xi_t, 1.0)
+        return self._mass(t, xi_t), xi_t >= 1.0, sigma, rho1
 
     def outflux(self, t):
         """y(t) = speed(W(t)) * rho(t, 1); the interface takes the inflow branch."""
         ts = self._times(t)
-        W, _, _, _, rho1 = self._outlet(ts, self.xi(ts))
+        W, _, _, rho1 = self._outlet(ts, self.xi(ts))
         y = self.law(W) * rho1
         return float(y[0]) if np.ndim(t) == 0 else y
 
@@ -270,19 +256,12 @@ class Trajectory:
     # -- regularity diagnostics -------------------------------------------
 
     def slice_panels(self, *times: float) -> np.ndarray:
-        """Quadrature edges in [0, 1], at every jump and kink of the density
-        profiles at the given times, and no panel wider than 1/32.
-
-        At time t the profile jumps at xi(t) - z for each jump label z
-        (``Inflow.labels``), and has a kink at xi(t) - xi(tau) for each break
-        time tau of the outflux (``time_panels``): the material there entered
-        when W, so the entry density u / lam(W), had a kink or a jump. Between
-        these edges the profile is smooth. A label or break time later than t
-        gives a position below 0, which is dropped.
-        """
+        """Quadrature edges in [0, 1] at every jump and kink of the density
+        profiles at the given times, x = xi(t) - z for z in ``_lines``, and no
+        panel wider than 1/32. A label or break time later than t gives a
+        position below 0, which is dropped."""
         ts = self._times(times)
-        z = np.concatenate((self.inflow.labels(self.rho0, self.xi, ts.max()), self._breaks[1]))
-        return _panels(1.0, (self.xi(ts)[:, None] - z).ravel(), 1.0 / 32.0)
+        return _panels(1.0, (self.xi(ts)[:, None] - self._lines).ravel(), 1.0 / 32.0)
 
     def l1_slice_distance(self, s: float, t: float) -> float:
         """Integral over [0, 1] of |rho(s, x) - rho(t, x)|.
@@ -294,12 +273,8 @@ class Trajectory:
         pieces in one more call.
         """
         xi_st = self.xi(self._times([s, t]))[:, None]
-
-        def gap(x):
-            rho = self._density(xi_st, x)[0]
-            return rho[0] - rho[1]
-
-        return abs_integral(self.slice_panels(s, t), gap)
+        return abs_integral(self.slice_panels(s, t),
+                            lambda x: np.subtract(*self._density(xi_st, x)[0]))
 
     def slice_lp_norm(self, t: float, p: int) -> float:
         """L^p norm of the density profile at time t (p in {1, 2})."""
@@ -308,16 +283,18 @@ class Trajectory:
         return _gauss5(self.slice_panels(t),
                        lambda x: self.slice_values(t, x) ** p) ** (1.0 / p)
 
-    def l1_time_distance(self, x1: float, x2: float, *, max_width: float = 1e-3) -> float:
-        """Hidden-regularity dual: integral over [0, T] of |rho(t,x1) - rho(t,x2)|."""
-        x1, x2 = _positions(x1), _positions(x2)
-        max_width = finite_positive(max_width, "max_width")
+    def l1_time_distance(self, x1: float, x2: float) -> float:
+        """Hidden-regularity dual: integral over [0, T] of |rho(t,x1) - rho(t,x2)|.
 
-        def gap(ts):
-            xi_t = self.xi(ts)
-            return np.abs(self._density(xi_t, x1)[0] - self._density(xi_t, x2)[0])
-
-        return _gauss5(self.time_panels(max_width=max_width * self.horizon), gap)
+        The density at x jumps or has a kink when a line x = xi(t) - z of
+        ``_lines`` passes it, at t = xi^-1(x + z). Those times join
+        ``time_panels``, and the rest is ``l1_slice_distance``'s rule.
+        """
+        x = interval([x1, x2], 1.0, "positions")[:, None]
+        levels = (x + self._lines).ravel()
+        levels = levels[(levels > 0.0) & (levels < self.xi.x_end)]
+        return abs_integral(self.time_panels(extra=self.xi.inverse(levels)),
+                            lambda ts: np.subtract(*self._density(self.xi(ts)[None, :], x)[0]))
 
     # -- time quadrature ----------------------------------------------------
 
@@ -337,9 +314,8 @@ class Trajectory:
         """
         max_width = (self.horizon / 512.0 if max_width is None
                      else finite_positive(max_width, "max_width"))
-        return _panels(self.horizon, np.concatenate((self._breaks[0],
-                                                     np.asarray(extra, dtype=float))),
-                       max_width)
+        breaks = np.concatenate((self._breaks[0], np.asarray(extra, dtype=float)))
+        return _panels(self.horizon, breaks, max_width)
 
     @functools.cached_property
     def _breaks(self):
@@ -350,6 +326,16 @@ class Trajectory:
             kinks = self.law.kink_times(self.xi.times, self.total_mass(self.xi.times))
         tau = self.xi.with_exits(np.concatenate((self.outflux_breaks(), kinks)))
         return tau, self.xi(tau)
+
+    @functools.cached_property
+    def _lines(self) -> np.ndarray:
+        """z of every line x = xi(t) - z off which the density is smooth; built
+        once per trajectory. It jumps on the labels (``Inflow.labels`` up to T)
+        and has a kink on z = xi(tau) for each break time tau of ``_breaks``:
+        the material there entered when W, so the entry density u / lam(W),
+        had a kink or a jump."""
+        return np.concatenate((self.inflow.labels(self.rho0, self.xi, self.horizon),
+                               self._breaks[1]))
 
     def tracking_error_sq(self, y_d: ControlSignal) -> float:
         """Integral over [0, T] of (y - y_d)^2, panel-exact Gauss quadrature."""
@@ -392,7 +378,7 @@ class Trajectory:
 class TrackingQuadrature:
     """The one build of the Gauss nodes of ``Trajectory.tracking_error_sq`` on
     ``time_panels``, for its cost and its gradient: panel widths h, nodes t,
-    xi(t), ``_outlet``'s terms there (W, post, sigma, W_sigma, rho1) and the
+    xi(t), ``_outlet``'s terms there (W, post, sigma, rho1) and the
     residual y - y_d against a demand that covers the horizon."""
 
     def __init__(self, traj: Trajectory, y_d: ControlSignal):
@@ -400,7 +386,7 @@ class TrackingQuadrature:
         self.h, self.t = _nodes5(traj.time_panels(extra=y_d.breakpoints))
         self.xi_t = traj.xi(self.t)
         self.terms = traj._outlet(self.t, self.xi_t)
-        self.residual = traj.law(self.terms[0]) * self.terms[4] - y_d(self.t)
+        self.residual = traj.law(self.terms[0]) * self.terms[3] - y_d(self.t)
 
     def error_sq(self) -> float:
         """Integral over [0, T] of (y - y_d)^2."""
@@ -428,13 +414,13 @@ class TrackingQuadrature:
             raise ValueError("the gradient needs a prescribed influx")
         u, xi, law = traj.inflow.signal, traj.xi, traj.law
         adjoint = CurveAdjoint(xi, law, grid, traj._outlet)
-        W, post, sigma, _, rho1 = self.terms
+        W, post, sigma, rho1 = self.terms
         c = 2.0 * (self.h[:, None] * _W5).ravel() * self.residual
         # c dy at the node t is alpha dW(t), plus kappa du(sig) + mu dW(sig) after exit
         alpha = c * law.slope(W) * rho1
         times, a, b, e = [self.t], [-alpha * rho1], [alpha], [np.zeros(self.t.size)]
         if np.any(post):
-            W_s, post_s, sigma_s, _, rho1_s = traj._outlet(sigma, self.xi_t[post] - 1.0)
+            W_s, post_s, sigma_s, rho1_s = traj._outlet(sigma, self.xi_t[post] - 1.0)
             u_s, lam_s = u(sigma), law(W_s)
             # the particle entered at speed lam_s, so dsig = (dxi(t) - dxi(sig)) / lam_s,
             # and W'(sig) = u(sig) - y(sig): mu dW(sig) holds nu (dxi(t) - dxi(sig))

@@ -123,7 +123,7 @@ class CurveTangent:
         self.knots = knots = xi.with_exits(xi.times)
         self.h = h = np.diff(knots)
         s = (knots[:-1, None] + h[:, None] * _G3_NODES).ravel()
-        W, post, sigma, _, rho1 = outlet(s, xi(s))
+        W, post, sigma, rho1 = outlet(s, xi(s))
         slope = law.slope(W)
         # dxi' = a dxi + forcing, the forcing holding the delayed dxi(sig)
         a = (slope * -rho1).reshape(-1, 3)
@@ -169,7 +169,7 @@ def tangent_influx(tangent, t):
 def tangent_mass(tangent, t, terms):
     """dW at the times t (1-D), one column per direction of ``tangent``;
     ``terms`` are what ``Trajectory._outlet`` gave at t."""
-    _, behind, sigma, _, rho1 = terms
+    _, behind, sigma, rho1 = terms
     dW = tangent(t)
     dW *= -rho1[:, None]
     dW += tangent._cell_mass(t)

@@ -89,16 +89,16 @@ def nodewise_gradient(traj, y_d, grid):
     h = np.diff(edges)
     t = (edges[:-1, None] + h[:, None] * _N5[None, :]).ravel()
     xi_t = xi(t)
-    terms = W, post, sigma, W_sigma, rho1 = traj._outlet(t, xi_t)
+    terms = W, post, sigma, rho1 = traj._outlet(t, xi_t)
     lam = law(W)
     dy = tangent_mass(tangent, t, terms)
     dy *= (law.slope(W) * rho1)[:, None]
     if np.any(post):
-        at_sigma = *_, rho1_s = traj._outlet(sigma, xi_t[post] - 1.0)
-        u_s, lam_s = u(sigma), law(W_sigma())
+        at_sigma = W_s, *_, rho1_s = traj._outlet(sigma, xi_t[post] - 1.0)
+        u_s, lam_s = u(sigma), law(W_s)
         d_sigma = (tangent(t[post]) - tangent(sigma)) / lam_s[:, None]
         dW_s = tangent_mass(tangent, sigma, at_sigma) + (u_s - lam_s * rho1_s)[:, None] * d_sigma
-        drho = tangent_influx(tangent, sigma) - (u_s * law.slope(W_sigma()) / lam_s)[:, None] * dW_s
+        drho = tangent_influx(tangent, sigma) - (u_s * law.slope(W_s) / lam_s)[:, None] * dW_s
         dy[post] += (lam[post] / lam_s)[:, None] * drho
     weights = (h[:, None] * _W5).ravel()
     grad = (2.0 * weights * (lam * rho1 - y_d(t))) @ dy

@@ -1,16 +1,21 @@
 """Assembled weak solution: mass balance, branch formulas, diagnostics."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+import reflow.transport as transport
 from reflow.laws import reciprocal, tabulated
 from reflow.signals import ControlSignal, DensityProfile
-from reflow.transport import _gauss5, _panels, simulate
+from reflow.transport import _gauss5, _panels, abs_integral, simulate
 
 from test_characteristics import random_scenario
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.fixture(scope="module")
@@ -202,20 +207,18 @@ class TestRegularityDiagnostics:
         assert a == pytest.approx(b, rel=1e-9)
 
     @pytest.mark.parametrize("inflow", ["u", "boundary_density"])
-    def test_l1_time_distance_matches_pointwise_rho_at(self, inflow):
+    def test_l1_time_distance_matches_pointwise_rho_at(self, inflow, monkeypatch):
         rho0 = DensityProfile([0.0, 0.3, 0.7, 1.0], [1.2, 0.4, 2.0])
         signal = ControlSignal(np.linspace(0.0, 2.0, 5), [0.8, 0.1, 1.5, 0.6])
         traj = simulate(rho0, reciprocal(), 2.0, **{inflow: signal})
-        # the same Gauss-Legendre panels, each node through the scalar rho_at
-        nodes, weights = np.polynomial.legendre.leggauss(5)
-        edges = traj.time_panels(max_width=0.05 * traj.horizon)
-        h = np.diff(edges)
-        ts = edges[:-1, None] + h[:, None] * (0.5 * (nodes + 1.0))
+        # the same panels, each node through the scalar rho_at
+        panels = []
+        monkeypatch.setattr(transport, "abs_integral",
+                            lambda edges, f: panels.append(edges) or abs_integral(edges, f))
         for x1, x2 in [(0.2, 0.9), (0.0, 1.0), (0.5, 0.55)]:
-            gap = np.abs(np.vectorize(traj.rho_at)(ts, x1) - np.vectorize(traj.rho_at)(ts, x2))
-            expected = float(np.sum(h * (gap @ (0.5 * weights))))
-            assert traj.l1_time_distance(x1, x2, max_width=0.05) == pytest.approx(
-                expected, rel=1e-12)
+            value = traj.l1_time_distance(x1, x2)
+            gap = np.vectorize(lambda t: traj.rho_at(t, x1) - traj.rho_at(t, x2), otypes=[float])
+            assert value == pytest.approx(abs_integral(panels.pop(), gap), rel=1e-12)
 
 
 def l1_reference(traj, s, t, width=2e-4):
@@ -314,34 +317,90 @@ class TestSliceQuadrature:
             assert traj.l1_slice_distance(times[0], times[0]) == 0.0
 
 
+@pytest.fixture(scope="module")
+def diagnostic():
+    return simulate(DensityProfile([0.0, 0.5, 1.0], [1.0, 0.5]), reciprocal(), 2.0,
+                    u=ControlSignal([0.0, 1.0, 2.0], [0.8, 0.2]))
+
+
 class TestDiagnosticInputs:
     """Positions and panel widths of the diagnostics are checked, not clamped."""
 
-    @pytest.fixture(scope="class")
-    def traj(self):
-        return simulate(DensityProfile([0.0, 0.5, 1.0], [1.0, 0.5]), reciprocal(), 2.0,
-                        u=ControlSignal([0.0, 1.0, 2.0], [0.8, 0.2]))
-
     @pytest.mark.parametrize("x1, x2", [(2.0, 0.5), (-0.5, 0.5), (float("nan"), 0.5),
                                         (0.5, 1.5)])
-    def test_l1_time_distance_rejects_positions_outside_the_segment(self, traj, x1, x2):
+    def test_l1_time_distance_rejects_positions_outside_the_segment(self, diagnostic, x1, x2):
         # (2, 0.5) read 1.5808 from clamped initial data; (-0.5, 0.5) and NaN
         # failed in the curve's inverse with its own range message
         with pytest.raises(ValueError, match=r"positions must lie in \[0, 1\]"):
-            traj.l1_time_distance(x1, x2)
+            diagnostic.l1_time_distance(x1, x2)
 
     @pytest.mark.parametrize("max_width", [-1.0, 0.0, float("nan"), float("inf"), True])
-    def test_max_width_must_be_positive_and_finite(self, traj, max_width):
-        # -1 kept only the break edges (1.4349 against 1.4054), 0 overflowed
-        # and NaN failed to convert to an integer
+    def test_max_width_must_be_positive_and_finite(self, diagnostic, max_width):
+        # 0 overflowed and NaN failed to convert to an integer
         with pytest.raises(ValueError, match="max_width"):
-            traj.l1_time_distance(0.2, 0.9, max_width=max_width)
-        with pytest.raises(ValueError, match="max_width"):
-            traj.time_panels(max_width=max_width)
+            diagnostic.time_panels(max_width=max_width)
 
-    def test_positions_at_the_ends_are_accepted(self, traj):
-        assert traj.l1_time_distance(0.0, 1.0) == traj.l1_time_distance(1.0, 0.0) > 0.0
-        assert traj.l1_time_distance(0.2, 0.9) == pytest.approx(1.4054, abs=1e-4)
+    def test_positions_at_the_ends_are_accepted(self, diagnostic):
+        assert diagnostic.l1_time_distance(0.0, 1.0) == diagnostic.l1_time_distance(1.0, 0.0) > 0.0
+        assert diagnostic.l1_time_distance(0.2, 0.9) == pytest.approx(1.4054, abs=1e-4)
+
+
+def l1_time_reference(traj, x1, x2, width=2e-4):
+    """Brute force for ``l1_time_distance``.
+
+    Edges at every edge tau of ``time_panels`` and every curve knot, and
+    wherever x1 or x2 meets a line x = xi(t) - z, z a rho0 jump -beta or
+    xi(tau) for any of those tau: a superset of the jumps and kinks of both
+    densities. Gauss-5 panels ``width`` T wide, split at the brentq roots of
+    the difference wherever it changes sign on a 9-point sample of a panel.
+    """
+    xi, T = traj.xi, traj.horizon
+    taus = np.concatenate((traj.time_panels(), xi.times))
+    z = np.concatenate((-traj.rho0.breakpoints, xi(taus)))
+    levels = np.concatenate((x1 + z, x2 + z))
+    levels = levels[(levels > 0.0) & (levels < xi.x_end)]
+    edges = _panels(T, np.concatenate((taus, xi.inverse(levels))), width * T)
+
+    def d(t):
+        rho = traj._density(xi(t)[None, :], np.array([[x1], [x2]]))[0]
+        return rho[0] - rho[1]
+
+    theta = np.linspace(0.0, 1.0, 9)
+    theta[[0, -1]] = 1e-9, 1.0 - 1e-9  # one-sided at the jumps
+    ts = edges[:-1, None] + np.diff(edges)[:, None] * theta
+    v = d(ts.ravel()).reshape(ts.shape)
+    roots = [brentq(lambda t: d(np.array([t]))[0], ts[i, j], ts[i, j + 1], xtol=1e-16)
+             for i, j in zip(*np.nonzero(v[:, :-1] * v[:, 1:] < 0.0))]
+    return _gauss5(np.unique(np.concatenate((edges, roots))), lambda t: np.abs(d(t)))
+
+
+@pytest.fixture(scope="module")
+def time_cases(slice_cases, diagnostic):
+    """Flux mode, density mode, the tabulated law, the diagnostic-inputs
+    trajectory and the first four seed-1 inputs of the benchmark's flux_sim
+    workload."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        import workloads
+    cases = {name: slice_cases[name] for name in ("flux", "density", "tabulated")}
+    cases["diagnostic"] = diagnostic
+    for i in range(4):
+        inp = workloads.make_flux(1, i, None)
+        cases[f"flux_sim{i}"] = simulate(inp.rho0, workloads.LAW, workloads.FLUX_T, u=inp.u)
+    return cases
+
+
+class TestTimeQuadrature:
+    @pytest.mark.parametrize("case", ["flux", "density", "tabulated", "diagnostic", "flux_sim0",
+                                      "flux_sim1", "flux_sim2", "flux_sim3"])
+    @pytest.mark.parametrize("x1, x2", [(0.2, 0.9), (0.5, 0.55), (0.0, 1.0)])
+    def test_l1_time_distance_matches_brute_force(self, time_cases, case, x1, x2):
+        # fixed panels 1e-3 T wide, with no edge where a jump passes x1 or x2,
+        # were up to 1.6e-3 off here
+        traj = time_cases[case]
+        expected = l1_time_reference(traj, x1, x2)
+        assert traj.l1_time_distance(x1, x2) == pytest.approx(expected, rel=1e-13)
+        assert traj.l1_time_distance(x2, x1) == pytest.approx(expected, rel=1e-13)
 
 
 class TestTimePanels:
