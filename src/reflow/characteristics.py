@@ -35,12 +35,18 @@ from .laws import SpeedLaw
 from .rules import count, covers, finite_positive
 from .signals import ControlSignal, DensityProfile, PiecewiseConstant, segment
 
-__all__ = ["CharacteristicCurve", "CurveAdjoint", "DensityInflow", "FluxInflow", "Inflow",
-           "SolverError", "apply_F", "solve_xi"]
+__all__ = ["CharacteristicCurve", "CurveAdjoint", "DensityInflow", "FluxInflow", "G3_WEIGHTS",
+           "Inflow", "SolverError", "apply_F", "gauss_nodes", "solve_xi"]
 
 # nodes/weights of 3-point Gauss-Legendre on [0, 1]
 _G3_NODES = np.array([0.5 - np.sqrt(15.0) / 10.0, 0.5, 0.5 + np.sqrt(15.0) / 10.0])
-_G3_WEIGHTS = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
+G3_WEIGHTS = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
+
+
+def gauss_nodes(edges, theta=_G3_NODES):
+    """(h, nodes): the widths of the panels ``edges`` and their Gauss nodes at offsets ``theta``."""
+    h = np.diff(edges)
+    return h, (edges[:-1, None] + h[:, None] * theta).ravel()
 
 
 def _inverse3(m):
@@ -454,8 +460,7 @@ def _integrate_window(inflow, rho0, law, prefix, cand, knots, newton=False):
     coefficient A_j = h_j sum_g w_g a(node g) of each knot interval, with
     a = lam'(W) dW/dxi the linearized map's (None otherwise).
     """
-    h = knots[1:] - knots[:-1]
-    nodes = (knots[:-1, None] + h[:, None] * _G3_NODES).ravel()
+    h, nodes = gauss_nodes(knots)
     xi = cand(np.concatenate((knots, nodes)))
     xi_knots, xi_nodes = xi[:knots.size], xi[knots.size:]
 
@@ -468,11 +473,11 @@ def _integrate_window(inflow, rho0, law, prefix, cand, knots, newton=False):
     A = None
     if newton:
         W_nodes, rate = inflow.mass(rho0, nodes, xi_nodes, B, rate=True)
-        A = h * ((law.slope(W_nodes) * rate).reshape(-1, 3) @ _G3_WEIGHTS)
+        A = h * ((law.slope(W_nodes) * rate).reshape(-1, 3) @ G3_WEIGHTS)
     else:
         W_nodes = inflow.mass(rho0, nodes, xi_nodes, B)
     g = law(W_nodes).reshape(-1, 3)
-    increments = h * (g @ _G3_WEIGHTS)
+    increments = h * (g @ G3_WEIGHTS)
     values = xi_knots[0] + np.concatenate(([0.0], increments.cumsum()))
     return values, xi_knots, B, A
 
@@ -640,7 +645,7 @@ class CurveAdjoint:
     Direction k raises u by one on cell k of the grid ``cells`` (the
     breakpoint rule of a step function: finite, strictly increasing, two or
     more). The cell values enter only through dU(s), the integral of du up
-    to s, and the solution only through ``outlet`` (``Trajectory._outlet``):
+    to s, and the solution only through ``terms`` (``Trajectory._outlet``):
     W, and rho(s, 1) at x = 1. The tangent of every direction solves one
     linear delay equation, with lam' = law.slope(W) and sig = xi^-1(xi(s) - 1):
 
@@ -648,27 +653,25 @@ class CurveAdjoint:
                                   - [dU(sig) - rho(s, 1) dxi(sig)]   once xi(s) >= 1,
 
     as W = U(s) - U(sig) there and u(sig) dsig = rho(s, 1) (dxi(s) - dxi(sig)).
-    The knots of ``xi``, refined by the exit times of particles that entered
-    at a knot, hold every jump of dxi'. On each interval 3-stage Gauss
-    collocation turns the equation into dxi_{j+1} = R_j dxi_j + r_j . f_j, with
-    f the forcing at the nodes, which holds dU and the delayed dxi(sig); the
-    delay is met by one pass per transit of [0, 1]. The tangent itself is
-    never built: ``contract`` runs that recurrence backwards for one set of
-    weights (M. B. Giles and N. A. Pierce, Flow Turbul. Combust. 65, 2000),
-    so the n cells appear only in its final sums.
+    The grid ``knots``, at whose ``gauss_nodes`` ``terms`` are taken, holds
+    every jump of dxi': the knots of ``xi`` and their exits (``with_exits``).
+    On each interval 3-stage Gauss collocation turns the equation into
+    dxi_{j+1} = R_j dxi_j + r_j . f_j, with f the forcing at the nodes, which
+    holds dU and the delayed dxi(sig); the delay is met by one pass per
+    transit of [0, 1]. The tangent itself is never built: ``contract`` runs
+    that recurrence backwards for one set of weights (M. B. Giles and N. A.
+    Pierce, Flow Turbul. Combust. 65, 2000), so the n cells appear only in its final sums.
     """
 
-    def __init__(self, xi: CharacteristicCurve, law: SpeedLaw, cells, outlet):
+    def __init__(self, xi: CharacteristicCurve, law: SpeedLaw, cells, knots, terms):
         self.cells = PiecewiseConstant(cells, np.zeros(np.size(cells) - 1)).breakpoints
-        self.knots = knots = xi.with_exits(xi.times)
-        self.h = h = np.diff(knots)
-        self.nodes = s = (knots[:-1, None] + h[:, None] * _G3_NODES).ravel()
-        W, self.post, self.sigma, rho1 = outlet(s, xi(s))
+        self.knots, (self.h, self.nodes) = knots, gauss_nodes(knots)
+        W, self.post, self.sigma, rho1 = terms
         self.slope = law.slope(W)
         # dxi' = a dxi + forcing; stage slopes F solve (I - h a A) F = a dxi_j + forcing
         self.a = a = (self.slope * -rho1).reshape(-1, 3)
-        self.inv = _inverse3(np.eye(3) - h[:, None, None] * a[:, :, None] * _G3_COLLOCATION)
-        self.r = r = h[:, None] * (_G3_WEIGHTS @ self.inv)
+        self.inv = _inverse3(np.eye(3) - self.h[:, None, None] * a[:, :, None] * _G3_COLLOCATION)
+        self.r = r = self.h[:, None] * (G3_WEIGHTS @ self.inv)
         self.growth = np.concatenate(([1.0], np.cumprod(1.0 + np.sum(r * a, axis=1))))
         self.passes = int(np.ceil(xi.x_end))
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characteristics import CharacteristicCurve, CurveAdjoint, FluxInflow, Inflow, solve_xi
+from .characteristics import (G3_WEIGHTS, CharacteristicCurve, CurveAdjoint, FluxInflow, Inflow,
+                              gauss_nodes, solve_xi)
 from .laws import SpeedLaw
 from .rules import covers, finite_positive, interval
 from .signals import ControlSignal, DensityProfile
@@ -68,15 +69,9 @@ def _panels(end: float, breaks, max_width: float) -> np.ndarray:
     return np.unique(np.concatenate((j * np.repeat(widths / n, n) + np.repeat(a, n), [end])))
 
 
-def _nodes5(edges: np.ndarray):
-    """(h, nodes): the panel widths and the 5-point Gauss nodes of the panels ``edges``."""
-    h = np.diff(edges)
-    return h, (edges[:-1, None] + h[:, None] * _N5[None, :]).ravel()
-
-
 def _gauss5(edges: np.ndarray, f) -> float:
     """Composite 5-point Gauss-Legendre integral of f over the panels ``edges``."""
-    h, nodes = _nodes5(edges)
+    h, nodes = gauss_nodes(edges, _N5)
     return float(np.sum(h * (f(nodes).reshape(-1, 5) @ _W5)))
 
 
@@ -113,7 +108,7 @@ def abs_integral(edges: np.ndarray, f) -> float:
     Gauss nodes in one more call of f. So |f| is smooth on every piece, and
     finding the roots costs no further evaluation of f.
     """
-    h, nodes = _nodes5(edges)
+    h, nodes = gauss_nodes(edges, _N5)
     d = f(nodes).reshape(-1, 5)
     part = h * (np.abs(d) * _W5).sum(axis=1)
     row, y = _quartic_roots((d[:, :, None] * _QUARTIC).sum(axis=1))
@@ -307,15 +302,15 @@ class Trajectory:
 
     def time_panels(self, extra=(), *, max_width: float | None = None) -> np.ndarray:
         """Quadrature edges in [0, T] at every jump and kink of the outflux and
-        influx, and at the times ``extra``.
+        influx, at the times ``extra`` and at every curve knot and its exits,
+        between which each time observable is smooth; with ``max_width``, no
+        knots, and the panels refined to at most that width.
 
         The outflux has kinks where W crosses a kink of the law and, once
-        material that entered at a jump or kink leaves, at that exit.
-        """
-        max_width = (self.horizon / 512.0 if max_width is None
-                     else finite_positive(max_width, "max_width"))
-        breaks = np.concatenate((self._breaks[0], np.asarray(extra, dtype=float)))
-        return _panels(self.horizon, breaks, max_width)
+        material that entered at a jump or kink leaves, at that exit."""
+        knots = self.xi.with_exits(self.xi.times) if max_width is None else ()
+        width = np.inf if max_width is None else finite_positive(max_width, "max_width")
+        return _panels(self.horizon, np.concatenate((self._breaks[0], knots, extra)), width)
 
     @functools.cached_property
     def _breaks(self):
@@ -376,21 +371,23 @@ class Trajectory:
 
 
 class TrackingQuadrature:
-    """The one build of the Gauss nodes of ``Trajectory.tracking_error_sq`` on
-    ``time_panels``, for its cost and its gradient: panel widths h, nodes t,
-    xi(t), ``_outlet``'s terms there (W, post, sigma, rho1) and the
-    residual y - y_d against a demand that covers the horizon."""
+    """The one build of the Gauss nodes of ``Trajectory.tracking_error_sq``, for
+    its cost and its gradient: the edges ``time_panels`` with the demand's
+    breaks, widths h, 3-point Gauss nodes t, xi(t), ``_outlet``'s terms there
+    (W, post, sigma, rho1) and y - y_d against a demand that covers the
+    horizon. ``CurveAdjoint`` takes the edges and the terms as they are."""
 
     def __init__(self, traj: Trajectory, y_d: ControlSignal):
         self.traj, self.y_d = traj, covers(y_d, traj.horizon, "demand")
-        self.h, self.t = _nodes5(traj.time_panels(extra=y_d.breakpoints))
+        self.edges = traj.time_panels(extra=y_d.breakpoints)
+        self.h, self.t = gauss_nodes(self.edges)
         self.xi_t = traj.xi(self.t)
         self.terms = traj._outlet(self.t, self.xi_t)
         self.residual = traj.law(self.terms[0]) * self.terms[3] - y_d(self.t)
 
     def error_sq(self) -> float:
         """Integral over [0, T] of (y - y_d)^2."""
-        return float(np.sum(self.h * ((self.residual ** 2).reshape(-1, 5) @ _W5)))
+        return float(np.sum(self.h * ((self.residual ** 2).reshape(-1, 3) @ G3_WEIGHTS)))
 
     def gradient(self, grid) -> np.ndarray:
         """Gradient of ``error_sq`` in the influx values on the cells of ``grid``.
@@ -413,9 +410,9 @@ class TrackingQuadrature:
         if not isinstance(traj.inflow, FluxInflow):
             raise ValueError("the gradient needs a prescribed influx")
         u, xi, law = traj.inflow.signal, traj.xi, traj.law
-        adjoint = CurveAdjoint(xi, law, grid, traj._outlet)
+        adjoint = CurveAdjoint(xi, law, grid, self.edges, self.terms)
         W, post, sigma, rho1 = self.terms
-        c = 2.0 * (self.h[:, None] * _W5).ravel() * self.residual
+        c = 2.0 * (self.h[:, None] * G3_WEIGHTS).ravel() * self.residual
         # c dy at the node t is alpha dW(t), plus kappa du(sig) + mu dW(sig) after exit
         alpha = c * law.slope(W) * rho1
         times, a, b, e = [self.t], [-alpha * rho1], [alpha], [np.zeros(self.t.size)]

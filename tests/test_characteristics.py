@@ -5,10 +5,10 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from reflow import characteristics
-from reflow.characteristics import (_G3_COLLOCATION, _G3_INTEGRATED, _G3_NODES, _G3_WEIGHTS,
+from reflow.characteristics import (_G3_COLLOCATION, _G3_INTEGRATED, G3_WEIGHTS,
                                     CharacteristicCurve, CurveAdjoint, DensityInflow, FluxInflow,
                                     SolverError, _choose_window, _horner, _inverse3, apply_F,
-                                    solve_xi)
+                                    gauss_nodes, solve_xi)
 from reflow.laws import reciprocal, tabulated
 from reflow.signals import ControlSignal, DensityProfile, segment
 from reflow.transport import simulate
@@ -121,8 +121,8 @@ class CurveTangent:
     def __init__(self, xi, law, cells, outlet):
         self.cells = np.asarray(cells, dtype=float)
         self.knots = knots = xi.with_exits(xi.times)
-        self.h = h = np.diff(knots)
-        s = (knots[:-1, None] + h[:, None] * _G3_NODES).ravel()
+        h, s = gauss_nodes(knots)
+        self.h = h
         W, post, sigma, rho1 = outlet(s, xi(s))
         slope = law.slope(W)
         # dxi' = a dxi + forcing, the forcing holding the delayed dxi(sig)
@@ -131,7 +131,7 @@ class CurveTangent:
         forcing[post] -= slope[post, None] * self._cell_mass(sigma)
         # stage slopes F solve (I - h a A) F = a dxi_j + forcing on each interval
         inv = _inverse3(np.eye(3) - h[:, None, None] * a[:, :, None] * _G3_COLLOCATION)
-        r = h[:, None] * (_G3_WEIGHTS @ inv)
+        r = h[:, None] * (G3_WEIGHTS @ inv)
         growth = np.concatenate(([1.0], np.cumprod(1.0 + np.sum(r * a, axis=1))))
         n = self.cells.size - 1
         self.values = np.zeros((knots.size, n))
@@ -216,7 +216,9 @@ class TestTangent:
                         u=ControlSignal([0.0, 1.0, 2.5], [0.3, 0.5]), tol=1e-10,
                         knots_per_window=32)
         tangent = CurveTangent(traj.xi, traj.law, cells, traj._outlet)
-        adjoint = CurveAdjoint(traj.xi, traj.law, cells, traj._outlet)
+        s_nodes = gauss_nodes(tangent.knots)[1]  # the tangent's own grid
+        adjoint = CurveAdjoint(traj.xi, traj.law, cells, tangent.knots,
+                               traj._outlet(s_nodes, traj.xi(s_nodes)))
         rng = np.random.default_rng(7)
         t = np.concatenate((rng.uniform(0.0, 2.5, 300), tangent.knots, cells, [0.0, 2.5]))
         a, b, e = rng.normal(size=(3, t.size))

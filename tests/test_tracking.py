@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from reflow import transport
-from reflow.characteristics import FluxInflow
+from reflow.characteristics import G3_WEIGHTS, FluxInflow, gauss_nodes
 from reflow.laws import reciprocal, tabulated
 from reflow.signals import ControlSignal, DensityProfile
 from reflow.tracking import (TrackingProblem, _projected_gradient, cost, minimize,
                              resample_control)
-from reflow.transport import _N5, _W5, simulate
+from reflow.transport import simulate
 
 from test_characteristics import CurveTangent, tangent_influx, tangent_mass
 
@@ -85,9 +85,7 @@ def nodewise_gradient(traj, y_d, grid):
     assert isinstance(traj.inflow, FluxInflow)
     u, xi, law = traj.inflow.signal, traj.xi, traj.law
     tangent = CurveTangent(xi, law, grid, traj._outlet)
-    edges = traj.time_panels(extra=y_d.breakpoints)
-    h = np.diff(edges)
-    t = (edges[:-1, None] + h[:, None] * _N5[None, :]).ravel()
+    h, t = gauss_nodes(traj.time_panels(extra=y_d.breakpoints))  # the quadrature's grid
     xi_t = xi(t)
     terms = W, post, sigma, rho1 = traj._outlet(t, xi_t)
     lam = law(W)
@@ -100,7 +98,7 @@ def nodewise_gradient(traj, y_d, grid):
         dW_s = tangent_mass(tangent, sigma, at_sigma) + (u_s - lam_s * rho1_s)[:, None] * d_sigma
         drho = tangent_influx(tangent, sigma) - (u_s * law.slope(W_s) / lam_s)[:, None] * dW_s
         dy[post] += (lam[post] / lam_s)[:, None] * drho
-    weights = (h[:, None] * _W5).ravel()
+    weights = (h[:, None] * G3_WEIGHTS).ravel()
     grad = (2.0 * weights * (lam * rho1 - y_d(t))) @ dy
 
     beta = traj.rho0.breakpoints[:-1]
@@ -204,6 +202,21 @@ class TestGradient:
                         tol=pr.solver_tol, knots_per_window=pr.knots_per_window)
         assert (traj.xi.x_end > 2.0) == (T == 4.5)
         assert_matches_nodewise(pr, traj)
+
+    def test_cost_and_gradient_read_the_outlet_once_at_the_nodes(self, monkeypatch):
+        # the adjoint used to evaluate it again on a grid of its own
+        pr = exact_problem(DensityProfile([0.0, 0.4, 1.0], [0.3, 0.9]),
+                           ControlSignal([0.0, 1.0, 2.5], [0.3, 0.5]), reciprocal(), 2.5, 4)
+        traj = simulate(pr.rho0, pr.law, 2.5, u=pr.control_from_values([0.5, 0.2, 0.6, 0.3]),
+                        tol=pr.solver_tol, knots_per_window=pr.knots_per_window)
+        outlet, sizes = transport.Trajectory._outlet, []
+        monkeypatch.setattr(transport.Trajectory, "_outlet",
+                            lambda self, t, xi_t: sizes.append(t.size) or outlet(self, t, xi_t))
+        quad = transport.TrackingQuadrature(traj, pr.y_d)
+        quad.error_sq()
+        quad.gradient(pr.control_grid)
+        # once at the nodes, once at the entry times of the nodes behind the exit
+        assert sizes == [quad.t.size, quad.terms[2].size] and quad.terms[2].size > 0
 
     def test_cell_at_zero(self):
         pr = exact_problem(DensityProfile([0.0, 0.4, 1.0], [0.3, 0.9]),
@@ -409,3 +422,16 @@ class TestResample:
         u = ControlSignal(np.array([0.0, 0.5, 1.0]), np.array([2.0, 1.0]))
         vals = resample_control(u, np.array([0.0, 0.75, 1.0]))
         assert vals[0] == pytest.approx((0.5 * 2.0 + 0.25 * 1.0) / 0.75)
+
+    @pytest.mark.parametrize("grid, match", [
+        ([0.0, 1.0, 2.0], r"grid must lie in \[0, 1\]"),  # read u as 0 past its end: [2, 0]
+        ([-0.5, 0.5, 1.0], r"grid must lie in \[0, 1\]"),
+        ([0.0, float("nan"), 1.0], r"grid must lie in \[0, 1\]"),
+        ([0.0, 0.7, 0.3, 1.0], "strictly increasing"),  # gave [2, 2, 2]
+        ([0.0, 0.5, 0.5, 1.0], "strictly increasing"),  # gave a NaN
+        ([0.5], "at least two"),
+        ([], "at least two"),
+    ])
+    def test_rejects_a_grid_off_the_breakpoint_rule_or_past_the_horizon(self, grid, match):
+        with pytest.raises(ValueError, match=match):
+            resample_control(ControlSignal([0.0, 1.0], [2.0]), grid)

@@ -299,6 +299,18 @@ class TestSliceQuadrature:
         assert traj.slice_lp_norm(t, 2) == pytest.approx(
             np.sqrt(np.sum(values ** 2 * length)), rel=1e-13)
 
+    @pytest.mark.parametrize("index", range(8))
+    def test_slice_l1_norm_is_the_total_mass_on_smooth_inputs(self, index):
+        # a guard on inputs whose slices are smooth between the breaks (at
+        # most 1.6e-12 off); on the steep table the norm is up to 1e-6 off
+        with pytest.MonkeyPatch.context() as mp:
+            mp.syspath_prepend(str(PERFBENCH))
+            import workloads
+        inp = workloads.make_flux(1, index, None)
+        traj = simulate(inp.rho0, workloads.LAW, workloads.FLUX_T, u=inp.u)
+        for t in np.linspace(0.0, workloads.FLUX_T, 13):
+            assert traj.slice_lp_norm(t, 1) == pytest.approx(traj.total_mass(t), rel=1e-10)
+
     @pytest.mark.parametrize("case", ["flux", "density", "tabulated", "sign"])
     def test_slice_panels_hold_every_jump_and_kink(self, slice_cases, case):
         traj = slice_cases[case]
@@ -416,11 +428,36 @@ class TestTimePanels:
     def test_tracking_error_is_panel_exact_at_outflux_kinks(self, law, rho0, y_d, u, T):
         traj = simulate(rho0, law, T, u=ControlSignal(np.linspace(0.0, T, len(u) + 1), u),
                         tol=1e-12)
-        # a reference with an edge at the exit time of every knot, 32 times finer
-        edges = traj.time_panels(extra=np.concatenate((
-            y_d.breakpoints, traj.xi.with_exits(traj.xi.times))), max_width=T / 16384)
-        ref = _gauss5(edges, lambda t: (traj.outflux(t) - y_d(t)) ** 2)
-        assert traj.tracking_error_sq(y_d) == pytest.approx(ref, rel=1e-13, abs=1e-15)
+        assert traj.tracking_error_sq(y_d) == pytest.approx(
+            fine_tracking_error(traj, y_d), rel=1e-13, abs=1e-15)
+
+    @pytest.mark.parametrize("case", ["steep", "tracking"])
+    def test_tracking_error_matches_a_fine_reference(self, case):
+        # panels T/512 wide were 1.0e-12 off on the steep table
+        if case == "steep":
+            law = tabulated([0.0, 2.3, 2.35, 20.0], [1.0, 0.9, 0.1, 0.05])
+            traj = simulate(DensityProfile.constant(2.5), law, 1.1,
+                            u=ControlSignal.constant(0.05, 1.1), tol=1e-11)
+            y_d = ControlSignal([0.0, 0.5, 1.1], [0.05, 0.2])
+        else:  # the benchmark's first seed-1 tracking problem at random controls
+            with pytest.MonkeyPatch.context() as mp:
+                mp.syspath_prepend(str(PERFBENCH))
+                import workloads
+            problem = workloads.make_tracking(1, 0, None)
+            values = np.random.default_rng(0).uniform(0.0, 1.0, problem.control_grid.size - 1)
+            traj = simulate(problem.rho0, problem.law, problem.horizon,
+                            u=problem.control_from_values(values), tol=1e-8, knots_per_window=64)
+            y_d = problem.y_d
+        assert traj.tracking_error_sq(y_d) == pytest.approx(fine_tracking_error(traj, y_d),
+                                                            rel=1e-13)
+
+
+def fine_tracking_error(traj, y_d):
+    """A reference for ``tracking_error_sq``: Gauss-5 on panels T/16384 wide,
+    with an edge at every break, demand breakpoint, curve knot and its exits."""
+    edges = traj.time_panels(extra=np.concatenate((
+        y_d.breakpoints, traj.xi.with_exits(traj.xi.times))), max_width=traj.horizon / 16384)
+    return _gauss5(edges, lambda t: (traj.outflux(t) - y_d(t)) ** 2)
 
 
 class TestExport:
