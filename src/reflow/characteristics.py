@@ -32,11 +32,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .laws import SpeedLaw
-from .rules import count, covers, finite_positive
-from .signals import ControlSignal, DensityProfile, PiecewiseConstant, segment
+from .rules import breakpoints, count, covers, finite_positive
+from .signals import ControlSignal, DensityProfile, segment
 
 __all__ = ["CharacteristicCurve", "CurveAdjoint", "DensityInflow", "FluxInflow", "G3_WEIGHTS",
-           "Inflow", "SolverError", "apply_F", "gauss_nodes", "solve_xi"]
+           "Inflow", "SolverError", "apply_F", "gauss_nodes", "lagrange_rows", "solve_xi"]
 
 # nodes/weights of 3-point Gauss-Legendre on [0, 1]
 _G3_NODES = np.array([0.5 - np.sqrt(15.0) / 10.0, 0.5, 0.5 + np.sqrt(15.0) / 10.0])
@@ -60,21 +60,25 @@ def _inverse3(m):
     return cof / np.einsum("ji,ji->j", m[:, 0], cof[:, :, 0])[:, None, None]
 
 
-def _g3_integrated():
-    """Row p, column i: coefficient of theta^(p+1) in the integral from 0 to
-    theta of the quadratic that is 1 at node i and 0 at the other nodes. Plain
-    float arithmetic: a first matmul or LAPACK call at import would raise the
-    peak memory of every command."""
-    nodes = _G3_NODES.tolist()
-    cols = []
-    for c in nodes:
-        a, b = [x for x in nodes if x != c]
-        d = (c - a) * (c - b)
-        cols.append([a * b / d, -(a + b) / (2.0 * d), 1.0 / (3.0 * d)])
-    return np.array(cols).T
+def lagrange_rows(nodes):
+    """Row i: the coefficients, highest power first, of the polynomial that is 1
+    at nodes[i] and 0 at the others, the product of the (y - yk) divided once by
+    its value at nodes[i]. Plain float arithmetic: numpy's polynomial helpers or a
+    first matmul or LAPACK call at import would raise every command's peak memory."""
+    rows = []
+    for yi in nodes:
+        row, den = [1.0], 1.0
+        for yk in nodes:
+            if yk != yi:  # times (y - yk)
+                row = [a - yk * b for a, b in zip(row + [0.0], [0.0] + row)]
+                den *= yi - yk
+        rows.append([c / den for c in row])
+    return np.array(rows)
 
 
-_G3_INTEGRATED = _g3_integrated()
+# row p, column i: the coefficient of theta^(p+1) in the integral from 0 to
+# theta of the quadratic that is 1 at node i and 0 at the other nodes
+_G3_INTEGRATED = (lagrange_rows(_G3_NODES.tolist())[:, ::-1] / [1.0, 2.0, 3.0]).T
 # the collocation matrix of 3-stage Gauss: row g integrates up to node g
 _G3_COLLOCATION = np.sum((_G3_NODES[:, None] ** np.arange(1, 4))[:, :, None] * _G3_INTEGRATED,
                          axis=1)
@@ -664,7 +668,7 @@ class CurveAdjoint:
     """
 
     def __init__(self, xi: CharacteristicCurve, law: SpeedLaw, cells, knots, terms):
-        self.cells = PiecewiseConstant(cells, np.zeros(np.size(cells) - 1)).breakpoints
+        self.cells = breakpoints(cells, "cells")
         self.knots, (self.h, self.nodes) = knots, gauss_nodes(knots)
         W, self.post, self.sigma, rho1 = terms
         self.slope = law.slope(W)

@@ -282,14 +282,15 @@ def crosscheck(cfg, out):
         raise ConfigError(ROOT, "crosscheck requires flux-mode control")
     grid = _get(cfg, "cells", parse=_cell_counts, default=[250, 1000, 4000])
     traj = _build_trajectory(cfg)
+    T, B = traj.horizon, traj.boundary_mass
     rows = []
     for n in grid:
-        state, _, _ = fv_solve(traj.rho0, traj.law, traj.inflow.signal, traj.horizon, n)
-        sub = 8
-        fine = traj.slice_values(traj.horizon, (np.arange(n * sub) + 0.5) / (n * sub))
-        ref = fine.reshape(n, sub).mean(axis=1)
-        l1 = float(np.abs(state.cells - ref).mean())
-        rows.append((n, l1, abs(state.total_mass - traj.total_mass(traj.horizon))))
+        state, _, _ = fv_solve(traj.rho0, traj.law, traj.inflow.signal, T, n)
+        # the exact reference: the mass past x at time T is the outflow with the
+        # curve at xi(T) + 1 - x, so a cell's average is -n times its change over the cell
+        tail = traj.inflow.outflow(traj.rho0, traj.xi(T) + 1.0 - np.linspace(0.0, 1.0, n + 1), B)
+        l1 = float(np.abs(state.cells + n * np.diff(tail)).mean())
+        rows.append((n, l1, abs(state.total_mass - traj.total_mass(T))))
     with open(out / "crosscheck.csv", "w") as f:
         f.write("# columns: n_cells,l1_error,mass_error\n")
         for n, l1, dm in rows:

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .rules import breakpoints, finite_nonnegative
+
 __all__ = ["SpeedLaw", "reciprocal", "tabulated"]
 
 RECIPROCAL = "reciprocal"
@@ -30,18 +32,14 @@ class SpeedLaw:
         if self.kind not in (RECIPROCAL, TABULATED):
             raise ValueError(f"unknown speed-law kind {self.kind!r}")
         if self.kind == TABULATED:
-            g = np.asarray(self.grid, dtype=float)
+            g = breakpoints(self.grid, "tabulated grid")
             v = np.asarray(self.grid_values, dtype=float)
-            if g.ndim != 1 or g.size < 2 or np.any(np.diff(g) <= 0):
-                raise ValueError("tabulated grid must be increasing, length >= 2")
             if v.shape != g.shape:
                 raise ValueError("values must match the grid shape")
-            if not (np.all(np.isfinite(g)) and np.all(np.isfinite(v))):
-                raise ValueError("tabulated grid and values must be finite")
             if g[0] != 0.0:
                 raise ValueError("tabulated grid must start at W = 0")
-            if np.any(v <= 0):
-                raise ValueError("speed values must be strictly positive")
+            if not np.all((v > 0.0) & (v < np.inf)):  # also rejects NaN
+                raise ValueError("speed values must be positive and finite")
             if np.any(np.diff(v) > 0):
                 raise ValueError("tabulated speed values must be non-increasing in W")
             object.__setattr__(self, "grid", g)
@@ -86,19 +84,13 @@ class SpeedLaw:
         return times[seg] + frac * (times[seg + 1] - times[seg])
 
     def bounds(self, M: float) -> tuple[float, float, float]:
-        """(inf speed, sup speed, sup |slope|) over masses in [0, M]; the law is
-        non-increasing, so the inf and sup speeds are law(M) and law(0)."""
-        if M < 0:
-            raise ValueError(f"mass bound M must be nonnegative, got {M}")
-        if self.kind == RECIPROCAL:
-            return self(M), self(0.0), 1.0
-        g, v = self.grid, self.grid_values
-        # knots inside [0, M] plus one padding knot past M, so the segments
-        # scanned cover [0, M]; the law is linear on each, so the largest
-        # segment slope is the exact sup |slope|
-        hi = min(int(np.searchsorted(g, M, side="right")) + 1, g.size)
-        slopes = np.diff(v[:hi]) / np.diff(g[:hi])
-        return self(M), self(0.0), float(np.max(np.abs(slopes)))
+        """(inf speed, sup speed, sup |slope|) over masses in [0, M]. The law is
+        non-increasing, so the speeds are law(M) and law(0); it is linear or convex
+        between kinks, so |slope| peaks at each piece's left end, and sup |slope|
+        is the largest |slope(w)| (from the right) over w = 0 and each kink <= M."""
+        M = finite_nonnegative(M, "mass bound M")
+        w = np.concatenate(([0.0], self.kinks[self.kinks <= M]))
+        return self(M), self(0.0), float(np.max(np.abs(self.slope(w))))
 
 
 def reciprocal() -> SpeedLaw:

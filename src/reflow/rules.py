@@ -35,6 +35,21 @@ def count(x, name: str, minimum: int = 1) -> int:
     return int(v)
 
 
+def exponent(p):
+    """``p`` if it is 1 or 2 and not a boolean: the exponents of the exact Lp norms."""
+    if isinstance(p, bool) or p not in (1, 2):
+        raise ValueError(f"unsupported exponent p={p!r}; expected 1 or 2")
+    return p
+
+
+def breakpoints(x, name: str) -> np.ndarray:
+    """``x`` as a 1-D float array of at least two finite, strictly increasing values."""
+    x = np.asarray(x, dtype=float)
+    if not (x.ndim == 1 and x.size >= 2 and np.all(np.isfinite(x)) and np.all(np.diff(x) > 0)):
+        raise ValueError(f"{name} must be at least two breakpoints, finite and strictly increasing")
+    return x
+
+
 def interval(x, hi: float, name: str) -> np.ndarray:
     """``x`` as a 1-D float array in [0, hi], within 1e-12 max(1, hi)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import rules
+
 __all__ = ["PiecewiseConstant", "DensityProfile", "ControlSignal", "segment"]
 
 
@@ -28,20 +30,12 @@ class PiecewiseConstant:
     __slots__ = ("breakpoints", "values", "_cum")
 
     def __init__(self, breakpoints, values):
-        bp = np.atleast_1d(np.asarray(breakpoints, dtype=float))
+        bp = rules.breakpoints(breakpoints, "breakpoints")
         v = np.atleast_1d(np.asarray(values, dtype=float))
-        if bp.ndim != 1 or bp.size < 2:
-            raise ValueError("need at least two breakpoints")
         if v.size != bp.size - 1:
-            raise ValueError(
-                f"expected {bp.size - 1} cell values, got {v.size}"
-            )
-        if not np.all(np.isfinite(bp)) or not np.all(np.isfinite(v)):
-            raise ValueError("breakpoints and values must be finite")
-        if np.any(np.diff(bp) <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
-        if np.any(v < 0):
-            raise ValueError("values must be nonnegative")
+            raise ValueError(f"expected {bp.size - 1} cell values, got {v.size}")
+        if not np.all((v >= 0.0) & (v < np.inf)):  # also rejects NaN
+            raise ValueError("values must be finite and nonnegative")
         self.breakpoints = bp
         self.values = v
         self._cum = np.concatenate(([0.0], np.cumsum(v * np.diff(bp))))
@@ -87,11 +81,9 @@ class PiecewiseConstant:
     def lp_norm(self, p: int) -> float:
         """Exact L^p norm, p in {1, 2}."""
         widths = np.diff(self.breakpoints)
-        if p == 1:
+        if rules.exponent(p) == 1:
             return float(np.sum(np.abs(self.values) * widths))
-        if p == 2:
-            return float(np.sqrt(np.sum(self.values**2 * widths)))
-        raise ValueError(f"unsupported exponent p={p}; expected 1 or 2")
+        return float(np.sqrt(np.sum(self.values**2 * widths)))
 
     # -- construction helpers -------------------------------------------
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .laws import SpeedLaw
-from .rules import count, covers, finite_nonnegative, finite_positive, interval
-from .signals import ControlSignal, DensityProfile, PiecewiseConstant
+from .rules import breakpoints, count, covers, finite_nonnegative, finite_positive, interval
+from .signals import ControlSignal, DensityProfile
 from .transport import TrackingQuadrature, simulate
 
 __all__ = ["TrackingProblem", "OptimizationReport", "cost", "minimize",
@@ -113,8 +113,7 @@ def _initial_guesses(problem: TrackingProblem, seed, extra_random: int, warm_sta
 
 def resample_control(u: ControlSignal, grid: np.ndarray) -> np.ndarray:
     """Cell averages of u on a step-function breakpoint grid in [0, u.horizon], exact."""
-    grid = interval(grid, u.horizon, "grid")
-    PiecewiseConstant(grid, np.zeros(grid[1:].size))  # the breakpoint rule
+    grid = breakpoints(interval(grid, u.horizon, "grid"), "grid")
     return np.diff(u.cumulative(grid)) / np.diff(grid)
 
 

@@ -44,10 +44,9 @@ class TransferScenario:
     rho_hi: float
 
     def __post_init__(self):
-        if not (0.0 <= self.rho_lo <= self.rho_hi) or not np.isfinite(self.rho_hi):
-            raise ValueError(
-                f"need 0 <= rho_lo <= rho_hi, got ({self.rho_lo}, {self.rho_hi})"
-            )
+        lo = finite_nonnegative(self.rho_lo, "rho_lo")
+        if not lo <= finite_nonnegative(self.rho_hi, "rho_hi"):
+            raise ValueError(f"need 0 <= rho_lo <= rho_hi, got ({self.rho_lo}, {self.rho_hi})")
 
 
 def minimal_time(scenario: TransferScenario) -> float:

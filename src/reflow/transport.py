@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characteristics import (G3_WEIGHTS, CharacteristicCurve, CurveAdjoint, FluxInflow, Inflow,
-                              gauss_nodes, solve_xi)
+                              gauss_nodes, lagrange_rows, solve_xi)
 from .laws import SpeedLaw
-from .rules import covers, finite_positive, interval
+from .rules import covers, exponent, finite_positive, interval
 from .signals import ControlSignal, DensityProfile
 
 __all__ = ["TrackingQuadrature", "Trajectory", "abs_integral", "simulate"]
@@ -30,24 +30,9 @@ _W5 = np.array([0.11846344252809454, 0.23931433524968324, 0.28444444444444444,
                 0.23931433524968324, 0.11846344252809454])
 
 
-def _lagrange_rows(nodes):
-    """Row i: the coefficients, highest power first, of the polynomial that is 1
-    at nodes[i] and 0 at the other nodes. Plain float arithmetic: numpy's
-    polynomial helpers or a first matmul at import would raise the peak memory
-    of every command."""
-    rows = []
-    for yi in nodes:
-        row = [1.0]
-        for yk in nodes:
-            if yk != yi:  # times (y - yk) / (yi - yk)
-                row = [(a - yk * b) / (yi - yk) for a, b in zip(row + [0.0], [0.0] + row)]
-        rows.append(row)
-    return np.array(rows)
-
-
 # (d[:, :, None] * _QUARTIC).sum(1): the coefficients in y = 2 theta - 1 of the
-# quartics through the values d at a panel's Gauss nodes (no matmul, as above)
-_QUARTIC = _lagrange_rows((2.0 * _N5 - 1.0).tolist())
+# quartics through the values d at a panel's Gauss nodes (no matmul at import)
+_QUARTIC = lagrange_rows((2.0 * _N5 - 1.0).tolist())
 _SAMPLE = np.linspace(-1.0, 1.0, 17)  # where the quartics' sign changes are looked for
 
 
@@ -273,8 +258,7 @@ class Trajectory:
 
     def slice_lp_norm(self, t: float, p: int) -> float:
         """L^p norm of the density profile at time t (p in {1, 2})."""
-        if p not in (1, 2):
-            raise ValueError(f"unsupported exponent p={p}")
+        p = exponent(p)
         return _gauss5(self.slice_panels(t),
                        lambda x: self.slice_values(t, x) ** p) ** (1.0 / p)
 

@@ -5,10 +5,10 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from reflow import characteristics
-from reflow.characteristics import (_G3_COLLOCATION, _G3_INTEGRATED, G3_WEIGHTS,
+from reflow.characteristics import (_G3_COLLOCATION, _G3_INTEGRATED, _G3_NODES, G3_WEIGHTS,
                                     CharacteristicCurve, CurveAdjoint, DensityInflow, FluxInflow,
                                     SolverError, _choose_window, _horner, _inverse3, apply_F,
-                                    gauss_nodes, solve_xi)
+                                    gauss_nodes, lagrange_rows, solve_xi)
 from reflow.laws import reciprocal, tabulated
 from reflow.signals import ControlSignal, DensityProfile, segment
 from reflow.transport import simulate
@@ -701,6 +701,20 @@ class TestLabels:
         # -beta for beta in {0, 0.25}, then xi(tau) for tau in {0.5, 1.0}
         assert np.array_equal(z, np.array([-0.0, -0.25, xi(0.5), xi(1.0)]))
         assert FluxInflow(u).labels(rho0, xi, 0.0).tolist() == [-0.0, -0.25]
+
+
+class TestGaussTables:
+    def test_lagrange_rows_are_the_cardinal_polynomials(self):
+        nodes = [-0.9, -0.2, 0.4, 1.0]
+        rows = lagrange_rows(nodes)
+        assert np.allclose([np.polyval(r, nodes) for r in rows], np.eye(4), rtol=0.0, atol=1e-14)
+
+    def test_integrals_sum_to_the_weights_and_the_nodes(self):
+        # each column integrates one cardinal quadratic over [0, theta]: at
+        # theta = 1 it gives the Gauss weight, and at a node g the rows of the
+        # collocation matrix add up to theta_g
+        assert np.max(np.abs(_G3_INTEGRATED.sum(axis=0) - G3_WEIGHTS)) <= 1e-15
+        assert np.max(np.abs(_G3_COLLOCATION.sum(axis=1) - _G3_NODES)) <= 1e-15
 
 
 class TestInverse3:

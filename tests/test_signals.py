@@ -145,6 +145,9 @@ class TestIntegrals:
         assert f.lp_norm(2) == pytest.approx(np.sqrt(6.0))
         with pytest.raises(ValueError):
             f.lp_norm(3)
+        # True == 1, so lp_norm(True) returned the L1 norm 0.75
+        with pytest.raises(ValueError, match="unsupported exponent"):
+            DensityProfile([0.0, 0.5, 1.0], [1.0, 0.5]).lp_norm(True)
 
     @given(st.floats(0, 2), st.floats(0, 2), st.floats(0, 2))
     @settings(max_examples=50, deadline=None)

@@ -25,9 +25,20 @@ class TestReciprocal:
         for M in (0.0, 0.37, 3.0):
             assert law.bounds(M)[:2] == (law(M), law(0.0))
 
-    def test_bounds_reject_negative_mass(self):
-        with pytest.raises(ValueError):
-            reciprocal().bounds(-1.0)
+    # a NaN M passed the M < 0 check
+    @pytest.mark.parametrize("M", [-1.0, float("nan"), float("inf"), True])
+    def test_bounds_reject_a_mass_that_is_not_finite_and_nonnegative(self, M):
+        for law in (reciprocal(), tabulated([0.0, 1.0], [1.0, 0.5])):
+            with pytest.raises(ValueError, match="mass bound M must"):
+                law.bounds(M)
+
+
+def segment_scan(law, M):
+    """The slope bound by the table's segments: the knots in [0, M] plus one
+    padding knot past M, so the segments scanned cover [0, M]."""
+    g, v = law.grid, law.grid_values
+    hi = min(int(np.searchsorted(g, M, side="right")) + 1, g.size)
+    return float(np.max(np.abs(np.diff(v[:hi]) / np.diff(g[:hi]))))
 
 
 class TestTabulated:
@@ -60,6 +71,21 @@ class TestTabulated:
             # non-increasing law: the speed bounds are the end values, also
             # for an M strictly between knots (0.17, 1.3, 4.99)
             assert (lam_lo, lam_hi) == (law(M), law(0.0))
+
+    def test_slope_bound_equals_the_segment_scan(self):
+        # bounds takes sup |slope| from slope() at W = 0 and the kinks <= M
+        rng = np.random.default_rng(3)
+        for k in range(200):
+            g = np.concatenate(([0.0], np.cumsum(rng.uniform(0.01, 2.0, rng.integers(1, 8)))))
+            v = np.sort(rng.uniform(0.05, 3.0, g.size))[::-1]
+            if k % 4 == 0:
+                v[1:] = v[1]  # flat past the first knot
+            law = tabulated(g, v)
+            mids = 0.5 * (g[1:] + g[:-1])
+            for M in (*g, *mids, 1.5 * g[-1], g[-1] + 10.0, *rng.uniform(0.0, 1.2 * g[-1], 3)):
+                lam_lo, lam_hi, d = law.bounds(M)
+                assert d == segment_scan(law, M)
+                assert (lam_lo, lam_hi) == (law(M), law(0.0))
 
     def test_rejects_bad_tables(self):
         with pytest.raises(ValueError, match="increasing"):

@@ -26,6 +26,13 @@ class TestScenario:
         with pytest.raises(ValueError):
             TransferScenario(-0.5, 1.0)
 
+    # TransferScenario(True, 2.0) stored rho_lo=True, which the CLI rejects
+    @pytest.mark.parametrize("lo, hi", [(True, 2.0), (1.0, float("nan")),
+                                        (float("nan"), 2.0), (1.0, float("inf"))])
+    def test_rejects_a_pair_that_is_not_finite_and_nonnegative(self, lo, hi):
+        with pytest.raises(ValueError, match="rho_(lo|hi) must be"):
+            TransferScenario(lo, hi)
+
 
 class TestClosedForms:
     def test_mass_curve_substitution(self):

@@ -196,6 +196,14 @@ class TestRegularityDiagnostics:
         assert traj.slice_lp_norm(0.5, 1) == pytest.approx(c, abs=1e-9)
         assert traj.slice_lp_norm(0.5, 2) == pytest.approx(c, abs=1e-9)
 
+    @pytest.mark.parametrize("p", [True, 3, 0])
+    def test_slice_norm_rejects_an_exponent_other_than_1_or_2(self, p):
+        # slice_lp_norm(t, True) returned the L1 norm
+        traj = simulate(DensityProfile.constant(1.0), reciprocal(), 1.0,
+                        u=ControlSignal.constant(0.5, 1.0))
+        with pytest.raises(ValueError, match="unsupported exponent"):
+            traj.slice_lp_norm(0.5, p)
+
     def test_l1_slice_distance_shrinks_with_time_gap(self, step_fill):
         d_big = step_fill.l1_slice_distance(1.0, 1.0 + 1e-2)
         d_small = step_fill.l1_slice_distance(1.0, 1.0 + 5e-3)
