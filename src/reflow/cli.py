@@ -8,11 +8,16 @@ input of a run: no option sets a value. Fields are read only through ``_get``
 and ``_block``, so each error names its field: a root field by its bare key, a
 block field as ``block.key``, the file as ``<root>``. Runs are deterministic
 for a fixed config.
+
+A config parses exactly as ``yaml.safe_load`` parses it, on libyaml where
+PyYAML has it. ``_Loader`` only adds a fast path for plain decimal floats such
+as ``-0.25`` or ``3.``, and for a list made only of them.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import sys
 from functools import partial
 from pathlib import Path
@@ -24,7 +29,7 @@ import yaml
 from .characteristics import SolverError
 from .fv import fv_solve
 from .laws import SpeedLaw, reciprocal, tabulated
-from .rules import count, covers, finite_nonnegative, finite_positive, number
+from .rules import count, covers, finite_nonnegative, finite_positive, number, numbers
 from .signals import ControlSignal, DensityProfile
 from .tracking import TrackingProblem, minimize
 from .transfer import (TransferScenario, check_lower_bound,
@@ -61,7 +66,7 @@ def _get(cfg: dict, key: str, where: str = ROOT, parse=number, default=REQUIRED)
 
 
 def _array(value, name: str) -> np.ndarray:
-    return np.asarray([number(v, name) for v in (value if isinstance(value, list) else [value])])
+    return numbers(value if isinstance(value, list) else [value], name)
 
 
 def _cell_counts(value, name: str) -> list[int]:
@@ -144,6 +149,33 @@ def _fail(kind: str, err: Exception, code: int):
     sys.exit(code)
 
 
+_FLOAT = "tag:yaml.org,2002:float"
+# a subset of YAML 1.1's float rule, which float() reads as construct_yaml_float does
+_plain_float = re.compile(r"[-+]?[0-9]+\.[0-9]*").fullmatch
+
+
+def _loader_over(base):
+    """``base`` (a safe loader), with plain decimal floats resolved and a list
+    of only such floats built without a per-item constructor call."""
+    class Loader(base):
+        def resolve(self, kind, value, implicit):
+            if kind is yaml.ScalarNode and implicit[0] and _plain_float(value):
+                return _FLOAT
+            return super().resolve(kind, value, implicit)
+
+        def construct_floats(self, node):
+            if all(k.tag == _FLOAT and _plain_float(k.value) for k in node.value):
+                return [float(k.value) for k in node.value]
+            return self.construct_yaml_seq(node)
+
+    Loader.add_constructor("tag:yaml.org,2002:seq", Loader.construct_floats)
+    return Loader
+
+
+# libyaml's scanner where present; the same safe constructor
+_Loader = _loader_over(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+
+
 @click.group()
 def main():
     """Nonlocal-velocity transport: simulate, optimize, verify."""
@@ -167,8 +199,7 @@ def _command(*keys):
             out.mkdir(parents=True, exist_ok=True)
             try:
                 with open(config_path) as f:
-                    # libyaml's scanner where present; the same safe constructor
-                    cfg = yaml.load(f, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+                    cfg = yaml.load(f, Loader=_Loader)
                 # the whole file is the block at <root>
                 message = body(_block({ROOT: cfg}, ROOT, keys=keys), out)
                 with open(out / "resolved_config.json", "w") as f:

@@ -13,6 +13,13 @@ def number(x, name: str) -> float:
     return float(x)
 
 
+def numbers(x, name: str) -> np.ndarray:
+    """``number`` over the list ``x``, as one float array."""
+    if all(isinstance(v, float) for v in x):  # no boolean is a float
+        return np.array(x, dtype=float)
+    return np.array([number(v, name) for v in x], dtype=float)
+
+
 def finite_positive(x, name: str) -> float:
     x = number(x, name)
     if not 0.0 < x < math.inf:

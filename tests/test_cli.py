@@ -10,9 +10,10 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reflow.cli import main
+from reflow.cli import _loader_over, main
 from reflow.fv import fv_solve
 from reflow.laws import reciprocal, tabulated
+from reflow.rules import number, numbers
 from reflow.signals import ControlSignal, DensityProfile
 from reflow.tracking import TrackingProblem, minimize
 from reflow.transport import simulate
@@ -365,6 +366,62 @@ def test_loader_builds_no_python_object(runner, tmp_path):
     assert res.exit_code == 2, res.output
     assert json.loads(res.output)["field"] == "<root>"
     assert not marker.exists()
+
+
+# -- the config loader is yaml.safe_load, with a fast path for plain floats -------
+
+LOADERS = [_loader_over(base) for base in
+           (yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader))]
+
+
+def assert_loads_as_safe_load(text):
+    # repr tells apart 1.0 from 1, True and '1.0', and -0.0 from 0.0
+    expected = repr(yaml.safe_load(text))
+    for loader in LOADERS:
+        assert repr(yaml.load(text, Loader=loader)) == expected, (loader.__mro__[1], text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(xs=st.lists(st.floats(), max_size=6), flow=st.booleans())
+def test_loader_reads_printed_float_lists_as_safe_load(xs, flow):
+    # repr prints 1e-05, inf and nan, which YAML 1.1 reads as strings
+    items = list(map(repr, xs))
+    text = ("[" + ", ".join(items) + "]") if flow else "".join(f"- {s}\n" for s in items)
+    assert_loads_as_safe_load(text)
+    assert_loads_as_safe_load(f"values: {text}" if flow else f"values:\n{text}")
+
+
+@pytest.mark.parametrize("text", [
+    "1_000.5", "1:30.5", ".inf", "-.inf", ".nan", ".5", "+1.", "-0.0", "1.0e+5",
+    "1e5", "'1.5'", "!!str 1.5", "! 1.5", "!!float 2", "[1.5, !!float 1_0.5]",
+    "[1.5, .inf, -.inf, 1:30.5, 1.0e+5, +2.]", "[1_000.5, 1__0.5, 2_.5]",
+    "a: &x [1.5, -0., 2.]\nb: *x", "[&y 1.5, *y]", "[1.5, true]", "[1.5, '2.5']",
+    "[1.5, 1e5]", "[]", "[[1.5, 2.5], [], [-3., [4.5]]]", "{1.5: [2.5]}",
+])
+def test_loader_reads_documents_as_safe_load(text):
+    assert_loads_as_safe_load(text)
+
+
+@pytest.mark.parametrize("values, field", [
+    ("[0.0, true, 1.0]", "rho0.values"),
+    # a NaN is a number; DensityProfile rejects it and names its block
+    ("[0.0, .nan, 1.0]", "rho0"),
+])
+def test_array_items_keep_the_number_rule(runner, tmp_path, values, field):
+    path = write_config(tmp_path / "c.yaml", (
+        "control: {breakpoints: [0.0, 0.5, 1.5], values: [0.6, 0.3]}\nhorizon: 1.5\n"
+        f"rho0: {{breakpoints: [0.0, 0.3, 0.6, 1.0], values: {values}}}\n"))
+    res = runner.invoke(main, ["crosscheck", "--config", path, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    diag = json.loads(res.output)
+    assert diag["field"] == field and "values" in diag["message"]
+
+
+@pytest.mark.parametrize("x", [[0.25, -0.0, 1e300], [], [1, 2.5], [np.float64(0.5), 3]])
+def test_numbers_is_number_item_by_item(x):
+    got, expected = numbers(x, "v"), np.array([number(v, "v") for v in x])
+    assert got.dtype == expected.dtype == float
+    assert np.array_equal(got, expected) and np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 def test_nan_tol_exits_2(runner, tmp_path):
