@@ -629,9 +629,9 @@ def solve_xi(
         last = knots[-1] - t_a
         ts = np.concatenate((ts, knots[1:]))
         xs = np.concatenate((xs, values[1:]))
-        ss = np.concatenate((ss, slopes[1:]))
-        # keep the joint consistent with the converged window
-        ss[ts.size - knots.size] = slopes[0]
+        # the joint takes the new window's first slope: in density mode a window's last
+        # slope reads a boundary mass that ends at the previous iterate's end value
+        ss = np.concatenate((ss[:-1], slopes))
     if ts.size == 1:
         # no window ran (T below the end tolerance): the start knot stays at t = 0
         ts, xs, ss = (np.append(a, a[-1]) for a in (ts, xs, ss))

@@ -279,7 +279,7 @@ def transfer(cfg, out):
     if sc.rho_hi > sc.rho_lo:
         result.update(transfer_diagnostics(sc))
         cf = closed_form_trajectory(sc)
-        result["u_jump_at_0"] = float(cf.u(0.0)) - sc.rho_lo / (1.0 + sc.rho_lo)
+        result["u_jump_at_0"] = float(cf.u(0.0)) - float(cf.y(0.0))
         result["y_jump_at_T"] = sc.rho_hi / (1.0 + sc.rho_hi) - float(cf.y(T))
     write_figure_csv(sc, out / "transfer_mass.csv", out / "transfer_flux.csv", n=n_trace)
     with open(out / "diagnostics.json", "w") as f:

@@ -74,7 +74,7 @@ def closed_form_trajectory(scenario: TransferScenario,
 
     The draining direction is obtained from the filling solution by the
     change of variables (t, x) -> (T - t, 1 - x), which swaps the roles of
-    the two boundaries.
+    the two boundaries: draining u is filling y at T - t, and back.
     """
     lo, hi = scenario.rho_lo, scenario.rho_hi
     T = minimal_time(scenario)
@@ -88,20 +88,16 @@ def closed_form_trajectory(scenario: TransferScenario,
     def W(t):
         return lo + d * xi(t)
 
+    fill = ClosedFormTransfer(W=W, xi=xi, u=lambda t: hi / (1.0 + W(t)),
+                              y=lambda t: lo / (1.0 + W(t)), T=T)
     if not reverse:
-        return ClosedFormTransfer(W=W, xi=xi, u=lambda t: hi / (1.0 + W(t)),
-                                  y=lambda t: lo / (1.0 + W(t)), T=T)
+        return fill
 
-    def back(t):
-        return T - np.asarray(t, dtype=float)
+    def mirrored(f):
+        return lambda t: f(T - np.asarray(t, dtype=float))
 
-    return ClosedFormTransfer(
-        W=lambda t: W(back(t)),
-        xi=lambda t: 1.0 - xi(back(t)),
-        u=lambda t: lo / (1.0 + W(back(t))),
-        y=lambda t: hi / (1.0 + W(back(t))),
-        T=T,
-    )
+    return ClosedFormTransfer(W=mirrored(W), xi=lambda t: 1.0 - mirrored(xi)(t),
+                              u=mirrored(fill.y), y=mirrored(fill.u), T=T)
 
 
 def transfer_diagnostics(scenario: TransferScenario) -> dict:
@@ -179,13 +175,9 @@ def certify_trajectory(traj: Trajectory, rho_lo: float, rho_hi: float,
     bad = np.abs(bdens - rho_hi) > _DETECTION_TOL
     t0 = float(grid[1 + np.max(np.nonzero(bad)[0])]) if np.any(bad) else 0.0
 
-    xi = traj.xi
-    t1 = float(xi.inverse(min(1.0, xi.x_end)))
-    half_sum = 1.0 + 0.5 * (rho_lo + rho_hi)
-    if t0 < t1:
-        bound = half_sum + float(xi(t0))
-    else:
-        bound = 1.0 + half_sum
+    t1 = traj.exit_time or T  # T when the curve never reaches x = 1
+    half_sum = minimal_time(TransferScenario(rho_lo, rho_hi))
+    bound = half_sum + (float(traj.xi(t0)) if t0 < t1 else 1.0)
     slack = T - bound
     return OptimalityCertificate(
         t0=t0, t1=t1, bound_value=bound,

@@ -229,9 +229,7 @@ class Trajectory:
 
     def backlog(self, y_d: ControlSignal, t: float) -> float:
         """Accumulated demand minus accumulated outflux at time t."""
-        if t > min(y_d.horizon, self.horizon) + 1e-12:
-            raise ValueError(f"t={t} beyond demand or trajectory horizon")
-        return float(y_d.cumulative(t) - self.cumulative_outflux(t))
+        return float(covers(y_d, t, "demand").cumulative(t) - self.cumulative_outflux(t))
 
     # -- regularity diagnostics -------------------------------------------
 

@@ -254,6 +254,15 @@ class TestAgainstClosedForms:
         assert np.max(np.abs(xi(t) - 0.5 * (np.sqrt(1.0 + 4.0 * t) - 1.0))) <= 1e-8
         assert xi(2.0) == pytest.approx(1.0, abs=1e-9)
 
+    def test_step_fill_slopes_are_the_exact_speed_at_every_knot(self):
+        # rho0 = 1 filled by b = 2: lam(W(t)) = 1/sqrt(4 + 2t) up to the exit at
+        # T = 2.5. Keeping the old window's last slope at the joint t = 1.8 put
+        # it 2.1e-11 off, where every other knot is within 2.7e-13
+        b = ControlSignal.constant(2.0, 2.5)
+        xi = solve_xi(DensityInflow(b), DensityProfile.constant(1.0), reciprocal(), 2.5)
+        exact = 1.0 / np.sqrt(4.0 + 2.0 * xi.times)
+        assert np.max(np.abs(xi.slopes - exact) / exact) <= 1e-12
+
     def test_constant_speed_law_gives_exactly_linear_curve(self):
         law = tabulated([0.0, 10.0], [0.7, 0.7])
         u = ControlSignal(np.array([0.0, 0.4, 1.0]), np.array([1.0, 0.2]))

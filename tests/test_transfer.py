@@ -82,6 +82,20 @@ class TestClosedForms:
                 assert abs(Decimal(float(cf.W(t))) - (lo + d * xi)) <= Decimal(1e-15) * lo
                 assert abs(float(back.xi(cf.T - t)) - float(1 - xi)) <= 1e-15
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (1.0, 2.0), (0.5, 1.5), (0.0, 2.0),
+                                        (0.5, 0.5 + 1e-12)])
+    def test_draining_is_the_filling_transfer_mirrored(self, lo, hi):
+        # (t, x) -> (T - t, 1 - x) swaps the boundaries: draining u is filling y
+        sc = TransferScenario(lo, hi)
+        fill, drain = closed_form_trajectory(sc), closed_form_trajectory(sc, reverse=True)
+        t = np.linspace(0.0, fill.T, 201)
+        back = fill.T - t
+        assert drain.T == fill.T
+        assert np.array_equal(drain.W(t), fill.W(back))
+        assert np.array_equal(drain.xi(t), 1.0 - fill.xi(back))
+        assert np.array_equal(drain.u(t), fill.y(back))
+        assert np.array_equal(drain.y(t), fill.u(back))
+
     def test_monotone_mass_and_decreasing_speed(self):
         cf = closed_form_trajectory(TransferScenario(0.5, 2.5))
         t = np.linspace(0.0, cf.T, 400)
@@ -227,6 +241,46 @@ class TestCertificate:
         assert cert.slack == pytest.approx(T - 3.5)
         assert cert.slack == pytest.approx(0.76, abs=0.01)
         assert cert.satisfied
+
+    @staticmethod
+    def _settled(lo, hi, knee, tau, lead):
+        """b = lead[0] on [0, knee), lead[1] on [knee, tau), then hi, up to the
+        time the tau characteristic leaves: the trajectory then ends at rho_hi."""
+        probe = simulate(DensityProfile.constant(lo), reciprocal(), 6.0,
+                         boundary_density=ControlSignal([0.0, knee, tau, 6.0], [*lead, hi]))
+        T = float(probe.xi.inverse(1.0 + probe.xi(tau)))
+        return ControlSignal([0.0, knee, tau, T], [*lead, hi])
+
+    @staticmethod
+    def _onset(b, hi, T):
+        """t0 read off b's cells: the end, capped at T, of the last cell in
+        [0, T) more than 1e-6 from hi; 0 if no cell is."""
+        ends = [min(right, T) for left, right, v in
+                zip(b.breakpoints[:-1], b.breakpoints[1:], b.values)
+                if left < T and abs(v - hi) > 1e-6]
+        return float(ends[-1]) if ends else 0.0
+
+    def test_onset_is_read_off_the_boundary_cells(self):
+        # the three candidate transfers, then 30 with two lead cells
+        cases = [(lo, hi, ControlSignal.constant(hi, minimal_time(TransferScenario(lo, hi))))
+                 for lo, hi in [(1.0, 2.0), (0.0, 2.0), (0.5, 1.5)]]
+        rng = np.random.default_rng(27)
+        for _ in range(30):
+            tau = float(rng.uniform(0.05, 0.6))
+            knee = float(rng.uniform(0.2, 0.8)) * tau
+            cases.append((0.5, 1.5, self._settled(0.5, 1.5, knee, tau,
+                                                   rng.uniform(0.0, 0.9 * 1.5, 2))))
+        for lo, hi, b in cases:
+            cert = check_lower_bound(None, lo, hi, b.horizon, boundary_density=b)
+            assert cert.t0 == self._onset(b, hi, b.horizon)
+
+    def test_a_gap_of_5e_4_to_rho_hi_still_delays_the_onset(self):
+        # b settles within 1e-3 of rho_hi at the knee but reaches it only at
+        # tau: the final stretch starts at tau
+        lo, hi, knee, tau = 0.5, 1.5, 0.2, 0.4
+        b = self._settled(lo, hi, knee, tau, (0.3, hi + 5e-4))
+        cert = check_lower_bound(None, lo, hi, b.horizon, boundary_density=b)
+        assert cert.t0 == tau
 
     def test_no_random_admissible_control_beats_the_bound(self):
         rng = np.random.default_rng(21)

@@ -167,6 +167,15 @@ class TestFluxes:
         with pytest.raises(ValueError, match="horizon"):
             step_fill.backlog(y_d, 3.0)
 
+    def test_backlog_takes_the_horizon_slack_of_every_observable(self):
+        # 2e-12 past T = 4 is within 1e-12 max(1, T), the slack rules.interval
+        # gives every observable of time
+        traj = simulate(DensityProfile.constant(1.0), reciprocal(), 4.0,
+                        boundary_density=ControlSignal.constant(2.0, 4.0))
+        y_d = ControlSignal.constant(0.5, 5.0)
+        t = 4.0 + 2e-12
+        assert traj.backlog(y_d, t) == y_d.cumulative(t) - traj.cumulative_outflux(t)
+
     @pytest.mark.parametrize("t", [1.5, -0.1, float("nan"), np.array([0.5, 1.5])])
     def test_observables_reject_times_outside_the_horizon(self, t):
         # the curve is clamped at T but the influx is not: total_mass(1.5) read
