@@ -286,9 +286,11 @@ class Inflow:
             raise ValueError("provide exactly one of u and boundary_density")
         return DensityInflow(boundary_density) if u is None else FluxInflow(u)
 
-    def mass(self, rho0: DensityProfile, s, xi_s, B, rate=False):
+    def mass(self, rho0: DensityProfile, s, xi_s, B, rate=False, sigma=None):
         """W at times s where the curve takes values xi_s; B is its boundary_mass.
 
+        Past the exit the mass that has left is ``_gone``, read off the entry
+        times ``sigma`` of the particles at x = 1 when the caller holds them.
         With ``rate``, (W, dW/dxi): the rate ``entered_rate`` at which E grows
         with xi, less the density at x = 1, which after exit is read off the
         entry times B finds for W.
@@ -303,17 +305,30 @@ class Inflow:
             if rate:
                 gone, rho1[post] = B(xi_s[post] - 1.0, density=True)
             else:
-                gone = B(xi_s[post] - 1.0)
+                gone = self._gone(xi_s, post, B, sigma)
             W[post] = entered[post] - gone
         return (W, self.entered_rate(s) - rho1) if rate else W
 
-    def outflow(self, rho0: DensityProfile, x, B):
-        """Mass past x = 1 with the curve at the array of positions x; B is its boundary_mass."""
+    def outflow(self, rho0: DensityProfile, x, B, sigma=None):
+        """Mass past x = 1 with the curve at the array of positions x; B is its
+        boundary_mass, and past the exit ``_gone`` adds the boundary mass, read
+        off the entry times ``sigma`` when the caller holds them."""
         out = rho0.total_mass - rho0.cumulative(1.0 - x)
         post = x > 1.0
         if post.any():
-            out[post] += B(x[post] - 1.0)
+            out[post] += self._gone(x, post, B, sigma)
         return out
+
+    def _gone(self, x, post, B, sigma):
+        """B(x - 1) where ``post`` (x > 1): the boundary mass that entered before
+        the particle now at x = 1. A caller that holds that particle's entry
+        times ``sigma`` wherever x >= 1 (``Trajectory._outlet`` does) passes
+        them, and the mass is E at its entry, ``entered(sigma, x - 1, B)``:
+        U(sigma) in flux mode, with no second inversion of the curve, and B
+        itself in density mode; both give the value B(x - 1) gives.
+        """
+        z = x[post] - 1.0
+        return B(z) if sigma is None else self.entered(sigma[post[x >= 1.0]], z, B)
 
     def labels(self, rho0: DensityProfile, xi: CharacteristicCurve, t: float) -> np.ndarray:
         """Labels of the data jumps that have entered by time t: -beta for each
@@ -469,9 +484,12 @@ def _integrate_window(inflow, rho0, law, prefix, cand, knots, newton=False):
     xi_knots, xi_nodes = xi[:knots.size], xi[knots.size:]
 
     def xi_of(t):
-        # each breakpoint on one curve: the frozen prefix up to its end
-        k = t.searchsorted(prefix.t_end, "right")
-        return np.concatenate((prefix(t[:k]), cand(t[k:])))
+        # each breakpoint on one curve: the frozen prefix up to its end, then the
+        # candidate, continued past its end along its end tangent; clamped there,
+        # a new end value above the old one would find no cell of b above it
+        k, m = t.searchsorted((prefix.t_end, cand.t_end), "right")
+        return np.concatenate((prefix(t[:k]), cand(t[k:m]),
+                               cand.x_end + cand.slopes[-1] * (t[m:] - cand.t_end)))
 
     B = inflow.boundary_mass(prefix, xi_of)
     A = None

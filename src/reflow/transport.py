@@ -68,6 +68,8 @@ def _quartic_roots(c):
     An identically zero quartic has none."""
     neg = np.polyval(c.T[:, :, None], _SAMPLE) < 0.0
     row, j = np.nonzero(neg[:, 1:] != neg[:, :-1])
+    if not row.size:
+        return row, np.empty(0)
     p = c[row].T
     dp = p[:-1] * np.array([4.0, 3.0, 2.0, 1.0])[:, None]
     a, b, neg_a = _SAMPLE[j], _SAMPLE[j + 1], neg[row, j]
@@ -176,9 +178,10 @@ class Trajectory:
         W = self._mass(ts, self.xi(ts))
         return float(W[0]) if np.ndim(t) == 0 else W
 
-    def _mass(self, t, xi_t):
-        """W at times t where the curve is at the known positions xi_t."""
-        return self.inflow.mass(self.rho0, t, xi_t, self.boundary_mass)
+    def _mass(self, t, xi_t, sigma=None):
+        """W at times t where the curve is at the known positions xi_t; ``sigma``
+        as in ``Inflow.mass``."""
+        return self.inflow.mass(self.rho0, t, xi_t, self.boundary_mass, sigma=sigma)
 
     def rho_at(self, t: float, x: float) -> float:
         """Density at (t, x); the interface x = xi(t) takes the inflow branch."""
@@ -207,9 +210,11 @@ class Trajectory:
 
     def _outlet(self, t, xi_t):
         """(W, behind, sigma, rho1) at times t where the curve is at xi_t: the
-        mass, the mask xi_t >= 1, ``_density`` at x = 1 there."""
+        mass, the mask xi_t >= 1, ``_density`` at x = 1 there. The entry times
+        sigma also give the mass that has left (``Inflow.mass``), so each
+        exited time is inverted once."""
         rho1, sigma = self._density(xi_t, 1.0)
-        return self._mass(t, xi_t), xi_t >= 1.0, sigma, rho1
+        return self._mass(t, xi_t, sigma), xi_t >= 1.0, sigma, rho1
 
     def outflux(self, t):
         """y(t) = speed(W(t)) * rho(t, 1); the interface takes the inflow branch."""
@@ -223,9 +228,19 @@ class Trajectory:
         out = self.inflow.outflow(self.rho0, self.xi(self._times(t)), self.boundary_mass)
         return float(out[0]) if np.ndim(t) == 0 else out
 
+    def _flows(self, t, xi_t):
+        """(W, u, y, sigma) at times t where the curve is at xi_t, off one
+        ``_outlet`` call: the influx (in density mode b lam(W)) and the outflux
+        read its W, and sigma its entry times."""
+        W, _, sigma, rho1 = self._outlet(t, xi_t)
+        lam = self.law(W)
+        return W, self.inflow.influx(t, lambda _: lam), lam * rho1, sigma
+
     def w_derivative(self, t):
         """W'(t) = u(t) - y(t); one-sided values at data breakpoints."""
-        return self.influx(t) - self.outflux(t)
+        ts = self._times(t)
+        _, u, y, _ = self._flows(ts, self.xi(ts))
+        return float(u[0] - y[0]) if np.ndim(t) == 0 else u - y
 
     def backlog(self, y_d: ControlSignal, t: float) -> float:
         """Accumulated demand minus accumulated outflux at time t."""
@@ -330,16 +345,17 @@ class Trajectory:
     # -- export -------------------------------------------------------------
 
     def timeseries(self, n: int = 4096, y_d: ControlSignal | None = None):
-        """(t, W, u, y, beta) arrays on a uniform grid."""
+        """(t, W, u, y, beta) arrays on a uniform grid, all read off one
+        evaluation of the curve and one ``_flows`` call."""
         t = np.linspace(0.0, self.horizon, n)
-        W = self.total_mass(t)
-        uu = np.asarray(self.influx(t), dtype=float)
-        y = self.outflux(t)
+        xi_t = self.xi(t)
+        W, uu, y, sigma = self._flows(t, xi_t)
         if y_d is not None:
-            beta = y_d.cumulative(t) - self.cumulative_outflux(t)
+            outflow = self.inflow.outflow(self.rho0, xi_t, self.boundary_mass, sigma)
+            beta = y_d.cumulative(t) - outflow
         else:
             beta = np.zeros_like(t)
-        return t, W, uu, y, beta
+        return t, W, np.asarray(uu, dtype=float), y, beta
 
     def write_timeseries(self, path, n: int = 4096, y_d: ControlSignal | None = None):
         t, W, uu, y, beta = self.timeseries(n=n, y_d=y_d)

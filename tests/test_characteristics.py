@@ -263,6 +263,26 @@ class TestAgainstClosedForms:
         exact = 1.0 / np.sqrt(4.0 + 2.0 * xi.times)
         assert np.max(np.abs(xi.slopes - exact) / exact) <= 1e-12
 
+    def test_step_fill_every_window_ends_on_the_exact_speed(self, monkeypatch):
+        # the window's own last slope, before the joint takes the next one: it
+        # read b's breakpoint past the window at the old iterate's end value,
+        # where B clamped, and was 2.1e-11 off on the window ending at t = 1.8
+        ends, solve_window = [], characteristics._solve_window
+
+        def recording(*args, **kwargs):
+            window = solve_window(*args, **kwargs)
+            if window is not None:
+                ends.append((window.t_end, window.slopes[-1]))
+            return window
+
+        monkeypatch.setattr(characteristics, "_solve_window", recording)
+        b = ControlSignal.constant(2.0, 2.5)
+        solve_xi(DensityInflow(b), DensityProfile.constant(1.0), reciprocal(), 2.5)
+        t_end, last = np.array(ends).T
+        assert t_end.size >= 3
+        exact = 1.0 / np.sqrt(4.0 + 2.0 * t_end)
+        assert np.max(np.abs(last - exact) / exact) <= 1e-12
+
     def test_constant_speed_law_gives_exactly_linear_curve(self):
         law = tabulated([0.0, 10.0], [0.7, 0.7])
         u = ControlSignal(np.array([0.0, 0.4, 1.0]), np.array([1.0, 0.2]))

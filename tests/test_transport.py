@@ -477,6 +477,52 @@ def fine_tracking_error(traj, y_d):
     return _gauss5(edges, lambda t: (traj.outflux(t) - y_d(t)) ** 2)
 
 
+class TestOneOutletRead:
+    """``timeseries`` and ``w_derivative`` read W, u, y and the outflow off one
+    ``_outlet`` call, which inverts the curve once per exited time."""
+
+    @pytest.fixture(scope="class", params=["flux", "density"])
+    def traj(self, request):
+        # past the exit (at t = 2.06 and 1.62), with xi(T) < 2: no entry time is itself
+        # behind the exit
+        rho0 = DensityProfile([0.0, 0.3, 1.0], [0.6, 1.1])
+        signal = ControlSignal([0.0, 0.7, 1.6, 3.0], [0.8, 0.4, 1.2])
+        key = "u" if request.param == "flux" else "boundary_density"
+        traj = simulate(rho0, tabulated([0.0, 1.0, 2.0, 4.0], [1.0, 0.5, 0.34, 0.2]), 3.0,
+                        **{key: signal})
+        assert 1.0 < traj.xi.x_end < 2.0
+        return traj
+
+    def test_timeseries_columns_are_the_observables_bit_for_bit(self, traj):
+        y_d = ControlSignal([0.0, 1.0, 3.0], [0.2, 0.5])
+        t, W, u, y, beta = traj.timeseries(301, y_d)
+        assert t[0] < traj.exit_time < t[-1]
+        assert np.array_equal(W, traj.total_mass(t))
+        assert np.array_equal(u, traj.influx(t))
+        assert np.array_equal(y, traj.outflux(t))
+        assert np.array_equal(beta, y_d.cumulative(t) - traj.cumulative_outflux(t))
+        assert np.array_equal(traj.w_derivative(t), traj.influx(t) - traj.outflux(t))
+        assert traj.w_derivative(2.5) == traj.influx(2.5) - traj.outflux(2.5)
+
+    def test_each_exited_time_is_inverted_once(self, traj, monkeypatch):
+        # in flux mode the mass that left took a second inversion at the same
+        # positions, for W and again for the outflow
+        inverse, sizes = transport.CharacteristicCurve.inverse, []
+        monkeypatch.setattr(transport.CharacteristicCurve, "inverse",
+                            lambda self, x: sizes.append(np.size(x)) or inverse(self, x))
+        t = np.linspace(0.0, 3.0, 301)
+        exited = int(np.sum(traj.xi(t) >= 1.0))
+        assert exited > 0
+        traj.timeseries(301, ControlSignal([0.0, 1.0, 3.0], [0.2, 0.5]))
+        assert sizes == [exited]
+        sizes.clear()
+        traj._outlet(t, traj.xi(t))
+        assert sizes == [exited]
+        sizes.clear()
+        traj.w_derivative(t)
+        assert sizes == [exited]
+
+
 class TestExport:
     def test_timeseries_csv_schema(self, tmp_path, step_fill):
         path = tmp_path / "ts.csv"
