@@ -33,7 +33,7 @@ import numpy as np
 
 from .laws import SpeedLaw
 from .rules import breakpoints, count, covers, finite_positive
-from .signals import ControlSignal, DensityProfile, segment
+from .signals import ControlSignal, DensityProfile, distinct, segment
 
 __all__ = ["CharacteristicCurve", "CurveAdjoint", "DensityInflow", "FluxInflow", "G3_WEIGHTS",
            "Inflow", "SolverError", "apply_F", "gauss_nodes", "lagrange_rows", "solve_xi"]
@@ -232,7 +232,7 @@ class CharacteristicCurve:
             levels = self(new) + 1.0
             new = self.inverse(levels[levels < self.x_end])
             found = np.concatenate((found, new))
-        return np.unique(found)
+        return distinct(found)
 
     def sample(self, n: int):
         """(t, xi, xi') on a uniform grid of n points, for export."""

@@ -11,11 +11,14 @@ for a fixed config.
 
 A config parses exactly as ``yaml.safe_load`` parses it, on libyaml where
 PyYAML has it. ``_Loader`` only adds a fast path for plain decimal floats such
-as ``-0.25`` or ``3.``, and for a list made only of them.
+as ``-0.25`` or ``3.``, and for a list made only of them. The load runs with
+Python's cyclic garbage collector paused (``_load``): a config's node tree has
+no reference cycles, so the passes a large file would trigger free nothing.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 import sys
@@ -176,6 +179,20 @@ def _loader_over(base):
 _Loader = _loader_over(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
+def _load(path):
+    """The config at ``path``. Its node tree has no reference cycles, so the
+    cyclic collector is paused for the load, whose passes would free nothing,
+    and switched back on only if it was on."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path) as f:
+            return yaml.load(f, Loader=_Loader)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 @click.group()
 def main():
     """Nonlocal-velocity transport: simulate, optimize, verify."""
@@ -198,8 +215,7 @@ def _command(*keys):
             out = Path(out_dir)
             out.mkdir(parents=True, exist_ok=True)
             try:
-                with open(config_path) as f:
-                    cfg = yaml.load(f, Loader=_Loader)
+                cfg = _load(config_path)
                 # the whole file is the block at <root>
                 message = body(_block({ROOT: cfg}, ROOT, keys=keys), out)
                 with open(out / "resolved_config.json", "w") as f:

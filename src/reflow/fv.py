@@ -56,16 +56,17 @@ class FvState:
 
 
 def fv_step(state: FvState, law: SpeedLaw, influx: float, dt: float,
-            out: np.ndarray | None = None) -> FvState:
+            out: np.ndarray | None = None, speed: float | None = None) -> FvState:
     """Advance one upwind step with the speed frozen at the current mass.
 
     ``influx`` is the boundary flux (mass per unit time) entering at x = 0,
     averaged over the step. A step above Courant number ``_CFL`` (0.9, the
     number fv_solve marches at) raises CflError. The new cells are written to
     ``out`` if given (an array of the cells' size other than ``state.cells``),
-    else to a new array.
+    else to a new array. ``speed``, if given, is ``law(state.total_mass)``,
+    which the caller already holds; the law is then not asked again.
     """
-    lam = law(state.total_mass)
+    lam = law(state.total_mass) if speed is None else speed
     dx = state.dx
     if lam * dt > _CFL * dx * (1.0 + 1e-12):
         raise CflError(dt, _CFL * dx / lam)
@@ -110,7 +111,7 @@ def fv_solve(rho0: DensityProfile, law: SpeedLaw, u: ControlSignal, T: float,
         dt = t_next - t
         U_next = u.cumulative(t_next)
         cells = state.cells
-        state = fv_step(state, law, (U_next - U) / dt, dt, out=spare)
+        state = fv_step(state, law, (U_next - U) / dt, dt, out=spare, speed=lam)
         spare = cells
         t, U = t_next, U_next
         times.append(t)

@@ -47,7 +47,7 @@ class SpeedLaw:
 
     def __call__(self, W):
         """Speed at total mass ``W``; constant extension for W < 0."""
-        # a float skips the array round trip: fv_solve asks twice per step
+        # a float skips the array round trip: fv_solve asks once per step
         Wc = max(W, 0.0) if isinstance(W, float) else np.maximum(np.asarray(W, float), 0.0)
         if self.kind == RECIPROCAL:
             out = 1.0 / (1.0 + Wc)

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import rules
 
-__all__ = ["PiecewiseConstant", "DensityProfile", "ControlSignal", "segment"]
+__all__ = ["PiecewiseConstant", "DensityProfile", "ControlSignal", "segment", "distinct"]
 
 
 def segment(grid, x, side="right"):
@@ -18,6 +18,17 @@ def segment(grid, x, side="right"):
     the cells; ``side="left"`` puts a point on a breakpoint in the cell before it.
     One search among the interior breakpoints gives the clamped index directly."""
     return grid[1:-1].searchsorted(x, side)
+
+
+def distinct(x) -> np.ndarray:
+    """The sorted distinct values of ``x`` (no NaN), as ``np.unique`` gives them:
+    the same default sort, then every value unequal to the one before it.
+    Unlike ``np.unique``, it does not import ``numpy.ma`` on its first call."""
+    x = np.sort(x, axis=None)
+    keep = np.empty(x.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
 
 
 class PiecewiseConstant:

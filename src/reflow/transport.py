@@ -19,7 +19,7 @@ from .characteristics import (G3_WEIGHTS, CharacteristicCurve, CurveAdjoint, Flu
                               gauss_nodes, lagrange_rows, solve_xi)
 from .laws import SpeedLaw
 from .rules import covers, exponent, finite_positive, interval
-from .signals import ControlSignal, DensityProfile
+from .signals import ControlSignal, DensityProfile, distinct
 
 __all__ = ["TrackingQuadrature", "Trajectory", "abs_integral", "simulate"]
 
@@ -45,13 +45,13 @@ def _panels(end: float, breaks, max_width: float) -> np.ndarray:
     one pass.
     """
     breaks = breaks[(breaks > 0.0) & (breaks < end)]
-    edges = np.unique(np.concatenate(([0.0, end], breaks)))
+    edges = distinct(np.concatenate(([0.0, end], breaks)))
     a = edges[:-1]
     widths = edges[1:] - a
     n = np.maximum(np.ceil(widths / max_width), 1.0).astype(np.intp)
     first = n.cumsum() - n  # index of each piece's first edge
     j = np.arange(first[-1] + n[-1]) - np.repeat(first, n)
-    return np.unique(np.concatenate((j * np.repeat(widths / n, n) + np.repeat(a, n), [end])))
+    return distinct(np.concatenate((j * np.repeat(widths / n, n) + np.repeat(a, n), [end])))
 
 
 def _gauss5(edges: np.ndarray, f) -> float:
@@ -101,9 +101,9 @@ def abs_integral(edges: np.ndarray, f) -> float:
     row, y = _quartic_roots((d[:, :, None] * _QUARTIC).sum(axis=1))
     if not row.size:
         return float(part.sum())
-    split = np.unique(row)
-    cuts = np.unique(np.concatenate((edges[split], edges[split + 1],
-                                     edges[row] + h[row] * (0.5 + 0.5 * y))))
+    split = distinct(row)
+    cuts = distinct(np.concatenate((edges[split], edges[split + 1],
+                                    edges[row] + h[row] * (0.5 + 0.5 * y))))
     # the pieces between consecutive cuts that lie in a split panel
     inside = np.isin(np.searchsorted(edges, 0.5 * (cuts[:-1] + cuts[1:])) - 1, split)
     a, w = cuts[:-1][inside], np.diff(cuts)[inside]
@@ -295,7 +295,7 @@ class Trajectory:
         levels = 1.0 + self.inflow.labels(self.rho0, self.xi, self.horizon)
         levels = levels[levels < self.xi.x_end]
         ev = np.concatenate((self.xi.inverse(levels), self.inflow.signal.breakpoints))
-        return np.unique(ev[(ev > 0.0) & (ev < self.horizon)])
+        return distinct(ev[(ev > 0.0) & (ev < self.horizon)])
 
     def time_panels(self, extra=(), *, max_width: float | None = None) -> np.ndarray:
         """Quadrature edges in [0, T] at every jump and kink of the outflux and

@@ -1,6 +1,7 @@
 """CLI round trips: artifacts, determinism, validation failures."""
 
 import copy
+import gc
 import json
 
 import numpy as np
@@ -623,3 +624,39 @@ def test_fuzzed_configs_exit_0_2_or_3(tmp_path_factory, run):
     assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
     if res.exit_code == 2:
         assert "field" in json.loads(res.output)
+
+
+# a run that succeeds, exits 2 (malformed YAML, a bad field, a recursive alias)
+# or exits 3 (a window below the knot resolution)
+_COLLECTOR_RUNS = [
+    pytest.param(yaml.safe_dump(SIM_CFG), 0, id="ok"),
+    pytest.param("horizon: [1.0\n", 2, id="malformed"),
+    pytest.param(yaml.safe_dump(dict(SIM_CFG, horizon="soon")), 2, id="bad-field"),
+    pytest.param("rho0: &a [*a]\n", 2, id="recursive-alias"),
+    pytest.param(yaml.safe_dump(dict(SIM_CFG, rho0={"constant": 0.0},
+                                     boundary_density={"constant": 1.0e13})), 3, id="solver"),
+]
+
+
+@pytest.mark.parametrize("text, code", _COLLECTOR_RUNS)
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_config_loads_with_the_collector_paused(runner, tmp_path, monkeypatch, text, code, enabled):
+    # the load pauses the cyclic collector, and the run leaves it as it found it
+    seen, yaml_load = [], yaml.load
+
+    def load(stream, Loader):
+        seen.append(gc.isenabled())
+        return yaml_load(stream, Loader=Loader)
+
+    monkeypatch.setattr(yaml, "load", load)
+    path = write_config(tmp_path / "c.yaml", text)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        res = runner.invoke(main, ["simulate", "--config", path, "--out", str(tmp_path / "o")])
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert res.exit_code == code, res.output
+    assert seen == [False]
+    assert after is enabled

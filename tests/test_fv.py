@@ -99,6 +99,31 @@ class TestTimeLoop:
         assert np.array_equal(times, expected_times)
         assert np.array_equal(outflux, expected_outflux)
 
+    @pytest.mark.parametrize("law", [reciprocal(), tabulated(KNOTS, 1.0 / (1.0 + KNOTS))])
+    def test_solve_asks_the_law_once_per_step(self, law):
+        # once per step for the step length, the outflux and the update, and
+        # once more for the final outflux
+        calls = []
+
+        def counted(W):
+            calls.append(W)
+            return law(W)
+
+        u = ControlSignal(np.array([0.0, 0.37, 0.8, 1.2]), np.array([0.9, 0.2, 0.6]))
+        rho0 = DensityProfile(np.array([0.0, 0.45, 1.0]), np.array([1.3, 0.6]))
+        _, times, _ = fv_solve(rho0, counted, u, 1.2, n_cells=200)
+        assert len(calls) == times.size
+
+    @pytest.mark.parametrize("law", [reciprocal(), tabulated(KNOTS, 1.0 / (1.0 + KNOTS))])
+    def test_given_speed_is_the_law_at_the_mass(self, law):
+        rng = np.random.default_rng(5)
+        state = FvState(t=0.25, cells=rng.uniform(0.0, 2.0, 64))
+        dt = 0.8 * state.dx / law(state.total_mass)
+        asked = fv_step(state, law, 0.4, dt)
+        given = fv_step(state, law, 0.4, dt, speed=law(state.total_mass))
+        assert given.t == asked.t
+        assert np.array_equal(given.cells, asked.cells)
+
 
 def _march_masses(rho0, law, u, times, n_cells):
     """Total mass before each step of fv_solve's march, replayed with fv_step."""

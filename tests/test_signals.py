@@ -1,11 +1,17 @@
 """Step-function primitives: exact integrals, clamping, validation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reflow.signals import ControlSignal, DensityProfile, PiecewiseConstant, segment
+import reflow
+from reflow.signals import ControlSignal, DensityProfile, PiecewiseConstant, distinct, segment
 
 
 def overlap_integral(breakpoints, values, a, b):
@@ -205,3 +211,54 @@ class TestHelpers:
         u = ControlSignal.constant(0.7, 2.5)
         assert u.horizon == 2.5
         assert u.total_mass == pytest.approx(1.75)
+
+
+# a few values, so that repeats and both signed zeros are common
+_FEW = st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-300, 3.0, 0.1 + 0.2, 0.3])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_FEW, st.floats(allow_nan=False)), max_size=40))
+def test_distinct_is_np_unique_bit_for_bit(xs):
+    got, want = distinct(np.array(xs, dtype=float)), np.unique(np.array(xs, dtype=float))
+    assert got.dtype == want.dtype and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@given(st.lists(st.integers(-5, 5), max_size=30))
+def test_distinct_of_int_rows_is_np_unique(rows):
+    got, want = distinct(np.array(rows, dtype=np.intp)), np.unique(np.array(rows, dtype=np.intp))
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+_NO_MASKED_ARRAYS = r"""
+import json, sys
+from click.testing import CliRunner
+from reflow import ControlSignal, DensityProfile, TrackingProblem, check_lower_bound, minimize, reciprocal, simulate
+from reflow.cli import main
+u, rho0 = ControlSignal([0.0, 0.7, 2.0], [0.8, 0.3]), DensityProfile([0.0, 0.4, 1.0], [1.2, 0.6])
+traj = simulate(rho0, reciprocal(), 2.0, u=u)
+traj.timeseries(256)
+traj.tracking_error_sq(ControlSignal.constant(0.4, 2.0))
+traj.l1_slice_distance(0.5, 1.5)
+minimize(TrackingProblem(rho0, ControlSignal.constant(0.4, 2.0), reciprocal(), 2.0,
+                         [0.0, 0.5, 1.0, 1.5, 2.0]), max_iters=1)
+check_lower_bound(None, 1.0, 2.0, 2.5, boundary_density=ControlSignal.constant(2.0, 2.5))
+with open(sys.argv[1] + "/cross.yaml", "w") as f:
+    f.write("rho0: {constant: 1.0}\ncontrol: {breakpoints: [0.0, 0.5, 1.5], values: [0.6, 0.3]}\n"
+            "horizon: 1.5\ncells: [50, 100]\n")
+res = CliRunner().invoke(main, ["crosscheck", "--config", sys.argv[1] + "/cross.yaml",
+                                "--out", sys.argv[1] + "/out"])
+assert res.exit_code == 0, res.output
+print(json.dumps("numpy.ma" in sys.modules))
+"""
+
+
+def test_library_and_cli_runs_do_not_import_masked_arrays(tmp_path):
+    # np.unique imports numpy.ma on its first call (tens of ms per process);
+    # a fresh interpreter shows whether any path still reaches it
+    src = str(Path(reflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _NO_MASKED_ARRAYS, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "false"
