@@ -224,13 +224,20 @@ class CharacteristicCurve:
         d += t_k
         return float(d[0]) if x.ndim == 0 else d
 
+    def reach(self, x: np.ndarray) -> np.ndarray:
+        """The times at which the curve takes those of the positions x (a float
+        array) that lie strictly inside (``values[0]``, ``x_end``), in their
+        order; with none there, an empty array without an ``inverse`` call."""
+        xs = self.values
+        x = x[(x > xs[0]) & (x < xs[-1])]
+        return self.inverse(x) if x.size else np.empty(0)
+
     def with_exits(self, times) -> np.ndarray:
         """Sorted ``times`` and every later time at which a particle that
         entered x = 0 at one of them, or at such a time, leaves x = 1."""
         found = new = np.asarray(times, dtype=float)
         while new.size:
-            levels = self(new) + 1.0
-            new = self.inverse(levels[levels < self.x_end])
+            new = self.reach(self(new) + 1.0)
             found = np.concatenate((found, new))
         return distinct(found)
 
@@ -454,9 +461,7 @@ def _window_knots(inflow, rho0, prefix, t_a, t_b, n_uniform):
     all_levels = 1.0 + inflow.labels(rho0, prefix, prefix.t_end)
 
     def knots(cand, kinks=()):
-        xs = cand.values
-        levels = all_levels[(all_levels > xs[0]) & (all_levels < xs[-1])]
-        grid = np.concatenate((fixed, kinks, cand.inverse(levels) if levels.size else ()))
+        grid = np.concatenate((fixed, kinks, cand.reach(all_levels)))
         grid.sort()
         # grid[lo:hi] is the part in [t_a, t_b - res): t_a first (the uniform
         # grid holds it); grid[hi] exists, as t_b is in the grid, and becomes t_b

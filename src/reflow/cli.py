@@ -40,6 +40,8 @@ from .transfer import (TransferScenario, check_lower_bound,
                        transfer_diagnostics, write_figure_csv)
 from .transport import simulate as run_simulation
 
+__all__ = ["main"]
+
 ROOT = "<root>"  # the path of the whole config file
 REQUIRED = object()  # the default of a field that must be given
 _count0 = partial(count, minimum=0)  # samples, iterations and restarts may be 0
@@ -112,10 +114,12 @@ def _law_from(cfg: dict) -> SpeedLaw:
 
 def _steps_from(cls, cfg: dict, key: str, where: str, end: float):
     """The step function ``cfg[key]``: a constant on [0, end], or breakpoints and
-    values; a ``ControlSignal`` must reach ``end``."""
+    values, never both; a ``ControlSignal`` must reach ``end``."""
     block = _block(cfg, key, where, keys=("constant", "breakpoints", "values"))
     path = _at(where, key)
     if "constant" in block:
+        if len(block) > 1:
+            raise ConfigError(path, "give either constant or breakpoints and values")
         return _built(path, cls, [0.0, end], [_get(block, "constant", path)])
     steps = _built(path, cls, _get(block, "breakpoints", path, _array),
                    _get(block, "values", path, _array))

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 
+__all__ = ["number", "numbers", "finite_positive", "finite_nonnegative", "count", "exponent",
+           "breakpoints", "interval", "covers"]
+
 
 def number(x, name: str) -> float:
     """``float(x)`` of a number that is not a boolean: YAML's ``true`` is not 1."""

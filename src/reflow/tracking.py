@@ -5,7 +5,7 @@ cost is evaluated through the characteristic solver, so each evaluation is an
 exact (up to solver tolerance) trajectory. The gradient in all cell values
 comes from the same trajectory and the quadrature nodes of its cost, without
 another solve: one adjoint sweep along its curve, seeded with the nodes'
-weights (``Trajectory.tracking_gradient``). Descent is
+weights (``TrackingQuadrature.gradient``). Descent is
 projected gradient with Armijo backtracking, restarted from a few structured
 initial guesses.
 """
@@ -40,9 +40,9 @@ class TrackingProblem:
 
     def __post_init__(self):
         finite_positive(self.horizon, "horizon")
-        grid = np.asarray(self.control_grid, dtype=float)
+        grid = breakpoints(self.control_grid, "control grid")
         object.__setattr__(self, "control_grid", grid)
-        self.control_from_values(np.zeros(grid[1:].size))  # the breakpoint rule of a control
+        self.control_from_values(np.zeros(grid.size - 1))  # a control starts at t = 0
         if abs(grid[-1] - self.horizon) > 1e-12:
             raise ValueError("control grid must span [0, horizon]")
         covers(self.y_d, self.horizon, "demand")

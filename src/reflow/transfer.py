@@ -30,6 +30,7 @@ __all__ = [
     "transfer_diagnostics",
     "check_lower_bound",
     "certify_trajectory",
+    "write_figure_csv",
 ]
 
 _SLICE_TOL = 1e-4  # L^1 distance at which the final slice counts as rho_hi

@@ -143,10 +143,12 @@ class Trajectory:
         """B(z), the mass that entered while xi was below z; built once per curve."""
         return self.inflow.boundary_mass(self.xi)
 
-    def _times(self, t) -> np.ndarray:
-        """``t`` as a 1-D float array in [0, T]: past it the curve and the influx
-        would be clamped differently."""
-        return interval(t, self.horizon, "times")
+    def _of_time(self, t, f):
+        """f(ts, xi(ts)), ts the times t as a 1-D array in [0, T] (past T the curve
+        and the influx would be clamped differently); a float for a scalar t."""
+        ts = interval(t, self.horizon, "times")
+        out = f(ts, self.xi(ts))
+        return float(out[0]) if np.ndim(t) == 0 else out
 
     def speed(self, t):
         """Transport speed lambda(W(t))."""
@@ -154,14 +156,12 @@ class Trajectory:
 
     def influx(self, t):
         """The influx u(t); derived from the boundary density when prescribed."""
-        u = self.inflow.influx(self._times(t), self.speed)
-        return float(u[0]) if np.ndim(t) == 0 else u
+        return self._of_time(t, lambda ts, xi_t: self.inflow.influx(
+            ts, lambda _: self.law(self._mass(ts, xi_t))))
 
     def cumulative_influx(self, t):
         """Mass that entered through x = 0 by time t."""
-        ts = self._times(t)
-        E = self.inflow.entered(ts, self.xi(ts), self.boundary_mass)
-        return float(E[0]) if np.ndim(t) == 0 else E
+        return self._of_time(t, lambda ts, xi_t: self.inflow.entered(ts, xi_t, self.boundary_mass))
 
     @property
     def exit_time(self) -> float | None:
@@ -174,9 +174,7 @@ class Trajectory:
 
     def total_mass(self, t):
         """W(t), the mass currently inside [0, 1]."""
-        ts = self._times(t)
-        W = self._mass(ts, self.xi(ts))
-        return float(W[0]) if np.ndim(t) == 0 else W
+        return self._of_time(t, self._mass)
 
     def _mass(self, t, xi_t, sigma=None):
         """W at times t where the curve is at the known positions xi_t; ``sigma``
@@ -190,7 +188,7 @@ class Trajectory:
     def slice_values(self, t: float, x) -> np.ndarray:
         """Density profile at time t on an array of positions in [0, 1]."""
         x = interval(x, 1.0, "positions")
-        return self._density(self.xi(self._times(t)), x)[0]
+        return self._density(self.xi(interval(t, self.horizon, "times")), x)[0]
 
     def _density(self, xi_t, x):
         """(rho, sigma): density at positions x where the curve is at xi_t
@@ -218,15 +216,12 @@ class Trajectory:
 
     def outflux(self, t):
         """y(t) = speed(W(t)) * rho(t, 1); the interface takes the inflow branch."""
-        ts = self._times(t)
-        W, _, _, rho1 = self._outlet(ts, self.xi(ts))
-        y = self.law(W) * rho1
-        return float(y[0]) if np.ndim(t) == 0 else y
+        return self._of_time(t, lambda ts, xi_t: self._flows(ts, xi_t)[2])
 
     def cumulative_outflux(self, t):
         """Exact accumulated outflux: mass that has left through x = 1."""
-        out = self.inflow.outflow(self.rho0, self.xi(self._times(t)), self.boundary_mass)
-        return float(out[0]) if np.ndim(t) == 0 else out
+        return self._of_time(t, lambda _, xi_t: self.inflow.outflow(self.rho0, xi_t,
+                                                                    self.boundary_mass))
 
     def _flows(self, t, xi_t):
         """(W, u, y, sigma) at times t where the curve is at xi_t, off one
@@ -238,9 +233,7 @@ class Trajectory:
 
     def w_derivative(self, t):
         """W'(t) = u(t) - y(t); one-sided values at data breakpoints."""
-        ts = self._times(t)
-        _, u, y, _ = self._flows(ts, self.xi(ts))
-        return float(u[0] - y[0]) if np.ndim(t) == 0 else u - y
+        return self._of_time(t, lambda ts, xi_t: np.subtract(*self._flows(ts, xi_t)[1:3]))
 
     def backlog(self, y_d: ControlSignal, t: float) -> float:
         """Accumulated demand minus accumulated outflux at time t."""
@@ -253,8 +246,8 @@ class Trajectory:
         profiles at the given times, x = xi(t) - z for z in ``_lines``, and no
         panel wider than 1/32. A label or break time later than t gives a
         position below 0, which is dropped."""
-        ts = self._times(times)
-        return _panels(1.0, (self.xi(ts)[:, None] - self._lines).ravel(), 1.0 / 32.0)
+        return self._of_time(times, lambda _, xi_t: _panels(
+            1.0, (xi_t[:, None] - self._lines).ravel(), 1.0 / 32.0))
 
     def l1_slice_distance(self, s: float, t: float) -> float:
         """Integral over [0, 1] of |rho(s, x) - rho(t, x)|.
@@ -265,7 +258,7 @@ class Trajectory:
         difference's Gauss values changes sign, at its roots, and evaluates the
         pieces in one more call.
         """
-        xi_st = self.xi(self._times([s, t]))[:, None]
+        xi_st = self.xi(interval([s, t], self.horizon, "times"))[:, None]
         return abs_integral(self.slice_panels(s, t),
                             lambda x: np.subtract(*self._density(xi_st, x)[0]))
 
@@ -283,9 +276,7 @@ class Trajectory:
         ``time_panels``, and the rest is ``l1_slice_distance``'s rule.
         """
         x = interval([x1, x2], 1.0, "positions")[:, None]
-        levels = (x + self._lines).ravel()
-        levels = levels[(levels > 0.0) & (levels < self.xi.x_end)]
-        return abs_integral(self.time_panels(extra=self.xi.inverse(levels)),
+        return abs_integral(self.time_panels(extra=self.xi.reach((x + self._lines).ravel())),
                             lambda ts: np.subtract(*self._density(self.xi(ts)[None, :], x)[0]))
 
     # -- time quadrature ----------------------------------------------------
@@ -293,8 +284,7 @@ class Trajectory:
     def outflux_breaks(self) -> np.ndarray:
         """Times in (0, T) where the outflux (or influx) can jump."""
         levels = 1.0 + self.inflow.labels(self.rho0, self.xi, self.horizon)
-        levels = levels[levels < self.xi.x_end]
-        ev = np.concatenate((self.xi.inverse(levels), self.inflow.signal.breakpoints))
+        ev = np.concatenate((self.xi.reach(levels), self.inflow.signal.breakpoints))
         return distinct(ev[(ev > 0.0) & (ev < self.horizon)])
 
     def time_panels(self, extra=(), *, max_width: float | None = None) -> np.ndarray:
@@ -332,11 +322,6 @@ class Trajectory:
     def tracking_error_sq(self, y_d: ControlSignal) -> float:
         """Integral over [0, T] of (y - y_d)^2, panel-exact Gauss quadrature."""
         return TrackingQuadrature(self, y_d).error_sq()
-
-    def tracking_gradient(self, y_d: ControlSignal, grid) -> np.ndarray:
-        """Gradient of ``tracking_error_sq(y_d)`` in the influx values on the cells
-        of ``grid``; see ``TrackingQuadrature.gradient``."""
-        return TrackingQuadrature(self, y_d).gradient(grid)
 
     def influx_l2_sq(self) -> float:
         """Integral over [0, T] of u^2, panel-exact Gauss quadrature."""
@@ -412,7 +397,7 @@ class TrackingQuadrature:
         W, post, sigma, rho1 = self.terms
         c = 2.0 * (self.h[:, None] * G3_WEIGHTS).ravel() * self.residual
         # c dy at the node t is alpha dW(t), plus kappa du(sig) + mu dW(sig) after exit
-        alpha = c * law.slope(W) * rho1
+        alpha = c * adjoint.slope * rho1
         times, a, b, e = [self.t], [-alpha * rho1], [alpha], [np.zeros(self.t.size)]
         if np.any(post):
             W_s, post_s, sigma_s, rho1_s = traj._outlet(sigma, self.xi_t[post] - 1.0)
@@ -442,7 +427,7 @@ class TrackingQuadrature:
             before = np.concatenate((traj.rho0(beta), u.left_limit(tau) / lam_tau))
             after = np.concatenate((traj.rho0.left_limit(beta), u(tau) / lam_tau))
             after[0] = u(0.0) / traj.speed(0.0)  # beta = 0: the first boundary material
-            t_e = xi.inverse(levels[moving])
+            t_e = xi.reach(levels)
             lam_e = traj.speed(t_e)
             f_before = (lam_e * before[moving] - y_d.left_limit(t_e)) ** 2
             f_after = (lam_e * after[moving] - y_d(t_e)) ** 2

@@ -79,6 +79,18 @@ class TestCurveType:
         xi = CharacteristicCurve(t, np.sinh(t), np.cosh(t))
         assert xi.inverse(np.empty(0)).shape == (0,)
 
+    @pytest.mark.parametrize("x", [[], [0.0], [float(np.sinh(2.0))], [-1.0, 0.0, 4.0, 9.0]])
+    def test_reach_of_no_position_inside_calls_no_inverse(self, x, monkeypatch):
+        # the solver asks once per map application, mostly for no position
+        t = np.linspace(0.0, 2.0, 9)
+        xi = CharacteristicCurve(t, np.sinh(t), np.cosh(t))
+        inverse, calls = CharacteristicCurve.inverse, []
+        monkeypatch.setattr(CharacteristicCurve, "inverse",
+                            lambda self, x: calls.append(np.size(x)) or inverse(self, x))
+        got = xi.reach(np.array(x, dtype=float))
+        assert got.dtype == float and got.shape == (0,) and calls == []
+        assert np.array_equal(xi.reach(np.array([*x, 1.0])), [inverse(xi, 1.0)]) and calls == [1]
+
     def test_inverse_on_non_monotone_segment(self):
         # the first segment's cubic is not monotone; Newton still resolves it
         curve = CharacteristicCurve(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.01, 1.0]),

@@ -259,6 +259,13 @@ OPT_CFG = {
     "optimize": {"control_cells": 3},
 }
 SHORT = {"breakpoints": [0.0, 0.5], "values": [0.5]}  # a step signal shorter than every horizon
+VERIFY = {"rho_lo": 1.0, "rho_hi": 2.0, "horizon": 2.5}
+
+
+def both(end, keys=("breakpoints", "values")):
+    """A step block that gives a constant and also the ``keys`` of cells on [0, end]."""
+    cells = {"breakpoints": [0.0, end], "values": [2.0]}
+    return {"constant": 1.0, **{k: cells[k] for k in keys}}
 
 
 @pytest.mark.parametrize("command, cfg, field", [
@@ -348,6 +355,18 @@ SHORT = {"breakpoints": [0.0, 0.5], "values": [0.5]}  # a step signal shorter th
                            "boundary_density": {"constant": 1.0}}}, "verify"),
     ("verify", {"verify": {"rho_lo": 1.0, "rho_hi": 2.0, "horizon": 1.0,
                            "boundary_density": {"constant": 2.0}}}, "verify"),
+    # a step block that gives a constant and cells ran on the constant alone
+    ("simulate", dict(SIM_CFG, rho0=both(1.0)), "rho0"),
+    ("simulate", dict(SIM_CFG, rho0=both(1.0, ["values"])), "rho0"),
+    ("simulate", dict(SIM_CFG, boundary_density=both(2.5)), "boundary_density"),
+    ("simulate", dict(SIM_CFG, boundary_density=both(2.5, ["breakpoints"])), "boundary_density"),
+    ("simulate", {**{k: v for k, v in SIM_CFG.items() if k != "boundary_density"},
+                  "control": both(2.5)}, "control"),
+    ("simulate", dict(SIM_CFG, demand=both(2.5)), "demand"),
+    ("optimize", dict(OPT_CFG, demand=both(1.0)), "demand"),
+    ("crosscheck", dict(CROSS_CFG, control=both(1.5)), "control"),
+    ("verify", {"verify": dict(VERIFY, control=both(2.5))}, "verify.control"),
+    ("verify", {"verify": dict(VERIFY, boundary_density=both(2.5))}, "verify.boundary_density"),
 ])
 def test_invalid_count_exits_2_with_field_path(runner, tmp_path, command, cfg, field):
     path = write_config(tmp_path / "c.yaml", cfg)

@@ -169,6 +169,20 @@ class TestAgainstHermiteBasis:
         one = curve.inverse(float(x[-1]))
         assert isinstance(one, float) and (abs(one - new[-1]) <= 1e-13 or not unique[-1])
 
+    @given(curves(), FRACTIONS)
+    @example(ONE_KNOT, [0.5])
+    @example(TWO_KNOTS, [0.25, 1.0])
+    @settings(max_examples=300, deadline=None)
+    def test_reach_is_the_inverse_strictly_inside_the_range(self, curve, fractions):
+        # the knot values include both range ends, which reach drops
+        xs = curve.values
+        span = max(xs[-1] - xs[0], 1.0)
+        x = np.concatenate(([xs[0] - span, xs[-1] + span], _positions(curve, fractions),
+                            [xs[0] - 1e-9, xs[-1] + 1e-9]))
+        inside = x[(x > xs[0]) & (x < xs[-1])]
+        got = curve.reach(x)
+        assert got.dtype == float and np.array_equal(got, curve.inverse(inside))
+
 
 class TestUncheckedBuild:
     @given(curves())

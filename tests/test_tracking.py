@@ -79,7 +79,7 @@ def fd_gradient(problem, values, rel_h=1e-5):
 
 
 def nodewise_gradient(traj, y_d, grid):
-    """The oracle of ``Trajectory.tracking_gradient``: the same formula, with
+    """The oracle of ``TrackingQuadrature.gradient``: the same formula, with
     dy of every direction built at each Gauss node (``tangent_mass`` at the
     node t and at its entry time sig) and then weighted by 2 w (y - y_d)."""
     assert isinstance(traj.inflow, FluxInflow)
@@ -129,7 +129,7 @@ def tangent_gradient(problem, values):
 
 
 def assert_matches_nodewise(problem, traj):
-    grad = traj.tracking_gradient(problem.y_d, problem.control_grid)
+    grad = transport.TrackingQuadrature(traj, problem.y_d).gradient(problem.control_grid)
     oracle = nodewise_gradient(traj, problem.y_d, problem.control_grid)
     assert np.max(np.abs(grad - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
@@ -187,9 +187,9 @@ class TestGradient:
         longer = ControlSignal(np.append(pr.control_grid, [3.0, 4.0]), np.append(values, [0.9, 0.1]))
         traj_long = simulate(pr.rho0, pr.law, 2.5, u=longer, tol=pr.solver_tol,
                              knots_per_window=pr.knots_per_window)
-        grid = pr.control_grid
-        np.testing.assert_allclose(traj_long.tracking_gradient(pr.y_d, grid),
-                                   traj.tracking_gradient(pr.y_d, grid), rtol=1e-12, atol=0.0)
+        grid, Quadrature = pr.control_grid, transport.TrackingQuadrature
+        np.testing.assert_allclose(Quadrature(traj_long, pr.y_d).gradient(grid),
+                                   Quadrature(traj, pr.y_d).gradient(grid), rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("T, n", [pytest.param(1.0, 64, id="1.0"), pytest.param(4.5, 64, id="4.5"),
                                       pytest.param(4.5, 512, id="4.5-512")])
@@ -231,8 +231,9 @@ class TestGradient:
     def test_grid_takes_the_breakpoint_rule_of_a_step_function(self, grid, match):
         traj = simulate(DensityProfile.constant(0.5), reciprocal(), 1.0,
                         u=ControlSignal.constant(0.3, 1.0))
+        y_d = ControlSignal.constant(0.2, 1.0)
         with pytest.raises(ValueError, match=match):
-            traj.tracking_gradient(ControlSignal.constant(0.2, 1.0), np.array(grid))
+            transport.TrackingQuadrature(traj, y_d).gradient(np.array(grid))
 
     def test_demand_shorter_than_the_horizon_is_refused(self):
         # it read as clamped past its end, and gave the cost of a demand on [0, 1]
@@ -242,13 +243,14 @@ class TestGradient:
         with pytest.raises(ValueError, match="demand horizon 0.5 shorter than T=1.0"):
             traj.tracking_error_sq(short)
         with pytest.raises(ValueError, match="demand horizon 0.5 shorter than T=1.0"):
-            traj.tracking_gradient(short, np.array([0.0, 1.0]))
+            transport.TrackingQuadrature(traj, short).gradient(np.array([0.0, 1.0]))
 
     def test_density_mode_trajectory_is_refused(self):
         traj = simulate(DensityProfile.constant(1.0), reciprocal(), 1.0,
                         boundary_density=ControlSignal.constant(1.0, 1.0))
+        y_d = ControlSignal.constant(0.5, 1.0)
         with pytest.raises(ValueError, match="prescribed influx"):
-            traj.tracking_gradient(ControlSignal.constant(0.5, 1.0), np.array([0.0, 1.0]))
+            transport.TrackingQuadrature(traj, y_d).gradient(np.array([0.0, 1.0]))
 
 
 class TestOptimizerPath:
@@ -304,6 +306,7 @@ class TestProblemValidation:
         ([0.0, 0.7, 0.5, 1.0], "strictly increasing"),
         ([0.5, 1.0], "start at t = 0"),
         ([1.0], "at least two breakpoints"),
+        (1.0, "at least two breakpoints"),  # raised IndexError
     ])
     def test_grid_takes_the_breakpoint_rule_of_a_control(self, grid, match):
         with pytest.raises(ValueError, match=match):

@@ -523,6 +523,46 @@ class TestOneOutletRead:
         assert sizes == [exited]
 
 
+OBSERVABLES_OF_TIME = ("total_mass", "influx", "cumulative_influx", "outflux",
+                       "cumulative_outflux", "w_derivative")
+
+
+class TestObservablesOfTime:
+    """The six observables of time share one evaluator: the times checked
+    against [0, T], the curve evaluated once, a float for a scalar time."""
+
+    @pytest.fixture(scope="class", params=[("flux", 1.0), ("flux", 3.0), ("density", 1.0),
+                                           ("density", 3.0)], ids=lambda p: f"{p[0]}-T{p[1]}")
+    def traj(self, request):
+        # T = 1 ends before the exit, T = 3 after it (at t = 2.06 and 1.62)
+        mode, T = request.param
+        rho0 = DensityProfile([0.0, 0.3, 1.0], [0.6, 1.1])
+        signal = ControlSignal([0.0, 0.7, 1.6, 3.0], [0.8, 0.4, 1.2])
+        key = "u" if mode == "flux" else "boundary_density"
+        traj = simulate(rho0, tabulated([0.0, 1.0, 2.0, 4.0], [1.0, 0.5, 0.34, 0.2]), T,
+                        **{key: signal})
+        assert (traj.exit_time is not None) == (T == 3.0)
+        return traj
+
+    @pytest.mark.parametrize("name", OBSERVABLES_OF_TIME)
+    def test_a_scalar_time_gives_the_array_element_bit_for_bit(self, traj, name):
+        observable = getattr(traj, name)
+        t = np.linspace(0.0, traj.horizon, 13)
+        if traj.exit_time is not None:
+            t = np.append(t, traj.exit_time)
+        at = observable(t)
+        assert at.shape == t.shape
+        for s, v in zip(t, at):
+            one = observable(float(s))
+            assert type(one) is float and np.float64(one).tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("name", OBSERVABLES_OF_TIME)
+    @pytest.mark.parametrize("t", [-0.1, 3.5, float("nan"), [0.5, 3.5]], ids=str)
+    def test_a_time_outside_the_horizon_is_refused(self, traj, name, t):
+        with pytest.raises(ValueError, match="times must lie in"):
+            getattr(traj, name)(t)
+
+
 class TestExport:
     def test_timeseries_csv_schema(self, tmp_path, step_fill):
         path = tmp_path / "ts.csv"
