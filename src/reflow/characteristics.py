@@ -1,31 +1,21 @@
-"""Characteristic curve through (0, 0) as the fixed point of an integral map.
+"""Characteristic curve through (0, 0): xi'(t) = speed(W(t)), W the total mass.
 
-The curve xi satisfies xi'(t) = speed(W(t)) where W is the total mass, and is
-built window by window: on each window the integral map is a 1/2-contraction
-provided the window is short enough that little mass can leave through x = 1,
-so plain fixed-point iteration converges geometrically. That a-priori length
-rests on the whole-horizon mass bound and is mostly far too short, so each
-window first tries twice the last accepted length, capped at 0.9 / sup speed
-(the first window tries the cap itself), and keeps it while every map
-application at least halves the residual; otherwise it falls back to the
-a-priori length. A trial window's next candidate is the map's output F(c)
-plus a Newton correction e: the solution of the linearized window equation
-e' = a (e + r), e(t_a) = 0, with r = F(c) - c the knot residual and a =
-lam'(W) dW/dxi, kept only while its increments stay inside the speed
-envelope. e vanishes with r, so the fixed point, the stop rule (F(c) is
-returned once |F(c) - c| <= tol / 2) and the trial rule are the plain map's;
-the a-priori windows and ``apply_F`` apply the plain map, whose contraction
-the paper proves. Integrals of the speed are evaluated by
-composite 3-point Gauss quadrature on a knot grid that tracks the kink
-locations of the integrand (data breakpoints composed with the curve, the
-instant the curve reaches x = 1, and the masses where a tabulated speed law
-has a kink). Each map application evaluates the candidate once, on the knots
-and the Gauss nodes together. Iterates and the frozen prefix are built without
-the curve checks; the curve ``solve_xi`` returns is checked.
+Under a boundary density W is piecewise linear in tau = xi(t), and t(tau) is
+exact on each piece (``SpeedLaw.elapsed``): the curve has a knot at every
+piece end, and segments are halved until each cubic Hermite midpoint lies
+within tol / 4 of the exact curve. Under an influx the curve is the fixed
+point of an integral map, built window by window (``solve_xi``): trial
+windows iterate the map with a Newton correction (``_solve_window``), while
+a-priori windows, short enough for the map to be a 1/2-contraction, and
+``apply_F`` apply the plain map, whose contraction the paper proves. Integrals
+of the speed are composite 3-point Gauss quadratures on a knot grid at the
+kinks of the integrand (``_window_knots``). Iterates and the frozen prefix are
+built without the curve checks; the curve ``solve_xi`` returns is checked.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -275,10 +265,8 @@ class Inflow:
         W(s) = E(s) - B(xi(s) - 1)     after.
 
     The two subclasses supply E (``entered``), B (``boundary_mass``, built
-    once per curve: entry times are found on the frozen ``prefix``, and
-    ``xi_of`` maps times to positions on the whole candidate curve), the
-    boundary density and influx, and the a-priori ``mass_bound`` and
-    ``window_cap`` the solver needs; the solver and ``Trajectory`` share the
+    once per curve: entry times are found on the frozen ``prefix``), the
+    boundary density and influx; the solver and ``Trajectory`` share the
     rest.
     """
 
@@ -298,8 +286,8 @@ class Inflow:
 
         Past the exit the mass that has left is ``_gone``, read off the entry
         times ``sigma`` of the particles at x = 1 when the caller holds them.
-        With ``rate``, (W, dW/dxi): the rate ``entered_rate`` at which E grows
-        with xi, less the density at x = 1, which after exit is read off the
+        With ``rate`` (flux mode, where E does not depend on the curve), (W,
+        dW/dxi): minus the density at x = 1, which after exit is read off the
         entry times B finds for W.
         """
         xi_s = np.asarray(xi_s, dtype=float)
@@ -314,7 +302,7 @@ class Inflow:
             else:
                 gone = self._gone(xi_s, post, B, sigma)
             W[post] = entered[post] - gone
-        return (W, self.entered_rate(s) - rho1) if rate else W
+        return (W, -rho1) if rate else W
 
     def outflow(self, rho0: DensityProfile, x, B, sigma=None):
         """Mass past x = 1 with the curve at the array of positions x; B is its
@@ -351,7 +339,7 @@ class FluxInflow(Inflow):
 
     what = "control"  # the signal's name in messages
 
-    def boundary_mass(self, prefix, xi_of=None):
+    def boundary_mass(self, prefix):
         def B(z, density=False):
             # the particle now at z entered at sigma = prefix^-1(z); window
             # lengths below 1/sup-speed keep that in the frozen prefix (the
@@ -364,10 +352,6 @@ class FluxInflow(Inflow):
     def entered(self, s, xi_s, B):
         return self.signal.cumulative(s)
 
-    def entered_rate(self, s):
-        """dE/dxi: the mass entered by time s does not depend on the curve."""
-        return 0.0
-
     def boundary_density(self, t, speed):
         """rho(t, 0) = u(t) / speed(t)."""
         return self.signal(t) / speed(t)
@@ -377,9 +361,6 @@ class FluxInflow(Inflow):
 
     def mass_bound(self, rho0: DensityProfile, law: SpeedLaw) -> float:
         return self.signal.lp_norm(1) + rho0.lp_norm(1)
-
-    def window_cap(self, d: float) -> float:
-        return np.inf
 
 
 class DensityInflow(Inflow):
@@ -392,25 +373,15 @@ class DensityInflow(Inflow):
 
     what = "boundary-density"
 
-    def boundary_mass(self, prefix, xi_of=None):
+    def boundary_mass(self, prefix):
         # breakpoints of b mapped to positions; a cell the curve has not crossed
         # yet has zero width and adds exactly 0; np.interp takes repeated abscissae
-        z = np.maximum.accumulate((prefix if xi_of is None else xi_of)(self.signal.breakpoints))
+        z = np.maximum.accumulate(prefix(self.signal.breakpoints))
         mass = np.concatenate(([0.0], (self.signal.values * (z[1:] - z[:-1])).cumsum()))
-
-        def B(x, density=False):
-            # the cell holding x entered at density b; a zero-width cell sits
-            # only at the top of z, and side="left" skips it
-            m = np.interp(x, z, mass)
-            return (m, self.signal.values[segment(z, x, "left")]) if density else m
-        return B
+        return lambda x: np.interp(x, z, mass)
 
     def entered(self, s, xi_s, B):
         return B(xi_s)
-
-    def entered_rate(self, s):
-        """dE/dxi = b(s): E(s) = B(xi(s)), and b(s) is B's slope at xi(s)."""
-        return self.signal(s)
 
     def boundary_density(self, t, speed):
         return self.signal(t)
@@ -419,21 +390,6 @@ class DensityInflow(Inflow):
         """u(t) = b(t) * speed(t)."""
         return self.signal(t) * speed(t)
 
-    def mass_bound(self, rho0: DensityProfile, law: SpeedLaw) -> float:
-        """A priori bound on the total input mass, the influx being b * speed.
-
-        Laws are non-increasing, so the speed never exceeds law(0).
-        """
-        return rho0.lp_norm(1) + float(law(0.0)) * self.signal.lp_norm(1)
-
-    def window_cap(self, d: float) -> float:
-        # the derived influx depends on the candidate curve itself; keep the
-        # extra Lipschitz term of the window map below 1/4
-        bv = self.signal.values
-        tv = float(np.max(bv) + np.sum(np.abs(np.diff(bv))))
-        if d * tv <= 0:  # also when a denormal tv underflows the product
-            return np.inf
-        return 0.25 / (d * tv)
 
 
 # ---------------------------------------------------------------------------
@@ -487,16 +443,7 @@ def _integrate_window(inflow, rho0, law, prefix, cand, knots, newton=False):
     h, nodes = gauss_nodes(knots)
     xi = cand(np.concatenate((knots, nodes)))
     xi_knots, xi_nodes = xi[:knots.size], xi[knots.size:]
-
-    def xi_of(t):
-        # each breakpoint on one curve: the frozen prefix up to its end, then the
-        # candidate, continued past its end along its end tangent; clamped there,
-        # a new end value above the old one would find no cell of b above it
-        k, m = t.searchsorted((prefix.t_end, cand.t_end), "right")
-        return np.concatenate((prefix(t[:k]), cand(t[k:m]),
-                               cand.x_end + cand.slopes[-1] * (t[m:] - cand.t_end)))
-
-    B = inflow.boundary_mass(prefix, xi_of)
+    B = inflow.boundary_mass(prefix)
     A = None
     if newton:
         W_nodes, rate = inflow.mass(rho0, nodes, xi_nodes, B, rate=True)
@@ -585,13 +532,86 @@ def _choose_window(inflow, rho0, bounds, prefix, T):
     1/2-contraction.
     """
     lam_tilde, lam_bar, d = bounds
-    deltas = min(0.9 / lam_bar, T - prefix.t_end, inflow.window_cap(d)) * 0.5 ** np.arange(200)
+    deltas = min(0.9 / lam_bar, T - prefix.t_end) * 0.5 ** np.arange(200)
     gone = inflow.outflow(rho0, prefix.x_end + lam_bar * np.append(0.0, deltas),
                           inflow.boundary_mass(prefix))
     ok = np.flatnonzero(gone[1:] - gone[0] < 0.99 * (0.5 * lam_tilde / d))
     if not ok.size:
         raise SolverError("could not find an admissible window length")
     return float(deltas[ok[0]])
+
+
+def _density_pieces(inflow, rho0, law, T):
+    """Rows t, tau = xi(t), W at each piece boundary of the density-mode curve,
+    from (0, 0, W(0)) to t = T, and the rate g of W in tau on the piece it starts.
+
+    With E(tau) the integral of b(t(s)) over [0, tau], W = E(tau) + R0(1 - tau)
+    before the exit and E(tau) - E(tau - 1) after it, linear on a piece. A
+    piece ends at the first of tau = 1 - beta (beta a breakpoint of rho0; 1 is
+    the exit), tau_j + 1 (t crossed a breakpoint of b at tau_j), a kink of the
+    law, the next breakpoint of b and T; exactly on a tau-event, off which the
+    cells of rho0 and of the delayed b are counted."""
+    bp, vb, kinks = inflow.signal.breakpoints, inflow.signal.values.tolist(), law.kinks.tolist()
+    lines, rv = (1.0 - rho0.breakpoints[-2::-1]).tolist(), rho0.values[::-1].tolist()
+    delayed = [1.0]  # tau_j + 1 per breakpoint of b crossed, from b's first at 0
+    pieces, t, tau, W = [], 0.0, 0.0, rho0.total_mass
+    while t < T:
+        k, m = bisect.bisect_right(lines, tau), bisect.bisect_right(delayed, tau)
+        g = vb[len(delayed) - 1] - (rv[k] if k < len(lines) else vb[m - 1])
+        tau_e = min(lines[k:k + 1] + delayed[m:m + 1], default=np.inf)
+        W_e = W + g * (tau_e - tau) if g else W
+        i = bisect.bisect_right(kinks, W) if g > 0 else bisect.bisect_left(kinks, W) - 1
+        if g and 0 <= i < len(kinks) and abs(kinks[i] - W) < abs(g) * (tau_e - tau):
+            W_e, tau_e = kinks[i], tau + (kinks[i] - W) / g  # the next kink W meets
+        t_e = min(bp[len(delayed)], T)
+        dt = float(law.elapsed(W, g, tau_e - tau)) if tau_e < np.inf else np.inf
+        if t + dt < t_e:
+            t_e = t + dt
+        else:  # the next breakpoint of b, or T, comes first
+            d = float(law.advance(W, g, t_e - t))
+            tau_e, W_e = tau + d, W + g * d
+            delayed.append(tau_e + 1.0)
+        pieces.append((t, tau, W, g))
+        t, tau, W = t_e, tau_e, max(W_e, 0.0)  # no mass below 0, nor a slope there
+    return np.array(pieces + [(t, tau, W, 0.0)]).T
+
+
+def _exact(pieces, law, t):
+    """(xi, W) at the times t in [0, T], off the ``_density_pieces``."""
+    t_i, tau_i, W_i, g_i = pieces[:, pieces[0].searchsorted(t, "right") - 1]
+    d = law.advance(W_i, g_i, t - t_i)
+    return tau_i + d, W_i + g_i * d
+
+
+def _density_curve(inflow, rho0, law, T, tol):
+    """The density-mode curve: knots at the ends of its ``_density_pieces`` (an
+    end that rounds onto the one before is dropped), with exact values and
+    slopes lambda(W); then, in rounds over all segments at once, each segment
+    whose cubic Hermite midpoint (x_a + x_b) / 2 + h (s_a - s_b) / 8 misses the
+    exact curve by more than tol / 4 is halved. A miss at the knot resolution,
+    or within the rounding of the values, raises SolverError."""
+    pieces = _density_pieces(inflow, rho0, law, T)
+    t, x, W, _ = pieces[:, np.append(True, (np.diff(pieces[0]) > 0) & (np.diff(pieces[1]) > 0))]
+    t[-1] = T
+    knots = [np.stack((t, x, law(W)))]
+    res = 1e-13 * max(1.0, T)
+    seg = np.vstack((knots[0][:, :-1], knots[0][:, 1:]))  # rows: t, x, s at both ends
+    while seg.size:
+        h = seg[3] - seg[0]
+        mid_t = seg[0] + 0.5 * h
+        mid_x, mid_W = _exact(pieces, law, mid_t)
+        miss = np.abs(0.5 * (seg[1] + seg[4]) + 0.125 * h * (seg[2] - seg[5]) - mid_x)
+        bad = miss > 0.25 * tol
+        stuck = np.flatnonzero(bad & ((h <= res) | (miss <= 4.0 * np.spacing(mid_x))))
+        if stuck.size:
+            i = stuck[0]
+            raise SolverError(f"segment [{seg[0, i]:g}, {seg[3, i]:g}] misses the exact curve by "
+                              f"{miss[i]:.3g}; no knots above the knot resolution {res:.3g} fit")
+        mid = np.stack((mid_t[bad], mid_x[bad], law(mid_W[bad])))
+        knots.append(mid)
+        seg = np.vstack((np.hstack((seg[:3, bad], mid)), np.hstack((mid, seg[3:, bad]))))
+    knots = np.hstack(knots)
+    return CharacteristicCurve(*knots[:, knots[0].argsort()])
 
 
 def solve_xi(
@@ -604,14 +624,16 @@ def solve_xi(
     knots_per_window: int = 256,
 ) -> CharacteristicCurve:
     """Characteristic curve through (0, 0) on [0, T] under the boundary ``inflow``
-    (a bare ``ControlSignal`` is a prescribed influx).
+    (a bare ``ControlSignal`` is a prescribed influx), within ``tol``.
 
-    The curve is built by window-by-window fixed-point continuation. Each
-    window tries twice the last accepted length, capped at 0.9 / sup speed and
-    at T (the first window tries the cap), and keeps it while the residuals
-    halve at every map application. A window whose trial fails takes the
-    length at which the tail-mass contraction criterion holds on the current
-    state; if that is below the knot resolution, SolverError is raised.
+    A ``DensityInflow``'s curve is built from exact pieces (``_density_curve``);
+    an influx's by window-by-window fixed-point continuation. Each window tries
+    twice the last accepted length, capped at 0.9 / sup speed and at T (the
+    first window tries the cap), and keeps it while the residuals halve at
+    every map application. A window whose trial fails takes the length at which
+    the tail-mass contraction criterion holds on the current state; below the
+    knot resolution, SolverError is raised. ``knots_per_window``, the uniform
+    knots of a window, is checked in both modes and acts only under an influx.
     """
     if isinstance(inflow, ControlSignal):
         inflow = FluxInflow(inflow)
@@ -619,6 +641,8 @@ def solve_xi(
     tol = finite_positive(tol, "tol")
     knots_per_window = count(knots_per_window, "knots_per_window")
     covers(inflow.signal, T, inflow.what)
+    if isinstance(inflow, DensityInflow):
+        return _density_curve(inflow, rho0, law, T, tol)
 
     M = inflow.mass_bound(rho0, law)
     W0 = rho0.total_mass
@@ -639,8 +663,8 @@ def solve_xi(
             xs = np.append(xs, xs[-1] + ss[-1] * (T - t_a))
             ss = np.append(ss, ss[-1])
             break
-        # the trial stays below 1/sup-speed so that, in flux mode, the entry
-        # time of every particle reaching x = 1 lies in the frozen prefix
+        # the trial stays below 1/sup-speed so that the entry time of every
+        # particle reaching x = 1 lies in the frozen prefix
         t_b = min(t_a + min(2.0 * last, 0.9 / bounds[1]), T)
         window = _solve_window(inflow, rho0, law, prefix, t_a, t_b, tol, knots_per_window,
                                trial=True, speeds=bounds[:2])
@@ -652,8 +676,7 @@ def solve_xi(
         last = knots[-1] - t_a
         ts = np.concatenate((ts, knots[1:]))
         xs = np.concatenate((xs, values[1:]))
-        # the joint takes the new window's first slope: in density mode a window's last
-        # slope reads a boundary mass that ends at the previous iterate's end value
+        # the joint takes the new window's first slope
         ss = np.concatenate((ss[:-1], slopes))
     if ts.size == 1:
         # no window ran (T below the end tolerance): the start knot stays at t = 0

@@ -5,7 +5,8 @@ mass W, together with its slope and envelope bounds over mass intervals
 [0, M]: the infimum and supremum of the speed and the supremum of |slope|. The built-in
 reciprocal law is lambda(W) = 1/(1+W); tabulated laws interpolate user
 samples linearly and extend constantly beyond the last knot (and below
-W = 0), and take the slope bound from their own table.
+W = 0), and take the slope bound from their own table, and the time a
+characteristic takes to advance while W is linear in its position.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ class SpeedLaw:
                 raise ValueError("tabulated speed values must be non-increasing in W")
             object.__setattr__(self, "grid", g)
             object.__setattr__(self, "grid_values", v)
+            # each piece's slope, with 0 below W = 0 and past the last knot
+            object.__setattr__(self, "_slopes", np.pad(np.diff(v) / np.diff(g), 1))
 
     def __call__(self, W):
         """Speed at total mass ``W``; constant extension for W < 0."""
@@ -55,17 +58,38 @@ class SpeedLaw:
             out = np.interp(Wc, self.grid, self.grid_values)
         return out if isinstance(out, np.ndarray) else float(out)
 
-    def slope(self, W):
-        """Derivative of the speed in W, from the right: 0 below W = 0 and,
-        for a table, past its last knot."""
+    def slope(self, W, side="right"):
+        """Derivative of the speed in W, from the right (a table's from the left
+        with ``side="left"``): 0 below W = 0 and, for a table, past its last knot."""
         W = np.asarray(W, dtype=float)
         if self.kind == RECIPROCAL:
             out = np.where(W >= 0.0, -1.0 / (1.0 + np.maximum(W, 0.0)) ** 2, 0.0)
         else:
-            g, v = self.grid, self.grid_values
-            slopes = np.concatenate(([0.0], np.diff(v) / np.diff(g), [0.0]))
-            out = slopes[np.searchsorted(g, W, side="right")]
+            out = self._slopes[np.searchsorted(self.grid, W, side=side)]
         return float(out) if W.ndim == 0 else out
+
+    def elapsed(self, W, g, d):
+        """The integral of 1 / lambda(W + g s) over [0, d], W + g s on one linear
+        piece of the law: the time xi takes to advance by d while W changes by g
+        per unit of xi. Reciprocal: (1 + W) d + g d^2 / 2; a table piece lambda =
+        p + q W, with r = q g: log1p(r d / lambda(W)) / r."""
+        if self.kind == RECIPROCAL:
+            return (1.0 + W) * d + 0.5 * g * d * d
+        lam, r = self(W), g * np.where(g < 0.0, self.slope(W, "left"), self.slope(W))
+        with np.errstate(all="ignore"):  # r = 0 takes the limit d / lam
+            return np.where(r == 0.0, d / lam, np.log1p(r * d / lam) / r)
+
+    def advance(self, W, g, dt):
+        """The inverse of ``elapsed`` in d: how far xi advances in time dt; inf
+        where the piece never takes that long. Reciprocal: 2 dt / ((1 + W) +
+        sqrt((1 + W)^2 + 2 g dt)); a table piece: lambda(W) expm1(r dt) / r."""
+        if self.kind == RECIPROCAL:
+            disc = (1.0 + W) ** 2 + 2.0 * g * dt
+            return np.where(disc >= 0.0, 2.0 * dt / (1.0 + W + np.sqrt(np.maximum(disc, 0.0))),
+                            np.inf)
+        lam, r = self(W), g * np.where(g < 0.0, self.slope(W, "left"), self.slope(W))
+        with np.errstate(all="ignore"):  # r = 0 takes the limit lam dt; expm1 overflows to inf
+            return np.where(r == 0.0, lam * dt, lam * np.expm1(r * dt) / r)
 
     @property
     def kinks(self) -> np.ndarray:

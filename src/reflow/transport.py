@@ -143,11 +143,12 @@ class Trajectory:
         """B(z), the mass that entered while xi was below z; built once per curve."""
         return self.inflow.boundary_mass(self.xi)
 
-    def _of_time(self, t, f):
-        """f(ts, xi(ts)), ts the times t as a 1-D array in [0, T] (past T the curve
-        and the influx would be clamped differently); a float for a scalar t."""
+    def _of_time(self, t, f, curve=True):
+        """f(ts, xi(ts)), or f(ts) if f reads no ``curve``, ts the times t as a 1-D
+        array in [0, T] (past T the curve and the influx would be clamped
+        differently); a float for a scalar t."""
         ts = interval(t, self.horizon, "times")
-        out = f(ts, self.xi(ts))
+        out = f(ts, self.xi(ts)) if curve else f(ts)
         return float(out[0]) if np.ndim(t) == 0 else out
 
     def speed(self, t):
@@ -155,9 +156,9 @@ class Trajectory:
         return self.law(self.total_mass(t))
 
     def influx(self, t):
-        """The influx u(t); derived from the boundary density when prescribed."""
-        return self._of_time(t, lambda ts, xi_t: self.inflow.influx(
-            ts, lambda _: self.law(self._mass(ts, xi_t))))
+        """The influx u(t); b lam(W) under a boundary density, which reads the curve."""
+        return self._of_time(t, lambda ts: self.inflow.influx(
+            ts, lambda _: self.law(self._mass(ts, self.xi(ts)))), curve=False)
 
     def cumulative_influx(self, t):
         """Mass that entered through x = 0 by time t."""
@@ -357,8 +358,8 @@ class TrackingQuadrature:
     """The one build of the Gauss nodes of ``Trajectory.tracking_error_sq``, for
     its cost and its gradient: the edges ``time_panels`` with the demand's
     breaks, widths h, 3-point Gauss nodes t, xi(t), ``_outlet``'s terms there
-    (W, post, sigma, rho1) and y - y_d against a demand that covers the
-    horizon. ``CurveAdjoint`` takes the edges and the terms as they are."""
+    (W, post, sigma, rho1), lam(W) and y - y_d against a demand that covers
+    the horizon. ``CurveAdjoint`` takes the edges and the terms as they are."""
 
     def __init__(self, traj: Trajectory, y_d: ControlSignal):
         self.traj, self.y_d = traj, covers(y_d, traj.horizon, "demand")
@@ -366,7 +367,8 @@ class TrackingQuadrature:
         self.h, self.t = gauss_nodes(self.edges)
         self.xi_t = traj.xi(self.t)
         self.terms = traj._outlet(self.t, self.xi_t)
-        self.residual = traj.law(self.terms[0]) * self.terms[3] - y_d(self.t)
+        self.lam = traj.law(self.terms[0])
+        self.residual = self.lam * self.terms[3] - y_d(self.t)
 
     def error_sq(self) -> float:
         """Integral over [0, T] of (y - y_d)^2."""
@@ -394,7 +396,7 @@ class TrackingQuadrature:
             raise ValueError("the gradient needs a prescribed influx")
         u, xi, law = traj.inflow.signal, traj.xi, traj.law
         adjoint = CurveAdjoint(xi, law, grid, self.edges, self.terms)
-        W, post, sigma, rho1 = self.terms
+        _, post, sigma, rho1 = self.terms
         c = 2.0 * (self.h[:, None] * G3_WEIGHTS).ravel() * self.residual
         # c dy at the node t is alpha dW(t), plus kappa du(sig) + mu dW(sig) after exit
         alpha = c * adjoint.slope * rho1
@@ -404,7 +406,7 @@ class TrackingQuadrature:
             u_s, lam_s = u(sigma), law(W_s)
             # the particle entered at speed lam_s, so dsig = (dxi(t) - dxi(sig)) / lam_s,
             # and W'(sig) = u(sig) - y(sig): mu dW(sig) holds nu (dxi(t) - dxi(sig))
-            kappa = c[post] * law(W[post]) / lam_s
+            kappa = c[post] * self.lam[post] / lam_s
             mu = -kappa * u_s * law.slope(W_s) / lam_s
             nu = mu * (u_s - lam_s * rho1_s) / lam_s
             alpha_p = alpha[post]

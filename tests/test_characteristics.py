@@ -7,11 +7,13 @@ from scipy.integrate import solve_ivp
 from reflow import characteristics
 from reflow.characteristics import (_G3_COLLOCATION, _G3_INTEGRATED, _G3_NODES, G3_WEIGHTS,
                                     CharacteristicCurve, CurveAdjoint, DensityInflow, FluxInflow,
-                                    SolverError, _choose_window, _horner, _inverse3, apply_F,
-                                    gauss_nodes, lagrange_rows, solve_xi)
+                                    SolverError, _choose_window, _density_pieces, _exact,
+                                    _horner, _inverse3, apply_F, gauss_nodes, lagrange_rows,
+                                    solve_xi)
 from reflow.laws import reciprocal, tabulated
 from reflow.signals import ControlSignal, DensityProfile, segment
-from reflow.transport import simulate
+from reflow.transfer import TransferScenario, closed_form_trajectory
+from reflow.transport import Trajectory, simulate
 
 
 def random_scenario(rng, horizon=1.5, mass_cap=6.0):
@@ -275,25 +277,17 @@ class TestAgainstClosedForms:
         exact = 1.0 / np.sqrt(4.0 + 2.0 * xi.times)
         assert np.max(np.abs(xi.slopes - exact) / exact) <= 1e-12
 
-    def test_step_fill_every_window_ends_on_the_exact_speed(self, monkeypatch):
-        # the window's own last slope, before the joint takes the next one: it
-        # read b's breakpoint past the window at the old iterate's end value,
-        # where B clamped, and was 2.1e-11 off on the window ending at t = 1.8
-        ends, solve_window = [], characteristics._solve_window
-
-        def recording(*args, **kwargs):
-            window = solve_window(*args, **kwargs)
-            if window is not None:
-                ends.append((window.t_end, window.slopes[-1]))
-            return window
-
-        monkeypatch.setattr(characteristics, "_solve_window", recording)
-        b = ControlSignal.constant(2.0, 2.5)
-        solve_xi(DensityInflow(b), DensityProfile.constant(1.0), reciprocal(), 2.5)
-        t_end, last = np.array(ends).T
-        assert t_end.size >= 3
-        exact = 1.0 / np.sqrt(4.0 + 2.0 * t_end)
-        assert np.max(np.abs(last - exact) / exact) <= 1e-12
+    def test_step_fill_every_piece_ends_on_the_exact_speed(self):
+        # a window's last slope once read b's breakpoint past the window at the
+        # old iterate's end value and was 2.1e-11 off; the curve now has no
+        # windows, and each knot, a piece end or a halving point, has lam(W)
+        b, rho0 = ControlSignal.constant(2.0, 2.5), DensityProfile.constant(1.0)
+        xi = solve_xi(DensityInflow(b), rho0, reciprocal(), 2.5)
+        t_end = _density_pieces(DensityInflow(b), rho0, reciprocal(), 2.5)[0]
+        assert np.isin(t_end, xi.times).all()
+        exact = 1.0 / np.sqrt(4.0 + 2.0 * xi.times)
+        assert np.max(np.abs(xi.slopes - exact) / exact) <= 1e-14
+        assert_exact_density_curve(xi, b, rho0, reciprocal(), 2.5, 1e-10)
 
     def test_constant_speed_law_gives_exactly_linear_curve(self):
         law = tabulated([0.0, 10.0], [0.7, 0.7])
@@ -399,17 +393,20 @@ class TestWindows:
         T = 1.5
         for _ in range(6):
             u, rho0 = random_scenario(rng, horizon=T)
-            for inflow in (FluxInflow(u), DensityInflow(u)):
-                bounds = lam_tilde, lam_bar, d = law.bounds(inflow.mass_bound(rho0, law))
-                xi = solve_xi(inflow, rho0, law, T)
-                start = np.array([law(rho0.total_mass)])
-                prefixes = [CharacteristicCurve(np.zeros(1), np.zeros(1), start)]
-                prefixes += [xi.restricted(t) for t in (0.4, 0.8, 1.2)]
-                for prefix in prefixes:
-                    delta = _choose_window(inflow, rho0, bounds, prefix, T)
-                    assert 0.0 < delta <= T - prefix.t_end
-                    tail = tail_mass(inflow, rho0, prefix, lam_bar * delta)
-                    assert tail < 0.5 * lam_tilde / d
+            inflow = FluxInflow(u)
+            bounds = lam_tilde, lam_bar, d = law.bounds(inflow.mass_bound(rho0, law))
+            xi = solve_xi(inflow, rho0, law, T)
+            start = np.array([law(rho0.total_mass)])
+            prefixes = [CharacteristicCurve(np.zeros(1), np.zeros(1), start)]
+            prefixes += [xi.restricted(t) for t in (0.4, 0.8, 1.2)]
+            for prefix in prefixes:
+                delta = _choose_window(inflow, rho0, bounds, prefix, T)
+                assert 0.0 < delta <= T - prefix.t_end
+                tail = tail_mass(inflow, rho0, prefix, lam_bar * delta)
+                assert tail < 0.5 * lam_tilde / d
+            # a boundary density takes no window: its curve is built from exact pieces
+            xi = solve_xi(DensityInflow(u), rho0, law, T)
+            assert_exact_density_curve(xi, u, rho0, law, T, 1e-10)
 
     @pytest.mark.parametrize("mode", ["u", "boundary_density"])
     def test_outflow_is_the_tail_mass_and_the_cumulative_outflux(self, mode):
@@ -438,18 +435,29 @@ class TestWindows:
         for law in (reciprocal(), tabulated([0.0, 1.0, 4.0], [2.0, 1.2, 0.5])):
             for T in (0.3, 1.5):
                 u, rho0 = random_scenario(rng, horizon=T)
-                for inflow in (FluxInflow(u), DensityInflow(u)):
-                    windows.clear()
-                    solve_xi(inflow, rho0, law, T)
-                    lam_bar = law.bounds(inflow.mass_bound(rho0, law))[1]
-                    assert windows[0][:3] == (0.0, min(0.9 / lam_bar, T), True)
+                inflow = FluxInflow(u)
+                windows.clear()
+                solve_xi(inflow, rho0, law, T)
+                lam_bar = law.bounds(inflow.mass_bound(rho0, law))[1]
+                assert windows[0][:3] == (0.0, min(0.9 / lam_bar, T), True)
+                # a boundary density takes no window: its curve is built from exact pieces
+                windows.clear()
+                xi = solve_xi(DensityInflow(u), rho0, law, T)
+                assert windows == []
+                assert_exact_density_curve(xi, u, rho0, law, T, 1e-10)
 
     def test_equilibrium_transfer_takes_no_more_windows(self, windows):
         # density-mode transfer from equilibrium 1 to 2; with an a-priori first
-        # window of length 1/32 and doubling trials after it, it took 11 windows
-        b = ControlSignal.constant(2.0, 6.0)
-        solve_xi(DensityInflow(b), DensityProfile.constant(1.0), reciprocal(), 6.0)
-        assert len(windows) <= 11
+        # window of length 1/32 and doubling trials after it, it took 11 windows,
+        # and now takes none. Past the exit at 2.5, W = 2 and xi' = 1/3
+        b, rho0, tol = ControlSignal.constant(2.0, 6.0), DensityProfile.constant(1.0), 1e-10
+        xi = solve_xi(DensityInflow(b), rho0, reciprocal(), 6.0, tol=tol)
+        assert windows == []
+        assert_exact_density_curve(xi, b, rho0, reciprocal(), 6.0, tol)
+        t = np.linspace(0.0, 6.0, 2001)
+        exact = np.where(t <= 2.5, closed_form_trajectory(TransferScenario(1.0, 2.0)).xi(t),
+                         1.0 + (t - 2.5) / 3.0)
+        assert np.max(np.abs(xi(t) - exact)) <= tol
 
     def test_rejected_trial_falls_back_and_matches_ode(self, windows):
         # a steep law with dense mass near x = 1: some trial windows, the first
@@ -595,11 +603,13 @@ class TestValidation:
         assert traj.cumulative_outflux(0.0) == 0.0
 
     def test_denormal_boundary_density_is_solved(self):
-        # the window cap 0.25 / (d * tv) must not divide by an underflowed product
-        b = ControlSignal.constant(5e-324, 1.0)
+        # W grows at the denormal rate g = b, so the first kink of the law, at a
+        # distance 1 / g that overflows, is never reached: xi(1) = 1
+        b, rho0 = ControlSignal.constant(5e-324, 1.0), DensityProfile.constant(0.0)
         law = tabulated([0.0, 1.0, 2.0], [1.0, 0.5, 0.3])
-        curve = solve_xi(DensityInflow(b), DensityProfile.constant(0.0), law, 1.0)
+        curve = solve_xi(DensityInflow(b), rho0, law, 1.0)
         assert curve.x_end == pytest.approx(1.0, abs=1e-12)
+        assert_exact_density_curve(curve, b, rho0, law, 1.0, 1e-10)
 
     def test_window_that_runs_out_of_iterations_names_window_and_residual(self, monkeypatch):
         monkeypatch.setattr(characteristics, "_MAX_ITER", 2)
@@ -693,6 +703,78 @@ def density_ode_oracle(b, rho0, law, T, t_eval):
     return x
 
 
+def assert_exact_density_curve(xi, b, rho0, law, T, tol):
+    """The checks of a density-mode curve: every knot slope is lambda(W) within
+    1e-14 relative, W read off the curve by ``Trajectory``, and the curve is
+    within tol of its exact pieces and, through one exit at most, of
+    ``density_ode_oracle``."""
+    W = Trajectory(law, rho0, xi, T, DensityInflow(b)).total_mass(xi.times)
+    assert np.max(np.abs(xi.slopes - law(W)) / law(W)) <= 1e-14
+    t = np.linspace(0.0, T, 1001)
+    pieces = _density_pieces(DensityInflow(b), rho0, law, T)
+    assert np.max(np.abs(xi(t) - _exact(pieces, law, t)[0])) <= tol
+    if xi.x_end < 2.0:
+        assert np.max(np.abs(xi(t) - density_ode_oracle(b, rho0, law, T, t))) <= tol
+
+
+class TestExactDensityCurve:
+    """A boundary-density curve from its exact pieces in tau = xi(t)."""
+
+    MILD = tabulated([0.0, 1.0, 2.0, 4.0], [1.0, 0.5, 0.34, 0.2])
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 2.0), (0.0, 2.0), (0.5, 1.5)])
+    def test_pieces_are_the_closed_form_transfer(self, lo, hi):
+        cf = closed_form_trajectory(TransferScenario(lo, hi))
+        pieces = _density_pieces(DensityInflow(ControlSignal.constant(hi, cf.T)),
+                                 DensityProfile.constant(lo), reciprocal(), cf.T)
+        t = np.linspace(0.0, cf.T, 2001)
+        xi, W = _exact(pieces, reciprocal(), t)
+        assert np.max(np.abs(xi - cf.xi(t))) <= 1e-15
+        assert np.max(np.abs(W - cf.W(t))) <= 1e-15
+
+    @pytest.mark.parametrize("law", [reciprocal(), MILD], ids=["reciprocal", "mild"])
+    @pytest.mark.parametrize("tol", [1e-13, 1e-10, 1e-6])
+    def test_curve_is_within_tol_through_one_exit(self, law, tol):
+        # inputs through one exit on which material that entered at a jump of b
+        # leaves before T: W reads the delayed b across that jump. Comparing
+        # tau - 1 with the crossing, in place of tau with the crossing + 1, can
+        # round onto the old cell of b; such a curve ended 0.0136 off at t = 3.
+        # solve_ivp at rtol 1e-12 is itself 2e-11 to 1.3e-10 off here, so the
+        # curve is held to tol of the exact pieces, and those to 5e-10 of the oracle
+        rng, T, found = np.random.default_rng(11), 2.5, 0
+        t = np.linspace(0.0, T, 1001)
+        while found < 4:
+            b, rho0 = random_scenario(rng, horizon=T)
+            xi = solve_xi(DensityInflow(b), rho0, law, T, tol=tol)
+            if not (1.0 < xi.x_end < 2.0 and np.any(xi(b.breakpoints[1:-1]) + 1.0 < xi.x_end)):
+                continue
+            found += 1
+            exact = _exact(_density_pieces(DensityInflow(b), rho0, law, T), law, t)[0]
+            assert np.max(np.abs(xi(t) - exact)) <= tol
+            assert np.max(np.abs(exact - density_ode_oracle(b, rho0, law, T, t))) <= 5e-10
+            W = Trajectory(law, rho0, xi, T, DensityInflow(b)).total_mass(xi.times)
+            assert np.max(np.abs(xi.slopes - law(W)) / law(W)) <= 1e-14
+
+    def test_drained_domain_refills_on_the_first_piece_of_the_law(self):
+        # b = 0 drains the domain by the exit, and W summed to -7.6e-17 there:
+        # the table's constant extension below W = 0 then held the speed at 1
+        # after b turned on, and the curve ended 0.117 off
+        law = self.MILD
+        rho0 = DensityProfile([0.0, 0.1, 0.35, 0.7, 1.0], [0.3, 1.7, 0.9, 2.3])
+        b, T = ControlSignal([0.0, 1.7, 2.3], [0.0, 1.5]), 2.3
+        xi = solve_xi(DensityInflow(b), rho0, law, T)
+        assert 1.0 < xi.x_end < 2.0
+        assert np.min(_density_pieces(DensityInflow(b), rho0, law, T)[2]) == 0.0
+        assert_exact_density_curve(xi, b, rho0, law, T, 1e-10)
+
+    def test_tol_below_the_rounding_raises_at_the_knot_resolution(self):
+        # no halving brings a cubic within 2.5e-21 of a curve near 1; the miss
+        # stops shrinking at the rounding of the values, long before 2^40 segments
+        b = DensityInflow(ControlSignal.constant(2.0, 2.5))
+        with pytest.raises(SolverError, match="knot resolution 2.5e-13"):
+            solve_xi(b, DensityProfile.constant(1.0), reciprocal(), 2.5, tol=1e-20)
+
+
 class TestNewtonWindows:
     """Trial windows iterate the map's output plus a Newton correction; they
     need about half the map applications of the plain map, and keep its
@@ -722,15 +804,14 @@ class TestNewtonWindows:
         assert np.max(np.abs(xi(t) - ode_oracle(u, self.RHO0, reciprocal(), 0.9, t))) <= 100 * tol
 
     def test_boundary_density_input_takes_at_most_thirteen_applications(self, applications):
-        # the plain map takes 18; three windows, the curve leaves x = 1 in the last
+        # the plain map took 18 and the Newton windows 13; the curve is now built
+        # from exact pieces with no map application, and leaves x = 1
         b = ControlSignal([0.0, 0.2, 0.5, 2.0], [1.5, 0.4, 1.2])
         tol = 1e-10
         xi = solve_xi(DensityInflow(b), self.RHO0, reciprocal(), 2.0, tol=tol)
-        assert len(applications) <= 13
+        assert applications == []
         assert 1.0 < xi.x_end < 2.0
-        t = np.linspace(0.0, 2.0, 200)
-        assert np.max(np.abs(xi(t) - density_ode_oracle(b, self.RHO0, reciprocal(), 2.0, t))) \
-            <= 100 * tol
+        assert_exact_density_curve(xi, b, self.RHO0, reciprocal(), 2.0, tol)
 
 
 class TestLabels:

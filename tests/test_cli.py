@@ -526,16 +526,34 @@ def test_optimize_seed_is_the_seed_of_minimize(runner, tmp_path):
     assert histories[0] != histories[3]
 
 
+# a flux-mode input with mass 1e6 in the last 1e-7 of the domain: the cap-length
+# trial is rejected and the a-priori window is 5e-17 long
+_DENSE_OUTLET_CFG = {k: v for k, v in SIM_CFG.items() if k != "boundary_density"}
+_DENSE_OUTLET_CFG.update(rho0={"breakpoints": [0.0, 0.9999999, 1.0], "values": [0.0, 1.0e13]},
+                         control={"constant": 0.0})
+
+
 def test_window_below_knot_resolution_exits_3(runner, tmp_path):
-    # so dense a boundary density that the cap-length trial is rejected and the
-    # a-priori window is about 2.5e-14 long
-    path = write_config(tmp_path / "c.yaml", dict(SIM_CFG, rho0={"constant": 0.0},
-                                                  boundary_density={"constant": 1.0e13}))
+    path = write_config(tmp_path / "c.yaml", _DENSE_OUTLET_CFG)
     res = runner.invoke(main, ["simulate", "--config", path, "--out", str(tmp_path / "o")])
     assert res.exit_code == 3, res.output
     diag = json.loads(res.output)
     assert diag["error"] == "solver"
-    assert "knot resolution" in diag["message"]
+    assert "below the knot resolution" in diag["message"]
+
+
+def test_dense_boundary_density_is_solved_in_closed_form(runner, tmp_path):
+    # rho0 = 0 and b = 1e13 once exited 3, its a-priori window 2.5e-14 long; the
+    # density-mode curve has no windows: xi(t) = (sqrt(1 + 2bt) - 1)/b
+    b = 1.0e13
+    path = write_config(tmp_path / "c.yaml", dict(SIM_CFG, rho0={"constant": 0.0},
+                                                  boundary_density={"constant": b}))
+    res = runner.invoke(main, ["simulate", "--config", path, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 0, res.output
+    xi = simulate(DensityProfile.constant(0.0), reciprocal(), 2.5,
+                  boundary_density=ControlSignal.constant(b, 2.5)).xi
+    t = np.linspace(0.0, 2.5, 2001)
+    assert np.max(np.abs(xi(t) - 2.0 * t / (np.sqrt(1.0 + 2.0 * b * t) + 1.0))) <= 1e-10
 
 
 def test_dense_initial_mass_is_solved_by_its_cap_length_trial(runner, tmp_path):
@@ -652,8 +670,7 @@ _COLLECTOR_RUNS = [
     pytest.param("horizon: [1.0\n", 2, id="malformed"),
     pytest.param(yaml.safe_dump(dict(SIM_CFG, horizon="soon")), 2, id="bad-field"),
     pytest.param("rho0: &a [*a]\n", 2, id="recursive-alias"),
-    pytest.param(yaml.safe_dump(dict(SIM_CFG, rho0={"constant": 0.0},
-                                     boundary_density={"constant": 1.0e13})), 3, id="solver"),
+    pytest.param(yaml.safe_dump(_DENSE_OUTLET_CFG), 3, id="solver"),
 ]
 
 
