@@ -267,7 +267,9 @@ class Inflow:
     The two subclasses supply E (``entered``), B (``boundary_mass``, built
     once per curve: entry times are found on the frozen ``prefix``), the
     boundary density and influx; the solver and ``Trajectory`` share the
-    rest.
+    rest. The window map's Newton step also needs the density at x = 1:
+    rho0's before the exit, the boundary density at the entry time after it
+    (``_integrate_window``).
     """
 
     def __init__(self, signal: ControlSignal):
@@ -281,28 +283,17 @@ class Inflow:
             raise ValueError("provide exactly one of u and boundary_density")
         return DensityInflow(boundary_density) if u is None else FluxInflow(u)
 
-    def mass(self, rho0: DensityProfile, s, xi_s, B, rate=False, sigma=None):
+    def mass(self, rho0: DensityProfile, s, xi_s, B, sigma=None):
         """W at times s where the curve takes values xi_s; B is its boundary_mass.
-
         Past the exit the mass that has left is ``_gone``, read off the entry
-        times ``sigma`` of the particles at x = 1 when the caller holds them.
-        With ``rate`` (flux mode, where E does not depend on the curve), (W,
-        dW/dxi): minus the density at x = 1, which after exit is read off the
-        entry times B finds for W.
-        """
+        times ``sigma`` of the particles at x = 1 when the caller holds them."""
         xi_s = np.asarray(xi_s, dtype=float)
         entered = self.entered(s, xi_s, B)
-        depth = 1.0 - xi_s
-        W = entered + rho0.cumulative(depth)
-        rho1 = rho0(depth) if rate else None
+        W = entered + rho0.cumulative(1.0 - xi_s)
         post = xi_s > 1.0
         if post.any():
-            if rate:
-                gone, rho1[post] = B(xi_s[post] - 1.0, density=True)
-            else:
-                gone = self._gone(xi_s, post, B, sigma)
-            W[post] = entered[post] - gone
-        return (W, -rho1) if rate else W
+            W[post] = entered[post] - self._gone(xi_s, post, B, sigma)
+        return W
 
     def outflow(self, rho0: DensityProfile, x, B, sigma=None):
         """Mass past x = 1 with the curve at the array of positions x; B is its
@@ -317,10 +308,10 @@ class Inflow:
     def _gone(self, x, post, B, sigma):
         """B(x - 1) where ``post`` (x > 1): the boundary mass that entered before
         the particle now at x = 1. A caller that holds that particle's entry
-        times ``sigma`` wherever x >= 1 (``Trajectory._outlet`` does) passes
-        them, and the mass is E at its entry, ``entered(sigma, x - 1, B)``:
-        U(sigma) in flux mode, with no second inversion of the curve, and B
-        itself in density mode; both give the value B(x - 1) gives.
+        times ``sigma`` wherever x >= 1 (``Trajectory._outlet`` and the window
+        map do) passes them; the mass is then E at the entry,
+        ``entered(sigma, x - 1, B)``: U(sigma) in flux mode, with no second
+        inversion of the curve, and B itself in density mode; both give B(x - 1).
         """
         z = x[post] - 1.0
         return B(z) if sigma is None else self.entered(sigma[post[x >= 1.0]], z, B)
@@ -340,14 +331,9 @@ class FluxInflow(Inflow):
     what = "control"  # the signal's name in messages
 
     def boundary_mass(self, prefix):
-        def B(z, density=False):
-            # the particle now at z entered at sigma = prefix^-1(z); window
-            # lengths below 1/sup-speed keep that in the frozen prefix (the
-            # inverse checks it); it entered with density u / prefix'
-            sigma = prefix.inverse(z)
-            mass = self.signal.cumulative(sigma)
-            return (mass, self.signal(sigma) / prefix.slope(sigma)) if density else mass
-        return B
+        # the particle now at z entered at prefix^-1(z); window lengths below
+        # 1/sup-speed keep that in the frozen prefix (the inverse checks it)
+        return lambda z: self.signal.cumulative(prefix.inverse(z))
 
     def entered(self, s, xi_s, B):
         return self.signal.cumulative(s)
@@ -358,9 +344,6 @@ class FluxInflow(Inflow):
 
     def influx(self, t, speed):
         return self.signal(t)
-
-    def mass_bound(self, rho0: DensityProfile, law: SpeedLaw) -> float:
-        return self.signal.lp_norm(1) + rho0.lp_norm(1)
 
 
 class DensityInflow(Inflow):
@@ -431,29 +414,32 @@ def _window_knots(inflow, rho0, prefix, t_a, t_b, n_uniform):
     return knots
 
 
-def _integrate_window(inflow, rho0, law, prefix, cand, knots, newton=False):
-    """One application of the window map on the given knot grid.
+def _integrate_window(inflow, rho0, law, prefix, cand, knots, B):
+    """One application of the window map on a knot grid; B is the prefix's boundary_mass.
 
     The candidate is evaluated once, on the knots and the Gauss nodes
-    together. Returns the mapped values and the candidate at the knots, the
-    boundary mass B of the candidate, and for a ``newton`` step the lumped
-    coefficient A_j = h_j sum_g w_g a(node g) of each knot interval, with
-    a = lam'(W) dW/dxi the linearized map's (None otherwise).
+    together, and each node past the exit is inverted once on the prefix for
+    its entry time. Returns the mapped values, the candidate at the knots and,
+    unevaluated, the lumped coefficient A_j = h_j sum_g w_g a(node g) of each
+    knot interval, with a = lam'(W) dW/dxi the linearized map's: dW/dxi is
+    minus the density at x = 1, rho0's until xi > 1 and the boundary density
+    at the entry time after.
     """
     h, nodes = gauss_nodes(knots)
     xi = cand(np.concatenate((knots, nodes)))
     xi_knots, xi_nodes = xi[:knots.size], xi[knots.size:]
-    B = inflow.boundary_mass(prefix)
-    A = None
-    if newton:
-        W_nodes, rate = inflow.mass(rho0, nodes, xi_nodes, B, rate=True)
-        A = h * ((law.slope(W_nodes) * rate).reshape(-1, 3) @ G3_WEIGHTS)
-    else:
-        W_nodes = inflow.mass(rho0, nodes, xi_nodes, B)
-    g = law(W_nodes).reshape(-1, 3)
-    increments = h * (g @ G3_WEIGHTS)
+    exited = xi_nodes >= 1.0
+    sigma = prefix.inverse(xi_nodes[exited] - 1.0)
+    W = inflow.mass(rho0, nodes, xi_nodes, B, sigma)
+    increments = h * (law(W).reshape(-1, 3) @ G3_WEIGHTS)
     values = xi_knots[0] + np.concatenate(([0.0], increments.cumsum()))
-    return values, xi_knots, B, A
+
+    def A():
+        rho1, post = rho0(1.0 - xi_nodes), xi_nodes > 1.0
+        if post.any():
+            rho1[post] = inflow.boundary_density(sigma[post[exited]], prefix.slope)
+        return h * ((law.slope(W) * -rho1).reshape(-1, 3) @ G3_WEIGHTS)
+    return values, xi_knots, A
 
 
 def _newton_values(values, resid, A, h, speeds):
@@ -475,16 +461,17 @@ def _newton_values(values, resid, A, h, speeds):
     return new if speeds[0] <= rates.min() and rates.max() <= speeds[1] else values
 
 
-def _solve_window(inflow, rho0, law, prefix, t_a, t_b, tol, n_uniform, trial=False,
-                  speeds=None):
+def _solve_window(inflow, rho0, law, prefix, t_a, t_b, tol, n_uniform, speeds=None):
     """Fixed-point iteration of the window map starting from the linear guess.
 
-    A ``trial`` window, whose length no a-priori bound backs, is given up
-    (None is returned) as soon as a residual is more than half the one before:
-    the 1/2-contraction that bound would guarantee is not observed. Its next
-    candidate is the map's output plus a Newton correction (``_newton_values``)
-    while the increments stay in the ``speeds`` (inf, sup) of the window; an
-    a-priori window iterates the plain map. Either stops once a residual is
+    A trial is a window given ``speeds``, the (inf, sup) of the speed: no
+    a-priori bound backs its length, so it is given up (None is returned) as
+    soon as a residual is more than half the one before, the 1/2-contraction
+    that bound would guarantee not being observed. A trial owns the Newton
+    step: an application whose residual exceeds tol / 2 evaluates the map's
+    lumped coefficient A, and the next candidate is the map's output plus a
+    Newton correction (``_newton_values``) if its increments stay in the
+    ``speeds``. An a-priori window iterates the plain map. Either stops once a residual is
     at most tol / 2 and returns the map's output. The iterates are built
     unchecked, so a non-finite residual fails the window at once: a trial is
     given up, any other window raises SolverError.
@@ -495,23 +482,24 @@ def _solve_window(inflow, rho0, law, prefix, t_a, t_b, tol, n_uniform, trial=Fal
                                           np.array([x_a, x_a + s_a * (t_b - t_a)]),
                                           np.array([s_a, s_a]))
     window_knots = _window_knots(inflow, rho0, prefix, t_a, t_b, n_uniform)
+    B = inflow.boundary_mass(prefix)
     resid = np.inf
     kinks = ()  # unknown until W is known on a candidate
     for _ in range(_MAX_ITER):
         knots = window_knots(cand, kinks)
-        values, old, B, A = _integrate_window(inflow, rho0, law, prefix, cand, knots, trial)
+        values, old, A = _integrate_window(inflow, rho0, law, prefix, cand, knots, B)
         r = values - old
         new_resid = float(np.abs(r).max())
         if not new_resid < np.inf:  # NaN or infinite: the iterate is no curve
-            if trial:
+            if speeds is not None:
                 return None
             raise SolverError(f"window [{t_a:g}, {t_b:g}]: the window map gave a "
                               f"non-finite residual {new_resid}")
-        if trial and new_resid > 0.5 * resid:
+        if speeds is not None and new_resid > 0.5 * resid:
             return None
         resid = new_resid
-        if trial and resid > 0.5 * tol:
-            values = _newton_values(values, r, A, knots[1:] - knots[:-1], speeds)
+        if speeds is not None and resid > 0.5 * tol:
+            values = _newton_values(values, r, A(), knots[1:] - knots[:-1], speeds)
         W = inflow.mass(rho0, knots, values, B)
         cand = CharacteristicCurve._unchecked(knots, values, law(W))
         kinks = law.kink_times(knots, W)
@@ -644,7 +632,7 @@ def solve_xi(
     if isinstance(inflow, DensityInflow):
         return _density_curve(inflow, rho0, law, T, tol)
 
-    M = inflow.mass_bound(rho0, law)
+    M = inflow.signal.lp_norm(1) + rho0.lp_norm(1)
     W0 = rho0.total_mass
     ts = np.array([0.0])
     xs = np.array([0.0])
@@ -667,7 +655,7 @@ def solve_xi(
         # particle reaching x = 1 lies in the frozen prefix
         t_b = min(t_a + min(2.0 * last, 0.9 / bounds[1]), T)
         window = _solve_window(inflow, rho0, law, prefix, t_a, t_b, tol, knots_per_window,
-                               trial=True, speeds=bounds[:2])
+                               speeds=bounds[:2])
         if window is None:
             delta = _choose_window(inflow, rho0, bounds, prefix, T)
             window = _solve_window(inflow, rho0, law, prefix, t_a, min(t_a + delta, T),
@@ -789,6 +777,7 @@ def apply_F(
     if t_b > xi.t_end + 1e-12:
         raise ValueError(f"window end {t_b} exceeds curve domain {xi.t_end}")
     inflow = FluxInflow(u)
+    B = inflow.boundary_mass(xi)
     knots = _window_knots(inflow, rho0, xi, t_a, t_b, 256)(xi)  # solve_xi's default grid
-    values, _, B, _ = _integrate_window(inflow, rho0, law, xi, xi, knots)
+    values, _, _ = _integrate_window(inflow, rho0, law, xi, xi, knots, B)
     return CharacteristicCurve(knots, values, law(inflow.mass(rho0, knots, values, B)))

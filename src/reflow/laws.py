@@ -68,6 +68,10 @@ class SpeedLaw:
             out = self._slopes[np.searchsorted(self.grid, W, side=side)]
         return float(out) if W.ndim == 0 else out
 
+    def _piece(self, W, g):
+        """(lambda(W), g q), q the slope of the table piece W + g s is on for small s > 0."""
+        return self(W), g * np.where(g < 0.0, self.slope(W, "left"), self.slope(W))
+
     def elapsed(self, W, g, d):
         """The integral of 1 / lambda(W + g s) over [0, d], W + g s on one linear
         piece of the law: the time xi takes to advance by d while W changes by g
@@ -75,7 +79,7 @@ class SpeedLaw:
         p + q W, with r = q g: log1p(r d / lambda(W)) / r."""
         if self.kind == RECIPROCAL:
             return (1.0 + W) * d + 0.5 * g * d * d
-        lam, r = self(W), g * np.where(g < 0.0, self.slope(W, "left"), self.slope(W))
+        lam, r = self._piece(W, g)
         with np.errstate(all="ignore"):  # r = 0 takes the limit d / lam
             return np.where(r == 0.0, d / lam, np.log1p(r * d / lam) / r)
 
@@ -87,7 +91,7 @@ class SpeedLaw:
             disc = (1.0 + W) ** 2 + 2.0 * g * dt
             return np.where(disc >= 0.0, 2.0 * dt / (1.0 + W + np.sqrt(np.maximum(disc, 0.0))),
                             np.inf)
-        lam, r = self(W), g * np.where(g < 0.0, self.slope(W, "left"), self.slope(W))
+        lam, r = self._piece(W, g)
         with np.errstate(all="ignore"):  # r = 0 takes the limit lam dt; expm1 overflows to inf
             return np.where(r == 0.0, lam * dt, lam * np.expm1(r * dt) / r)
 

@@ -366,7 +366,7 @@ def windows(monkeypatch):
 
     def recording(*args, **kwargs):
         out = solve_window(*args, **kwargs)
-        calls.append((args[4], args[5], kwargs.get("trial", False), out is not None))
+        calls.append((args[4], args[5], "speeds" in kwargs, out is not None))
         return out
 
     monkeypatch.setattr(characteristics, "_solve_window", recording)
@@ -394,7 +394,7 @@ class TestWindows:
         for _ in range(6):
             u, rho0 = random_scenario(rng, horizon=T)
             inflow = FluxInflow(u)
-            bounds = lam_tilde, lam_bar, d = law.bounds(inflow.mass_bound(rho0, law))
+            bounds = lam_tilde, lam_bar, d = law.bounds(u.lp_norm(1) + rho0.lp_norm(1))
             xi = solve_xi(inflow, rho0, law, T)
             start = np.array([law(rho0.total_mass)])
             prefixes = [CharacteristicCurve(np.zeros(1), np.zeros(1), start)]
@@ -438,7 +438,7 @@ class TestWindows:
                 inflow = FluxInflow(u)
                 windows.clear()
                 solve_xi(inflow, rho0, law, T)
-                lam_bar = law.bounds(inflow.mass_bound(rho0, law))[1]
+                lam_bar = law.bounds(u.lp_norm(1) + rho0.lp_norm(1))[1]
                 assert windows[0][:3] == (0.0, min(0.9 / lam_bar, T), True)
                 # a boundary density takes no window: its curve is built from exact pieces
                 windows.clear()
@@ -812,6 +812,40 @@ class TestNewtonWindows:
         assert applications == []
         assert 1.0 < xi.x_end < 2.0
         assert_exact_density_curve(xi, b, self.RHO0, reciprocal(), 2.0, tol)
+
+    @pytest.mark.parametrize("law", [reciprocal(), TestExactDensityCurve.MILD],
+                             ids=["reciprocal", "mild"])
+    def test_flux_input_past_the_exit_takes_at_most_fifteen_applications(self, applications,
+                                                                         law):
+        # 14 and 13 applications; with the outlet density past the exit left
+        # out of the Newton step's coefficient A, 20 and 18
+        u = ControlSignal([0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 1.2])
+        xi = solve_xi(u, DensityProfile([0.0, 0.4, 1.0], [0.8, 1.2]), law, 3.0)
+        assert 1.1 < xi.x_end < 1.3
+        assert len(applications) <= 15
+
+    @pytest.mark.parametrize("law, u, rho0, T, tol, given_up", [
+        (tabulated([0.0, 2.3, 2.4, 20.0], [1.0, 0.9, 0.1, 0.05]),
+         ControlSignal.constant(0.05, 1.1), DensityProfile.constant(2.5), 1.1, 1e-11, True),
+        (reciprocal(), ControlSignal([0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 1.2]),
+         DensityProfile([0.0, 0.4, 1.0], [0.8, 1.2]), 3.0, 1e-10, False),
+    ], ids=["given-up-trials", "past-the-exit"])
+    def test_lumped_coefficient_is_evaluated_only_for_a_newton_step(self, monkeypatch, windows,
+                                                                    law, u, rho0, T, tol,
+                                                                    given_up):
+        # A is evaluated once per Newton step: not on a window's last
+        # application, nor on a trial given up. In a flux solve law.slope is
+        # called by A and, once per call, by bounds
+        steps, slopes, bounds = [], [], []
+        newton, slope, bound = characteristics._newton_values, type(law).slope, type(law).bounds
+        monkeypatch.setattr(characteristics, "_newton_values",
+                            lambda *args: steps.append(1) or newton(*args))
+        monkeypatch.setattr(type(law), "slope",
+                            lambda self, *args: slopes.append(1) or slope(self, *args))
+        monkeypatch.setattr(type(law), "bounds", lambda self, M: bounds.append(1) or bound(self, M))
+        solve_xi(u, rho0, law, T, tol=tol)
+        assert any(not accepted for *_, accepted in windows) == given_up
+        assert steps and len(slopes) - len(bounds) == len(steps)
 
 
 class TestLabels:
