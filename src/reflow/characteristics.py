@@ -257,19 +257,19 @@ class Inflow:
     """Boundary control at x = 0: a prescribed influx or boundary density.
 
     Both modes give the total mass as one functional of a characteristic
-    curve xi through (0, 0). With E(s) the mass that entered by time s, B(z)
-    the mass that entered while xi was below z, and R0 the cumulative initial
-    density,
+    curve xi through (0, 0). With B(z, sigma) the mass that entered while xi
+    was below z, sigma the time at which xi is at z, and R0 the cumulative
+    initial density,
 
-        W(s) = E(s) + R0(1 - xi(s))    until xi reaches x = 1,
-        W(s) = E(s) - B(xi(s) - 1)     after.
+        W(s) = B(xi(s), s) + R0(1 - xi(s))           until xi reaches x = 1,
+        W(s) = B(xi(s), s) - B(xi(s) - 1, sigma)     after,
 
-    The two subclasses supply E (``entered``), B (``boundary_mass``, built
-    once per curve: entry times are found on the frozen ``prefix``), the
-    boundary density and influx; the solver and ``Trajectory`` share the
-    rest. The window map's Newton step also needs the density at x = 1:
-    rho0's before the exit, the boundary density at the entry time after it
-    (``_integrate_window``).
+    with sigma the entry time of the particle at x = 1. The two subclasses
+    supply B (``boundary_mass``, built once per curve: without sigma, entry
+    times are found on the frozen ``prefix``), the boundary density and
+    influx; the solver and ``Trajectory`` share the rest. The window map's
+    Newton step also needs the density at x = 1: rho0's before the exit, the
+    boundary density at the entry time after it (``_integrate_window``).
     """
 
     def __init__(self, signal: ControlSignal):
@@ -285,36 +285,25 @@ class Inflow:
 
     def mass(self, rho0: DensityProfile, s, xi_s, B, sigma=None):
         """W at times s where the curve takes values xi_s; B is its boundary_mass.
-        Past the exit the mass that has left is ``_gone``, read off the entry
-        times ``sigma`` of the particles at x = 1 when the caller holds them."""
+        Past the exit (xi_s >= 1) the mass that has left is B(xi_s - 1, sigma),
+        read off the entry times ``sigma`` there when the caller holds them."""
         xi_s = np.asarray(xi_s, dtype=float)
-        entered = self.entered(s, xi_s, B)
+        entered = B(xi_s, s)
         W = entered + rho0.cumulative(1.0 - xi_s)
-        post = xi_s > 1.0
+        post = xi_s >= 1.0
         if post.any():
-            W[post] = entered[post] - self._gone(xi_s, post, B, sigma)
+            W[post] = entered[post] - B(xi_s[post] - 1.0, sigma)
         return W
 
     def outflow(self, rho0: DensityProfile, x, B, sigma=None):
         """Mass past x = 1 with the curve at the array of positions x; B is its
-        boundary_mass, and past the exit ``_gone`` adds the boundary mass, read
-        off the entry times ``sigma`` when the caller holds them."""
+        boundary_mass, and past the exit (x >= 1) it adds B(x - 1, sigma), read
+        off the entry times ``sigma`` there when the caller holds them."""
         out = rho0.total_mass - rho0.cumulative(1.0 - x)
-        post = x > 1.0
+        post = x >= 1.0
         if post.any():
-            out[post] += self._gone(x, post, B, sigma)
+            out[post] += B(x[post] - 1.0, sigma)
         return out
-
-    def _gone(self, x, post, B, sigma):
-        """B(x - 1) where ``post`` (x > 1): the boundary mass that entered before
-        the particle now at x = 1. A caller that holds that particle's entry
-        times ``sigma`` wherever x >= 1 (``Trajectory._outlet`` and the window
-        map do) passes them; the mass is then E at the entry,
-        ``entered(sigma, x - 1, B)``: U(sigma) in flux mode, with no second
-        inversion of the curve, and B itself in density mode; both give B(x - 1).
-        """
-        z = x[post] - 1.0
-        return B(z) if sigma is None else self.entered(sigma[post[x >= 1.0]], z, B)
 
     def labels(self, rho0: DensityProfile, xi: CharacteristicCurve, t: float) -> np.ndarray:
         """Labels of the data jumps that have entered by time t: -beta for each
@@ -331,12 +320,10 @@ class FluxInflow(Inflow):
     what = "control"  # the signal's name in messages
 
     def boundary_mass(self, prefix):
-        # the particle now at z entered at prefix^-1(z); window lengths below
-        # 1/sup-speed keep that in the frozen prefix (the inverse checks it)
-        return lambda z: self.signal.cumulative(prefix.inverse(z))
-
-    def entered(self, s, xi_s, B):
-        return self.signal.cumulative(s)
+        """B(z, sigma) = U(sigma), U the cumulative influx; without sigma, U(prefix^-1(z)):
+        windows below 1/sup-speed keep that entry time in the frozen prefix."""
+        return lambda z, sigma=None: self.signal.cumulative(
+            prefix.inverse(z) if sigma is None else sigma)
 
     def boundary_density(self, t, speed):
         """rho(t, 0) = u(t) / speed(t)."""
@@ -357,14 +344,11 @@ class DensityInflow(Inflow):
     what = "boundary-density"
 
     def boundary_mass(self, prefix):
-        # breakpoints of b mapped to positions; a cell the curve has not crossed
-        # yet has zero width and adds exactly 0; np.interp takes repeated abscissae
+        """B(z, sigma), which reads z alone: b's breakpoints mapped to positions; a cell
+        the curve has not crossed has zero width and adds exactly 0 (np.interp takes repeats)."""
         z = np.maximum.accumulate(prefix(self.signal.breakpoints))
         mass = np.concatenate(([0.0], (self.signal.values * (z[1:] - z[:-1])).cumsum()))
-        return lambda x: np.interp(x, z, mass)
-
-    def entered(self, s, xi_s, B):
-        return B(xi_s)
+        return lambda x, sigma=None: np.interp(x, z, mass)
 
     def boundary_density(self, t, speed):
         return self.signal(t)
@@ -372,7 +356,6 @@ class DensityInflow(Inflow):
     def influx(self, t, speed):
         """u(t) = b(t) * speed(t)."""
         return self.signal(t) * speed(t)
-
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +405,8 @@ def _integrate_window(inflow, rho0, law, prefix, cand, knots, B):
     its entry time. Returns the mapped values, the candidate at the knots and,
     unevaluated, the lumped coefficient A_j = h_j sum_g w_g a(node g) of each
     knot interval, with a = lam'(W) dW/dxi the linearized map's: dW/dxi is
-    minus the density at x = 1, rho0's until xi > 1 and the boundary density
-    at the entry time after.
+    minus the density at x = 1, rho0's until xi reaches 1 and the boundary
+    density at the entry time after.
     """
     h, nodes = gauss_nodes(knots)
     xi = cand(np.concatenate((knots, nodes)))
@@ -435,9 +418,9 @@ def _integrate_window(inflow, rho0, law, prefix, cand, knots, B):
     values = xi_knots[0] + np.concatenate(([0.0], increments.cumsum()))
 
     def A():
-        rho1, post = rho0(1.0 - xi_nodes), xi_nodes > 1.0
-        if post.any():
-            rho1[post] = inflow.boundary_density(sigma[post[exited]], prefix.slope)
+        rho1 = rho0(1.0 - xi_nodes)
+        if sigma.size:  # an empty call took about 4% of a T = 1 tracking solve
+            rho1[exited] = inflow.boundary_density(sigma, prefix.slope)
         return h * ((law.slope(W) * -rho1).reshape(-1, 3) @ G3_WEIGHTS)
     return values, xi_knots, A
 

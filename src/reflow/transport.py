@@ -140,7 +140,7 @@ class Trajectory:
 
     @functools.cached_property
     def boundary_mass(self):
-        """B(z), the mass that entered while xi was below z; built once per curve."""
+        """B(z, sigma) of ``Inflow``, the mass that entered while xi was below z; built once."""
         return self.inflow.boundary_mass(self.xi)
 
     def _of_time(self, t, f, curve=True):
@@ -157,12 +157,11 @@ class Trajectory:
 
     def influx(self, t):
         """The influx u(t); b lam(W) under a boundary density, which reads the curve."""
-        return self._of_time(t, lambda ts: self.inflow.influx(
-            ts, lambda _: self.law(self._mass(ts, self.xi(ts)))), curve=False)
+        return self._of_time(t, lambda ts: self.inflow.influx(ts, self.speed), curve=False)
 
     def cumulative_influx(self, t):
         """Mass that entered through x = 0 by time t."""
-        return self._of_time(t, lambda ts, xi_t: self.inflow.entered(ts, xi_t, self.boundary_mass))
+        return self._of_time(t, lambda ts, xi_t: self.boundary_mass(xi_t, ts))
 
     @property
     def exit_time(self) -> float | None:

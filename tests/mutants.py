@@ -18,14 +18,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SOLVER = "src/reflow/characteristics.py"
+TRANSPORT = "src/reflow/transport.py"
 WINDOWS = "tests/test_characteristics.py::TestWindows::"
 NEWTON = "tests/test_characteristics.py::TestNewtonWindows::"
+SLICE = "tests/test_transport.py::TestSliceQuadrature::test_l1_slice_distance_matches_brute_force"
 
 # (what the mutant does, file, old text, new text, the test ids that must kill it)
 MUTANTS = [
     ("the Newton step takes the outlet density past the exit as 0", SOLVER,
-     "rho1[post] = inflow.boundary_density(sigma[post[exited]], prefix.slope)",
-     "rho1[post] = 0.0",
+     "rho1[exited] = inflow.boundary_density(sigma, prefix.slope)",
+     "rho1[exited] = 0.0",
      [NEWTON + "test_flux_input_past_the_exit_takes_at_most_fifteen_applications[reciprocal]",
       NEWTON + "test_flux_input_past_the_exit_takes_at_most_fifteen_applications[mild]"]),
     ("a Newton candidate is kept outside the speed bounds", SOLVER,
@@ -47,6 +49,32 @@ MUTANTS = [
      "    a = A()\n    return values, xi_knots, lambda: a\n",
      [NEWTON + "test_lumped_coefficient_is_evaluated_only_for_a_newton_step[given-up-trials]",
       NEWTON + "test_lumped_coefficient_is_evaluated_only_for_a_newton_step[past-the-exit]"]),
+    ("a window's knots miss the times the candidate crosses a label level", SOLVER,
+     "grid = np.concatenate((fixed, kinks, cand.reach(all_levels)))",
+     "grid = np.concatenate((fixed, kinks))",
+     ["tests/test_characteristics.py::TestOdeOracle::test_pre_exit_curve_matches_stiff_ode_solver",
+      "tests/test_characteristics.py::TestContraction::test_solved_curve_is_a_fixed_point"]),
+    ("a window's knots miss the kinks of the speed law", SOLVER,
+     "kinks = law.kink_times(knots, W)",
+     "kinks = ()",
+     [WINDOWS + "test_tabulated_law_kinks_are_knots",
+      "tests/test_tracking.py::TestGradient::test_tabulated_law[1.0]"]),
+    ("abs_integral splits no panel where the difference changes sign", TRANSPORT,
+     "    if not row.size:\n        return float(part.sum())",
+     "    if True:\n        return float(part.sum())",
+     [SLICE + "[sign-2.4-2.5-1]"]),
+    ("the quartic's roots are not polished", TRANSPORT,
+     "    y = 0.5 * (a + b)\n    for _ in range(60):",
+     "    y = 0.5 * (a + b)\n    for _ in range(0):",
+     [SLICE + "[sign-2.4-2.41-2]"]),
+    ("M9: the certificate misses a boundary-density gap below 1e-3", "src/reflow/transfer.py",
+     "_DETECTION_TOL = 1e-6",
+     "_DETECTION_TOL = 1e-3",
+     ["tests/test_transfer.py::TestCertificate::test_a_gap_of_5e_4_to_rho_hi_still_delays_the_onset"]),
+    ("every trial is capped at 0.45 / sup speed", SOLVER,
+     "min(2.0 * last, 0.9 / bounds[1])",
+     "min(2.0 * last, 0.45 / bounds[1])",
+     [WINDOWS + "test_first_window_is_a_trial_at_the_cap_length"]),
 ]
 
 

@@ -848,6 +848,42 @@ class TestNewtonWindows:
         assert steps and len(slopes) - len(bounds) == len(steps)
 
 
+class TestBoundaryMass:
+    """B(z, sigma) reads the mass that has left off the entry times sigma when
+    a caller holds them, and off the positions z otherwise; the two paths
+    agree bit for bit, and so do both sides of the exit mask x >= 1."""
+
+    U = ControlSignal([0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 1.2])
+    RHO0 = DensityProfile([0.0, 0.4, 1.0], [0.8, 1.2])
+
+    @pytest.mark.parametrize("mode", ["u", "boundary_density"])
+    @pytest.mark.parametrize("law", [reciprocal(), TestExactDensityCurve.MILD],
+                             ids=["reciprocal", "mild"])
+    def test_entry_times_give_the_position_path(self, mode, law):
+        rho0 = self.RHO0
+        traj = simulate(rho0, law, 3.0, **{mode: self.U})
+        inflow, B, xi = traj.inflow, traj.boundary_mass, traj.xi
+        t = np.linspace(0.0, 3.0, 301)
+        x = xi(t)
+        post = x >= 1.0
+        assert 0 < post.sum() < t.size - 100
+        sigma = xi.inverse(x[post] - 1.0)
+        assert np.array_equal(inflow.mass(rho0, t, x, B, sigma), inflow.mass(rho0, t, x, B))
+        assert np.array_equal(inflow.outflow(rho0, x, B, sigma), inflow.outflow(rho0, x, B))
+        if mode == "u":
+            assert np.array_equal(traj.cumulative_influx(t), self.U.cumulative(t))
+        # at x = 1 the mass that has left is B(0) = 0 and R0(0) = 0: the
+        # mass and the outflow are the pre-exit formula's
+        s, one = np.array([traj.exit_time]), np.ones(1)
+        at_exit = xi.inverse(np.zeros(1))
+        pre_exit = B(one, s) + rho0.cumulative(1.0 - one)
+        assert np.array_equal(inflow.mass(rho0, s, one, B, at_exit), pre_exit)
+        assert np.array_equal(inflow.mass(rho0, s, one, B), pre_exit)
+        pre_exit = rho0.total_mass - rho0.cumulative(1.0 - one)
+        assert np.array_equal(inflow.outflow(rho0, one, B, at_exit), pre_exit)
+        assert np.array_equal(inflow.outflow(rho0, one, B), pre_exit)
+
+
 class TestLabels:
     def test_labels_of_initial_and_entered_jumps(self):
         u = ControlSignal([0.0, 0.5, 1.0, 2.0], [1.0, 0.5, 1.5])
